@@ -4,15 +4,20 @@
 //
 // The paper's claim: the hyperqueue version performs equivalently to the
 // task-dataflow version once the loop-split idiom bounds queue growth.
-// On this single-core host real times are throughput-equivalent by
-// construction; the interesting measured quantity is the queue footprint,
-// plus a virtual-time scaling comparison of the two models.
+// The host has far fewer cores than the paper's testbed, so the scaling
+// comparison of the two models is a model prediction in virtual time; the
+// real runs below measure times and the queue footprint at the host's core
+// count. Every real run — the declared graph on each backend, the
+// task-dataflow baseline and the split variant — must reproduce the serial
+// elision's stream and decompress back to the input.
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/bzip2/bzip2.hpp"
 #include "calibrate.hpp"
+#include "pipeline/runner.hpp"
 #include "quick.hpp"
 #include "sim/models.hpp"
 #include "util/datagen.hpp"
@@ -29,32 +34,38 @@ int main(int argc, char** argv) {
   cfg.threads = std::max(1u, std::thread::hardware_concurrency());
   auto input = hq::util::gen_text(cfg.input_bytes, cfg.seed);
 
-  auto serial_r = hq::apps::bzip2::run_serial(cfg, input);
-  auto obj_r = hq::apps::bzip2::run_objects(cfg, input);
-  auto hq_r = hq::apps::bzip2::run_hyperqueue(cfg, input);
-  auto split_r = hq::apps::bzip2::run_hyperqueue_split(cfg, input);
-
-  auto verify = [&](const hq::apps::bzip2::result& r) {
-    if (r.output != serial_r.output) return "NO";
-    auto back = hq::util::mbzip_decompress(r.output.data(), r.output.size());
-    return back == input ? "yes" : "NO";
-  };
-
   hq::util::table table({"Variant", "Time (s)", "Peak queue segments",
                          "Output ok"});
-  table.add_row({"serial", hq::util::table::cell(serial_r.seconds, 3), "-",
-                 verify(serial_r)});
-  table.add_row({"objects", hq::util::table::cell(obj_r.seconds, 3), "-",
-                 verify(obj_r)});
-  table.add_row({"hyperqueue", hq::util::table::cell(hq_r.seconds, 3),
-                 hq::util::table::cell(
-                     static_cast<std::uint64_t>(hq_r.peak_segments)),
-                 verify(hq_r)});
-  table.add_row({"hyperqueue+split(5.4)",
-                 hq::util::table::cell(split_r.seconds, 3),
-                 hq::util::table::cell(
-                     static_cast<std::uint64_t>(split_r.peak_segments)),
-                 verify(split_r)});
+  std::vector<std::uint8_t> reference;
+  bool ok = true;
+  // peak == 0 means the variant has no hyperqueues to measure.
+  auto add = [&](const std::string& name, double seconds, std::size_t peak,
+                 const std::vector<std::uint8_t>& output) {
+    const bool good =
+        output == reference &&
+        hq::util::mbzip_decompress(output.data(), output.size()) == input;
+    ok = ok && good;
+    table.add_row({name, hq::util::table::cell(seconds, 3),
+                   peak ? hq::util::table::cell(static_cast<std::uint64_t>(peak))
+                        : "-",
+                   good ? "yes" : "NO"});
+  };
+  std::vector<hq::pipe::backend> backends = {hq::pipe::backend::serial};
+  for (const auto b : hq::pipe::parallel_backends()) backends.push_back(b);
+  for (const auto b : backends) {
+    hq::apps::bzip2::result r;
+    hq::pipe::graph g;
+    hq::apps::bzip2::describe_pipeline(cfg, input, &r, g);
+    const auto ex =
+        hq::pipe::execute(g, b, {.workers = cfg.threads, .seed = cfg.seed});
+    if (b == hq::pipe::backend::serial) reference = r.output;
+    add(hq::pipe::to_string(b), ex.seconds, ex.peak_segments, r.output);
+  }
+  const auto obj_r = hq::apps::bzip2::run_objects(cfg, input);
+  add("objects", obj_r.seconds, 0, obj_r.output);
+  const auto split_r = hq::apps::bzip2::run_hyperqueue_split(cfg, input);
+  add("hyperqueue+split(5.4)", split_r.seconds, split_r.peak_segments,
+      split_r.output);
   table.print("bzip2 (Section 6.3), " + std::to_string(cfg.input_bytes >> 20) +
               " MiB input, " + std::to_string(cfg.threads) + " worker(s)");
 
@@ -80,10 +91,7 @@ int main(int argc, char** argv) {
          hq::util::table::cell(
              serial_v / hq::sim::sim_flat_hyperqueue(spec, m, ov), 2)});
   }
-  sweep.print("bzip2 speedup, task dataflow vs hyperqueue (virtual time)");
-
-  const bool ok = obj_r.output == serial_r.output &&
-                  hq_r.output == serial_r.output &&
-                  split_r.output == serial_r.output;
+  sweep.print("bzip2 speedup, task dataflow vs hyperqueue (model predictions, "
+              "virtual time)");
   return ok ? 0 : 1;
 }

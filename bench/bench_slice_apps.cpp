@@ -63,11 +63,12 @@ std::size_t env_size(const char* name, std::size_t fallback) {
 
 /// Time element vs slice at each worker count, keeping the fastest of
 /// `reps` repetitions per variant; correctness is accumulated over every
-/// repetition. The callables take a worker count and return
-/// {seconds, output_matches_serial}.
-template <typename ElementFn, typename SliceFn>
-app_record measure_app(const std::string& name, int reps, ElementFn element,
-                       SliceFn slice) {
+/// repetition. `run(workers, backend)` executes the app's graph and returns
+/// {seconds, output}; the reference output comes from the serial elision.
+template <typename RunFn>
+app_record measure_app(const std::string& name, int reps, RunFn run) {
+  using hq::pipe::backend;
+  const auto reference = run(1, backend::serial).second;
   app_record rec{name, {}};
   for (unsigned p : kWorkers) {
     run_record r;
@@ -75,11 +76,11 @@ app_record measure_app(const std::string& name, int reps, ElementFn element,
     r.element_s = r.slice_s = 1e30;
     r.ok = true;
     for (int rep = 0; rep < reps; ++rep) {
-      const auto [es, eok] = element(p);
-      const auto [ss, sok] = slice(p);
-      r.element_s = std::min(r.element_s, es);
-      r.slice_s = std::min(r.slice_s, ss);
-      r.ok = r.ok && eok && sok;
+      const auto element = run(p, backend::hyperqueue_element);
+      const auto slice = run(p, backend::hyperqueue);
+      r.element_s = std::min(r.element_s, element.first);
+      r.slice_s = std::min(r.slice_s, slice.first);
+      r.ok = r.ok && element.second == reference && slice.second == reference;
     }
     rec.runs.push_back(r);
   }
@@ -118,21 +119,14 @@ int main(int argc, char** argv) {
   bz.block_bytes = 1u << 10;  // many small blocks: queue-bound
   bz.slice_batch = batch;
   auto bz_input = hq::util::gen_text(bz.input_bytes, bz.seed);
-  auto bz_serial = hq::apps::bzip2::run_serial(bz, bz_input);
 
-  auto bz_run = [&](unsigned p, hq::pipe::backend b) {
-    auto c = bz;
-    c.threads = p;
+  auto bz_rec = measure_app("bzip2", reps, [&](unsigned p, hq::pipe::backend b) {
     hq::apps::bzip2::result r;
     hq::pipe::graph g;
-    hq::apps::bzip2::describe_pipeline(c, bz_input, &r, g);
-    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = c.seed});
-    return std::pair{ex.seconds, r.output == bz_serial.output};
-  };
-  auto bz_rec = measure_app(
-      "bzip2", reps,
-      [&](unsigned p) { return bz_run(p, hq::pipe::backend::hyperqueue_element); },
-      [&](unsigned p) { return bz_run(p, hq::pipe::backend::hyperqueue); });
+    hq::apps::bzip2::describe_pipeline(bz, bz_input, &r, g);
+    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = bz.seed});
+    return std::pair{ex.seconds, std::move(r.output)};
+  });
   for (const auto& r : bz_rec.runs) all_ok = all_ok && r.ok;
   print_app(bz_rec);
 
@@ -182,22 +176,15 @@ int main(int argc, char** argv) {
                           // critical path so queue overheads are visible
   dd.slice_batch = batch;
   auto dd_input = hq::util::gen_archive(dd.input_bytes, dd.dup_fraction, dd.seed);
-  auto dd_serial = hq::apps::dedup::run_serial(dd, dd_input);
 
-  auto dd_run = [&](unsigned p, hq::pipe::backend b) {
-    auto c = dd;
-    c.threads = p;
+  auto dd_rec = measure_app("dedup", reps, [&](unsigned p, hq::pipe::backend b) {
     hq::apps::dedup::result r;
     hq::apps::dedup::dedup_table table;
     hq::pipe::graph g;
-    hq::apps::dedup::describe_pipeline(c, dd_input, &table, &r, g);
-    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = c.seed});
-    return std::pair{ex.seconds, r.output == dd_serial.output};
-  };
-  auto dd_rec = measure_app(
-      "dedup", reps,
-      [&](unsigned p) { return dd_run(p, hq::pipe::backend::hyperqueue_element); },
-      [&](unsigned p) { return dd_run(p, hq::pipe::backend::hyperqueue); });
+    hq::apps::dedup::describe_pipeline(dd, dd_input, &table, &r, g);
+    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = dd.seed});
+    return std::pair{ex.seconds, std::move(r.output)};
+  });
   for (const auto& r : dd_rec.runs) all_ok = all_ok && r.ok;
   print_app(dd_rec);
 
@@ -209,23 +196,15 @@ int main(int argc, char** argv) {
   fr.dims = 8;
   fr.topk = 4;
   fr.slice_batch = batch;
-  fr.threads = 1;
-  auto fr_serial = hq::apps::ferret::run_serial(fr);
   const auto fr_db = hq::apps::ferret::build_db(fr);
 
-  auto fr_run = [&](unsigned p, hq::pipe::backend b) {
-    auto c = fr;
-    c.threads = p;
+  auto fr_rec = measure_app("ferret", reps, [&](unsigned p, hq::pipe::backend b) {
     std::uint64_t checksum = 0;
     hq::pipe::graph g;
-    hq::apps::ferret::describe_pipeline(c, fr_db, &checksum, g);
-    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = c.seed});
-    return std::pair{ex.seconds, checksum == fr_serial.checksum};
-  };
-  auto fr_rec = measure_app(
-      "ferret", reps,
-      [&](unsigned p) { return fr_run(p, hq::pipe::backend::hyperqueue_element); },
-      [&](unsigned p) { return fr_run(p, hq::pipe::backend::hyperqueue); });
+    hq::apps::ferret::describe_pipeline(fr, fr_db, &checksum, g);
+    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = fr.seed});
+    return std::pair{ex.seconds, checksum};
+  });
   for (const auto& r : fr_rec.runs) all_ok = all_ok && r.ok;
   print_app(fr_rec);
 

@@ -2,10 +2,11 @@
 // Section 6.3): a 3-stage pipeline — serial read, parallel per-block
 // compression, serial in-order write.
 //
-// Variants: serial, pthreads, tbb, task dataflow ("objects", the structure
-// of prior work [7] the paper compares against), hyperqueue, and the
-// hyperqueue version with the loop-split idiom of Section 5.4 that bounds
-// queue growth under serial execution.
+// Entry points: the declared graph (describe_pipeline, run by pipe::execute
+// on any backend), task dataflow ("objects", the structure of prior work
+// [7] the paper compares against), and the hyperqueue version with the
+// loop-split idiom of Section 5.4 that bounds queue growth under serial
+// execution.
 #pragma once
 
 #include <cstdint>
@@ -31,29 +32,21 @@ struct result {
   std::vector<std::uint8_t> output;  // mbzip stream (decompressible)
   double seconds = 0;
   std::size_t blocks = 0;
-  std::size_t peak_segments = 0;  // hyperqueue variants: memory footprint probe
-  // Segment-pool counters summed over the pipeline's queues (hyperqueue
-  // variants): fresh allocations, pool reuses, peak segments in use.
+  // run_hyperqueue_split only: peak queue segments (memory footprint probe)
+  // and the segment-pool counters summed over its two queues — fresh
+  // allocations, pool reuses, peak segments in use.
+  std::size_t peak_segments = 0;
   std::size_t seg_allocated = 0;
   std::size_t seg_recycled = 0;
   std::size_t seg_high_water = 0;
 };
 
-result run_serial(const config& cfg, const std::vector<std::uint8_t>& input);
 /// Declarative 3-stage description (pipeline/builder.hpp): serial read ->
-/// parallel compress -> in-order write. The pthreads/tbb/hyperqueue
-/// variants below all execute this one graph; `cfg`, `input` and `r` must
-/// outlive the built graph.
+/// parallel compress -> in-order write. Every backend of pipe::execute runs
+/// this one graph; `cfg`, `input` and `r` must outlive the built graph.
 void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input,
                        result* r, pipe::graph& g);
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input);
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input);
 result run_objects(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Slice-based hyperqueue pipeline (the default; Section 5.2 batching).
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Element-at-a-time hyperqueue pipeline (baseline for the slice bench).
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input);
 result run_hyperqueue_split(const config& cfg,
                             const std::vector<std::uint8_t>& input);
 

@@ -1,18 +1,13 @@
-// The bzip2 pipeline in all programming models. Output streams are
-// byte-identical (mbzip whole-stream format), so equality against the
-// serial stream verifies in-order writes.
-//
-// The pthreads/tbb/hyperqueue variants share one declarative description
-// (describe_pipeline); only the serial reference, the task-dataflow
-// "objects" comparison and the Section 5.4/5.5 loop-split idiom — which
-// exercises owner-push and selective sync, shapes the front-end does not
-// model — remain hand-rolled.
+// The bzip2 pipeline: the declared graph plus the two shapes the front-end
+// does not model — the task-dataflow "objects" comparison and the Section
+// 5.4/5.5 loop-split idiom, which exercises owner-push and selective sync.
+// Output streams are byte-identical (mbzip whole-stream format), so
+// equality against the serial elision's stream verifies in-order writes.
 #include <algorithm>
-#include <memory>
 
 #include "apps/bzip2/bzip2.hpp"
 #include "hq.hpp"
-#include "pipeline/runner.hpp"
+#include "pipeline/builder.hpp"
 #include "util/mbzip.hpp"
 #include "util/stats.hpp"
 
@@ -56,21 +51,6 @@ void write_block(result* r, const std::vector<std::uint8_t>& comp) {
 
 }  // namespace
 
-// ----------------------------------------------------------------- serial
-
-result run_serial(const config& cfg, const std::vector<std::uint8_t>& input) {
-  util::stopwatch sw;
-  result r;
-  auto blocks = slice_blocks(cfg, input);
-  write_header(&r, blocks.size());
-  for (auto& b : blocks) {
-    auto comp = util::mbzip_compress_block(b.data.data(), b.data.size());
-    write_block(&r, comp);
-  }
-  r.seconds = sw.seconds();
-  return r;
-}
-
 // ----------------------------------------------------- declarative pipeline
 
 void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input,
@@ -98,44 +78,6 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
   opts.slice_batch = cfg.slice_batch;
   g.connect(read, compress, opts);
   g.connect(compress, write, opts);
-}
-
-namespace {
-
-result run_declarative(const config& cfg, const std::vector<std::uint8_t>& input,
-                       pipe::backend b) {
-  result r;
-  pipe::graph g;
-  describe_pipeline(cfg, input, &r, g);
-  pipe::exec_options opt;
-  opt.workers = cfg.threads;
-  opt.seed = cfg.seed;
-  const pipe::exec_result ex = pipe::execute(g, b, opt);
-  r.seconds = ex.seconds;
-  r.seg_allocated = ex.pool.allocated;
-  r.seg_recycled = ex.pool.recycled;
-  r.seg_high_water = ex.pool.high_water;
-  r.peak_segments = std::max(r.peak_segments, ex.peak_segments);
-  return r;
-}
-
-}  // namespace
-
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::pthreads);
-}
-
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::tbb);
-}
-
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue);
-}
-
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue_element);
 }
 
 // ---------------------------------------------------------------- objects

@@ -1,15 +1,16 @@
 // dedup — deduplicating compression (PARSEC), rebuilt on synthetic archives
-// (see DESIGN.md substitutions).
+// (see README "Substitutions").
 //
 // Pipeline (paper Figure 9): Fragment -> FragmentRefine -> Deduplicate ->
 // Compress -> Output, with variable-rate stages: refinement produces many
 // small chunks per coarse chunk, and compression is skipped for duplicates.
 // The output stream interleaves unique payloads ('U') and back-references
 // ('R'); the first occurrence in OUTPUT order carries the payload, so the
-// stream is byte-identical across all implementations and schedules.
+// stream is byte-identical across all backends and schedules.
 //
-// Five implementations share these kernels; correctness = the reassembled
-// stream equals the input, and all variants produce byte-identical output.
+// The declared graph and the task-dataflow "objects" baseline share these
+// kernels; correctness = the reassembled stream equals the input, and every
+// run's output is byte-identical to the serial elision's.
 #pragma once
 
 #include <atomic>
@@ -107,27 +108,16 @@ struct result {
   double seconds = 0;
   std::size_t total_chunks = 0;
   std::size_t unique_chunks = 0;
-  // Segment-pool counters of the shared write queue (hyperqueue variants).
-  std::size_t seg_allocated = 0;
-  std::size_t seg_recycled = 0;
-  std::size_t seg_high_water = 0;
 };
 
-result run_serial(const config& cfg, const std::vector<std::uint8_t>& input);
 /// Declarative Figure 9 description (pipeline/builder.hpp): fragment ->
-/// refine (variable-rate expand) -> dedup+compress -> in-order output. The
-/// pthreads/tbb/hyperqueue variants below all execute this one graph;
-/// `cfg`, `input`, `table` and `r` must outlive the built graph.
+/// refine (variable-rate expand) -> dedup+compress -> in-order output.
+/// Every backend of pipe::execute runs this one graph; `cfg`, `input`,
+/// `table` and `r` must outlive the built graph. A run fills r->output and
+/// r->total_chunks; the unique count is table->unique_chunks().
 void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input,
                        dedup_table* table, result* r, pipe::graph& g);
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input);
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input);
 result run_objects(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Slice-based hyperqueue pipeline (the default; Section 5.2 batching).
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Element-at-a-time hyperqueue pipeline (baseline for the slice bench).
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input);
 
 /// Serial per-stage seconds {Fragment, FragmentRefine, Deduplicate,
 /// Compress, Output} plus iteration counts, for Table 2.

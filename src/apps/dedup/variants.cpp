@@ -1,41 +1,16 @@
-// The five dedup implementations. The output stream is byte-identical
-// across all of them (first-occurrence-in-output-order carries the
-// payload), so equality against the serial stream is the correctness test.
+// dedup's declared pipeline and its task-dataflow "objects" baseline. The
+// output stream is byte-identical across both and every backend
+// (first-occurrence-in-output-order carries the payload), so equality
+// against the serial elision's stream is the correctness test.
 //
-// The pthreads/tbb/hyperqueue variants share one declarative description
-// (describe_pipeline) whose expand stage carries the paper's variable-rate
-// coarse->fine split; the serial reference and the task-dataflow "objects"
-// comparison remain hand-rolled.
-#include <algorithm>
-#include <memory>
-
+// describe_pipeline's expand stage carries the paper's variable-rate
+// coarse->fine split.
 #include "apps/dedup/dedup.hpp"
 #include "hq.hpp"
-#include "pipeline/runner.hpp"
+#include "pipeline/builder.hpp"
 #include "util/stats.hpp"
 
 namespace hq::apps::dedup {
-
-// ----------------------------------------------------------------- serial
-
-result run_serial(const config& cfg, const std::vector<std::uint8_t>& input) {
-  util::stopwatch sw;
-  result r;
-  dedup_table table;
-  auto coarse = k_fragment(cfg, input.data(), input.size());
-  for (std::size_t i = 0; i < coarse.size(); ++i) {
-    auto chunks = k_refine(cfg, input.data(), coarse[i].first, coarse[i].second, i);
-    for (auto& c : chunks) {
-      k_dedup(&table, &c);
-      if (c.owner) k_compress(&c);
-      k_output(&r.output, &c);
-      ++r.total_chunks;
-    }
-  }
-  r.unique_chunks = table.unique_chunks();
-  r.seconds = sw.seconds();
-  return r;
-}
 
 // ----------------------------------------------------- declarative pipeline
 
@@ -104,45 +79,6 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
   out_edge.segment_length = 256;
   out_edge.traffic = 8.0;
   g.connect(dedup_compress, output, out_edge);
-}
-
-namespace {
-
-result run_declarative(const config& cfg, const std::vector<std::uint8_t>& input,
-                       pipe::backend b) {
-  result r;
-  dedup_table table;
-  pipe::graph g;
-  describe_pipeline(cfg, input, &table, &r, g);
-  pipe::exec_options opt;
-  opt.workers = cfg.threads;
-  opt.seed = cfg.seed;
-  const pipe::exec_result ex = pipe::execute(g, b, opt);
-  r.seconds = ex.seconds;
-  r.seg_allocated = ex.pool.allocated;
-  r.seg_recycled = ex.pool.recycled;
-  r.seg_high_water = ex.pool.high_water;
-  r.unique_chunks = table.unique_chunks();
-  return r;
-}
-
-}  // namespace
-
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::pthreads);
-}
-
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::tbb);
-}
-
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue);
-}
-
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue_element);
 }
 
 // ---------------------------------------------------------------- objects

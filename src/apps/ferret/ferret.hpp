@@ -1,13 +1,13 @@
 // ferret — content-based similarity search (PARSEC), rebuilt on synthetic
-// images (see DESIGN.md substitutions).
+// images (see README "Substitutions").
 //
 // Pipeline (paper Figure 7):  input -> segment -> extract -> vector ->
 // rank -> output, where input (recursive directory traversal + image load)
 // and output are serial stages and the middle four are parallel.
 //
-// All five implementations (serial / pthreads / tbb / task-dataflow
-// "objects" / hyperqueue) share the same kernels and must produce the same
-// output checksum as the serial version.
+// The declared graph (describe_pipeline, run by pipe::execute on any
+// backend) and the task-dataflow "objects" baseline share the same kernels
+// and must produce the serial elision's output checksum.
 #pragma once
 
 #include <cstdint>
@@ -69,34 +69,21 @@ void k_rank(const config& cfg, const feature_db& db, item* it);
 void k_output(std::uint64_t* checksum, const item& it);
 
 /// Depth-first file list of the synthetic directory tree, in traversal
-/// (serial-elision) order. The pthreads/hyperqueue input stages walk the
-/// tree recursively themselves; this is the oracle order.
+/// (serial-elision) order: the order the input stage emits images in.
 std::vector<std::string> traversal_order(const config& cfg);
 
 struct result {
   std::uint64_t checksum = 0;
   double seconds = 0;
-  // Segment-pool counters summed over the pipeline's queues (hyperqueue
-  // variants only).
-  std::size_t seg_allocated = 0;
-  std::size_t seg_recycled = 0;
-  std::size_t seg_high_water = 0;
 };
 
-result run_serial(const config& cfg);
 /// Declarative 3-stage description (pipeline/builder.hpp): serial input ->
 /// fused parallel middle (segment+extract+vector+rank) -> in-order output.
-/// The pthreads/tbb/hyperqueue variants below all execute this one graph;
-/// `cfg`, `db` and `checksum` must outlive the built graph.
+/// Every backend of pipe::execute runs this one graph; `cfg`, `db` and
+/// `checksum` must outlive the built graph.
 void describe_pipeline(const config& cfg, const feature_db& db,
                        std::uint64_t* checksum, pipe::graph& g);
-result run_pthreads(const config& cfg);
-result run_tbb(const config& cfg);
 result run_objects(const config& cfg);     // task dataflow, input not overlapped
-/// Slice-based hyperqueue pipeline (the default; Section 5.2 batching).
-result run_hyperqueue(const config& cfg);
-/// Element-at-a-time hyperqueue pipeline (baseline for the slice bench).
-result run_hyperqueue_element(const config& cfg);
 
 /// Serial per-stage seconds {input, segment, extract, vector, rank, output}
 /// for the Table 1 characterization.

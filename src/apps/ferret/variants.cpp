@@ -1,18 +1,14 @@
-// The five ferret implementations. All must produce the serial checksum:
-// the output stage is order-sensitive, so this verifies in-order delivery.
+// ferret's declared pipeline and its task-dataflow "objects" baseline. Both
+// must produce the serial elision's checksum: the output stage is
+// order-sensitive, so this verifies in-order delivery.
 //
-// The pthreads/tbb/hyperqueue variants share one declarative description
-// (describe_pipeline) with the four middle kernels fused into a single
-// parallel stage — the shape the hand-rolled hyperqueue variant used. (The
-// PARSEC pthreads build ran four separate pools; the fused stage gives the
-// pthreads baseline one pool of `threads` workers instead, see README.)
-// Only the serial reference and the task-dataflow "objects" comparison
-// remain hand-rolled.
-#include <memory>
-
+// describe_pipeline fuses the four middle kernels into a single parallel
+// stage. (The PARSEC pthreads build ran four separate pools; the fused
+// stage gives the pthreads backend one pool of `threads` workers instead,
+// see README.)
 #include "apps/ferret/ferret.hpp"
 #include "hq.hpp"
-#include "pipeline/runner.hpp"
+#include "pipeline/builder.hpp"
 #include "util/stats.hpp"
 
 namespace hq::apps::ferret {
@@ -35,22 +31,6 @@ void process_middle(const config& cfg, const feature_db& db, item* it) {
 }
 
 }  // namespace
-
-// ----------------------------------------------------------------- serial
-
-result run_serial(const config& cfg) {
-  feature_db db = build_db(cfg);
-  util::stopwatch sw;
-  auto files = traversal_order(cfg);
-  std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    item it = make_item(cfg, i, files[i]);
-    k_load(cfg, &it);
-    process_middle(cfg, db, &it);
-    k_output(&checksum, it);
-  }
-  return {checksum, sw.seconds()};
-}
 
 // ----------------------------------------------------- declarative pipeline
 
@@ -82,42 +62,6 @@ void describe_pipeline(const config& cfg, const feature_db& db,
   opts.slice_batch = cfg.slice_batch;
   g.connect(input, middle, opts);
   g.connect(middle, output, opts);
-}
-
-namespace {
-
-result run_declarative(const config& cfg, pipe::backend b) {
-  feature_db db = build_db(cfg);
-  result r;
-  pipe::graph g;
-  describe_pipeline(cfg, db, &r.checksum, g);
-  pipe::exec_options opt;
-  opt.workers = cfg.threads;
-  opt.seed = cfg.seed;
-  const pipe::exec_result ex = pipe::execute(g, b, opt);
-  r.seconds = ex.seconds;
-  r.seg_allocated = ex.pool.allocated;
-  r.seg_recycled = ex.pool.recycled;
-  r.seg_high_water = ex.pool.high_water;
-  return r;
-}
-
-}  // namespace
-
-result run_pthreads(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::pthreads);
-}
-
-result run_tbb(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::tbb);
-}
-
-result run_hyperqueue(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::hyperqueue);
-}
-
-result run_hyperqueue_element(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::hyperqueue_element);
 }
 
 // ---------------------------------------------------------------- objects

@@ -84,18 +84,18 @@ struct flat_dag {
         parked[stage].emplace(item, true);
         return;
       }
-      run_serial(item, stage);
+      enter_serial(item, stage);
     } else {
       eng.submit(costs[item][stage] + per_task,
                  [this, item, stage] { arrive(item, stage + 1); });
     }
   }
 
-  void run_serial(std::size_t item, std::size_t stage) {
-    run_serial(item, stage, /*continuation=*/false);
+  void enter_serial(std::size_t item, std::size_t stage) {
+    enter_serial(item, stage, /*continuation=*/false);
   }
 
-  void run_serial(std::size_t item, std::size_t stage, bool continuation) {
+  void enter_serial(std::size_t item, std::size_t stage, bool continuation) {
     auto body = [this, item, stage] {
       serial_next[stage] = item + 1;
       arrive(item, stage + 1);
@@ -104,7 +104,7 @@ struct flat_dag {
         parked[stage].erase(it);
         // The consumer task continues with the next item without giving up
         // its worker when the model says so.
-        run_serial(item + 1, stage, serial_holds_core);
+        enter_serial(item + 1, stage, serial_holds_core);
       }
     };
     if (continuation) {

@@ -7,7 +7,7 @@
 //
 // Costs are measured on the host (apps' stage_times); overheads are
 // calibrated from the runtime microbenchmarks. Speedup(P) =
-// serial_time / makespan(P). See DESIGN.md for the substitution argument.
+// serial_time / makespan(P). See README "Substitutions" for the argument.
 #pragma once
 
 #include <cstdint>

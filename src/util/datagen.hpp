@@ -1,5 +1,6 @@
 // Synthetic input generators — the substitution for PARSEC's 'native'
-// inputs (see DESIGN.md). All generators are seeded and deterministic.
+// inputs (see README "Substitutions"). All generators are seeded and
+// deterministic.
 #pragma once
 
 #include <cstddef>

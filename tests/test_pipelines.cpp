@@ -1,69 +1,16 @@
-// Tests for the two baseline programming models: pthreads-style stage pools
-// and the TBB-like token pipeline.
+// Tests for the TBB-like token pipeline engine behind the runner's tbb
+// backend. (The runner's pthreads backend is covered through pipe::graph in
+// test_pipeline_builder.cpp and test_runner_conformance.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <numeric>
+#include <string>
 #include <vector>
 
-#include "pipeline/pthread_pipeline.hpp"
 #include "pipeline/tbb_pipeline.hpp"
 
 namespace {
-
-// ------------------------------------------------------------ pthreads
-
-TEST(PthreadPipeline, TwoStageOrderedOutput) {
-  // source -> parallel square stage -> ordered serial sink.
-  struct item {
-    std::uint64_t seq;
-    long value;
-  };
-  constexpr int kN = 2000;
-  hq::bounded_queue<item> q1(64);
-  std::vector<long> out;
-  hq::pth::ordered_serial_stage<long> sink([&](long&& v) { out.push_back(v); });
-  hq::pth::stage_pool<item> squares(q1, 4, [&](item&& it) {
-    sink.emit(it.seq, it.value * it.value);
-  });
-  sink.start();
-  squares.start();
-  for (int i = 0; i < kN; ++i) q1.push(item{static_cast<std::uint64_t>(i), i});
-  q1.close();
-  squares.join();
-  sink.finish_and_join();
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(kN));
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(out[static_cast<std::size_t>(i)], static_cast<long>(i) * i)
-        << "serial sink must see items in sequence order";
-  }
-}
-
-TEST(PthreadPipeline, ThreeStageChain) {
-  struct item {
-    std::uint64_t seq;
-    long value;
-  };
-  constexpr int kN = 1000;
-  hq::bounded_queue<item> q1(32), q2(32);
-  std::atomic<long> sum{0};
-  hq::pth::stage_pool<item> add1(q1, 3, [&](item&& it) {
-    it.value += 1;
-    q2.push(std::move(it));
-  });
-  hq::pth::stage_pool<item> acc(q2, 2, [&](item&& it) { sum.fetch_add(it.value); });
-  add1.start();
-  acc.start();
-  for (int i = 0; i < kN; ++i) q1.push(item{static_cast<std::uint64_t>(i), i});
-  q1.close();
-  add1.join();
-  q2.close();
-  acc.join();
-  EXPECT_EQ(sum.load(), static_cast<long>(kN) * (kN - 1) / 2 + kN);
-}
-
-// ----------------------------------------------------------------- tbb-like
 
 TEST(TbbPipeline, SerialParallelSerialKeepsOrder) {
   constexpr long kN = 3000;
