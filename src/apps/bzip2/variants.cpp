@@ -88,8 +88,8 @@ result run_objects(const config& cfg, const std::vector<std::uint8_t>& input) {
   // on an inoutdep "file descriptor" token.
   util::stopwatch sw;
   result r;
-  scheduler sched(cfg.threads);
-  sched.run([&] {
+  scheduler_lease sched(cfg.threads);
+  sched->run([&] {
     auto blocks = slice_blocks(cfg, input);
     write_header(&r, blocks.size());
     versioned<int> fd(0);
@@ -160,8 +160,8 @@ result run_hyperqueue_split(const config& cfg,
   result r;
   const std::size_t nblocks = (input.size() + cfg.block_bytes - 1) / cfg.block_bytes;
   write_header(&r, nblocks);
-  scheduler sched(cfg.threads);
-  sched.run([&] {
+  scheduler_lease sched(cfg.threads);
+  sched->run([&] {
     hyperqueue<block> q_in(2 * cfg.slice_batch);
     hyperqueue<block> q_out(2 * cfg.slice_batch);
     auto blocks = slice_blocks(cfg, input);

@@ -91,8 +91,8 @@ result run_objects(const config& cfg, const std::vector<std::uint8_t>& input) {
   util::stopwatch sw;
   result r;
   dedup_table table;
-  scheduler sched(cfg.threads);
-  sched.run([&] {
+  scheduler_lease sched(cfg.threads);
+  sched->run([&] {
     auto coarse = k_fragment(cfg, input.data(), input.size());
     versioned<std::uint64_t> out_token(0);  // serializes output in spawn order
     for (std::size_t i = 0; i < coarse.size(); ++i) {

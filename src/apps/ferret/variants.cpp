@@ -74,8 +74,8 @@ result run_objects(const config& cfg) {
   feature_db db = build_db(cfg);
   util::stopwatch sw;
   std::uint64_t checksum = 0;
-  scheduler sched(cfg.threads);
-  sched.run([&] {
+  scheduler_lease sched(cfg.threads);
+  sched->run([&] {
     auto files = traversal_order(cfg);
     versioned<std::uint64_t> out_token(0);  // serializes the output stage
     for (std::size_t i = 0; i < files.size(); ++i) {

@@ -38,6 +38,8 @@ struct cpu_desc {
   unsigned llc = 0;      ///< last-level-cache sharing group
   unsigned core = 0;     ///< physical core (globally unique across packages)
   unsigned smt = 0;      ///< thread rank within the core (0 = first sibling)
+
+  bool operator==(const cpu_desc&) const = default;
 };
 
 class topology {

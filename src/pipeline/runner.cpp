@@ -13,6 +13,7 @@
 #include "conc/bounded_queue.hpp"
 #include "pipeline/tbb_pipeline.hpp"
 #include "sched/partition.hpp"
+#include "sched/scheduler_lease.hpp"
 #include "sched/watchdog.hpp"
 #include "util/stats.hpp"
 
@@ -130,27 +131,26 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
 
-  std::unique_ptr<scheduler> sched;
-  if (opt.placement)
-    sched = std::make_unique<scheduler>(opt.workers, *opt.placement);
-  else
-    sched = std::make_unique<scheduler>(opt.workers);
+  // A resident scheduler for (workers, placement): after the first run per
+  // key this neither parses the topology nor starts threads.
+  scheduler_lease lease(opt.workers, opt.placement);
+  scheduler& sched = *lease;
 
   // Runtime-fed placement: the builder knows the stage->queue attachment
   // graph, so under a placement policy each queue's segments are homed on
   // its consumer stage's node without the caller supplying a queue_graph.
   std::vector<int> nodes(p.edges.size(), -1);
-  if (sched->policy() != placement_policy::none &&
-      sched->topo().num_nodes() > 1) {
+  if (sched.policy() != placement_policy::none &&
+      sched.topo().num_nodes() > 1) {
     queue_plan plan = plan_queue_placement(
-        g.build_queue_graph(), sched->topo().num_nodes(), opt.seed);
+        g.build_queue_graph(), sched.topo().num_nodes(), opt.seed);
     for (std::size_t j = 0; j < p.edges.size(); ++j)
       nodes[j] = plan.queue_node[j];
   }
 
   exec_result res;
   util::stopwatch sw;
-  sched->run([&] {
+  sched.run([&] {
     std::vector<std::unique_ptr<detail::hq_chan_base>> chans;
     chans.reserve(p.edges.size());
     for (std::size_t j = 0; j < p.edges.size(); ++j) {

@@ -71,7 +71,6 @@ scheduler::scheduler(unsigned num_workers, placement_config cfg) {
   }
   topo_ = cfg.topo != nullptr ? *cfg.topo : topology::detect();
   policy_ = cfg.policy;
-  watchdog_ms_ = watchdog_ms_from_env();
 
   // Worker -> CPU assignment: explicit list (benches building exact
   // pairings) or the deterministic policy plan; empty means unplaced.
@@ -180,13 +179,16 @@ void scheduler::run_root(task_fn fn) {
   // finish() signals done_cv_ for the parentless root frame after freeing
   // it (not via a completion hook, which would run pre-free): once the wait
   // below returns, no frame is live and no scheduler work is in flight.
-  // Arm the stall watchdog for the duration of this run (HQ_WATCHDOG_MS /
-  // set_watchdog). Its monitor thread cancels a no-progress run with a
-  // stall_error diagnostic, which surfaces through the rethrow below.
+  // Arm the stall watchdog for the duration of this run: set_watchdog's
+  // interval once called, else HQ_WATCHDOG_MS read now, so a scheduler kept
+  // resident across runs follows the knob. Its monitor thread cancels a
+  // no-progress run with a stall_error diagnostic, which surfaces through
+  // the rethrow below.
+  const unsigned dog_ms = watchdog_set_ ? watchdog_ms_ : watchdog_ms_from_env();
   std::optional<watchdog> dog;
-  if (watchdog_ms_ > 0) {
+  if (dog_ms > 0) {
     watchdog::options wo;
-    wo.interval = std::chrono::milliseconds(watchdog_ms_);
+    wo.interval = std::chrono::milliseconds(dog_ms);
     wo.grace_intervals = watchdog_grace_;
     dog.emplace(*this, wo);
   }
@@ -309,18 +311,42 @@ bool is_spawn_ancestor(const task_frame* anc, const task_frame* t) {
   return false;
 }
 
+/// True when frame `a` comes before frame `b` in serial-elision order.
+/// Neither may be an ancestor of the other. Climbs both to their lowest
+/// common ancestor and compares the spawn order of the two children of it
+/// on the paths; every frame visited is live (a parent outlives its
+/// children) and spawn_index is immutable, so the walk is race-free.
+bool elision_precedes(const task_frame* a, const task_frame* b) {
+  while (a->depth > b->depth) a = a->parent;
+  while (b->depth > a->depth) b = b->parent;
+  assert(a != b && "elision_precedes on an ancestor pair");
+  while (a->parent != b->parent) {
+    a = a->parent;
+    b = b->parent;
+  }
+  return a->spawn_index < b->spawn_index;
+}
+
 /// Help-while-blocked deadlock avoidance. A blocking wait that helps may
 /// pull any ready task, including a pop-privileged (consumer) task `cand`.
 /// Executing it nested on this worker is unsafe when a frame `f` suspended
-/// on the worker's execution stack holds a live *spawned* push attachment on
-/// a queue `cand` pops: cand's blocking pop can wait for f's producer
-/// subtree to complete (the scan blocks at f's still-open shard), while f
-/// resumes only after cand returns — a cycle that spins forever. Spawn-tree
-/// ancestors of cand are exempt: a descendant consumer never waits on an
-/// ancestor's own later pushes (its visible range was frozen at its spawn,
-/// before the ancestor's continuation shard), which also keeps the paper's
-/// producer-spawns-consumer idiom executable on one worker. The owner
-/// attachment (parent == nullptr) is exempt for the same reason.
+/// on the worker's execution stack is one cand's blocking pop can wait on,
+/// while f resumes only after cand returns — a cycle that spins forever:
+///  * f holds a live *spawned* push attachment on a queue cand pops (the
+///    scan blocks at f's still-open shard);
+///  * f holds any live spawned attachment and precedes cand in serial-
+///    elision order. cand may then wait on f transitively: a sink nested
+///    on the stage two edges upstream waits for the middle stage, which
+///    waits for the end of the stream that f closes only on completion.
+/// Spawn-tree ancestors of cand are exempt: a descendant consumer never
+/// waits on an ancestor's own later pushes (its visible range was frozen at
+/// its spawn, before the ancestor's continuation shard), which also keeps
+/// the paper's producer-spawns-consumer idiom executable on one worker. The
+/// owner attachment (parent == nullptr) is exempt for the same reason.
+/// Refusing a later consumer never blocks progress: every wait that helps
+/// depends only on earlier frames or on the waiter's own descendants
+/// (budget and admission waits pause instead of helping), so the refused
+/// task is re-exposed for another worker, or runs once the stack unwinds.
 /// All frames inspected are either suspended on this worker's own stack or
 /// not yet started, so their attachment lists are stable.
 bool safe_to_nest(task_frame* host, task_frame* cand) {
@@ -329,10 +355,9 @@ bool safe_to_nest(task_frame* host, task_frame* cand) {
     for (task_frame* f = host; f != nullptr; f = f->exec_parent) {
       if (is_spawn_ancestor(f, cand)) continue;
       for (detail::qattach* af : f->attachments) {
-        if (af->q == at->q && (af->priv & detail::kPrivPush) != 0 &&
-            af->parent != nullptr) {
-          return false;
-        }
+        if (af->parent == nullptr) continue;
+        if (af->q == at->q && (af->priv & detail::kPrivPush) != 0) return false;
+        if (elision_precedes(f, cand)) return false;
       }
     }
   }

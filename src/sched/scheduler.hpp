@@ -208,14 +208,16 @@ class scheduler {
       throw detail::cancel_unwind{};
   }
 
-  /// Stall-watchdog knob (also set from HQ_WATCHDOG_MS at construction):
-  /// when nonzero, every run() is monitored and a no-progress interval of
-  /// this many milliseconds cancels the run with a hq::stall_error carrying
-  /// a per-worker diagnostic dump (and aborts the process if cancellation
-  /// itself makes no progress for `grace` further intervals).
+  /// Stall-watchdog knob: when nonzero, every run() is monitored and a
+  /// no-progress interval of this many milliseconds cancels the run with a
+  /// hq::stall_error carrying a per-worker diagnostic dump (and aborts the
+  /// process if cancellation itself makes no progress for `grace` further
+  /// intervals). Until this is called, each run() reads HQ_WATCHDOG_MS at
+  /// its start instead; once called (0 included) the env is ignored.
   void set_watchdog(unsigned ms, unsigned grace_intervals = 8) noexcept {
     watchdog_ms_ = ms;
     watchdog_grace_ = grace_intervals;
+    watchdog_set_ = true;
   }
 
   // Run-state introspection for the watchdog's diagnostic dump.
@@ -389,9 +391,11 @@ class scheduler {
   std::exception_ptr failure_;
   std::atomic<bool> cancelled_{false};
 
-  // Stall watchdog (see set_watchdog / HQ_WATCHDOG_MS). 0 = disabled.
+  // Stall watchdog (see set_watchdog / HQ_WATCHDOG_MS). 0 = disabled;
+  // until set_watchdog is called, run_root reads the env per run.
   unsigned watchdog_ms_ = 0;
   unsigned watchdog_grace_ = 8;
+  bool watchdog_set_ = false;
 };
 
 }  // namespace hq

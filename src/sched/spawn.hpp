@@ -2,8 +2,8 @@
 //
 // Mirrors the paper's programming model (Figures 1 and 2):
 //
-//   hq::scheduler sched(P);
-//   sched.run([&] {
+//   hq::scheduler_lease sched(P);  // resident workers (scheduler_lease.hpp)
+//   sched->run([&] {
 //     hq::hyperqueue<data> queue;
 //     hq::spawn(producer, (hq::pushdep<data>)queue, 0, total);
 //     hq::spawn(consumer, (hq::popdep<data>)queue);
@@ -52,6 +52,7 @@ task_frame* make_task(F&& f, Args&&... args) {
          "spawn() is only valid inside a task (use scheduler::run for the root)");
   task_frame* parent = w->current;
   task_frame* fr = w->sched->alloc_frame(parent);  // per-worker magazine pool
+  fr->spawn_index = parent->spawned++;
   parent->live_children.fetch_add(1, std::memory_order_relaxed);
   try {
     // Build the argument tuple; wrapper resolution registers dependences and

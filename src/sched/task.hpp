@@ -47,6 +47,13 @@ struct task_frame {
   /// threads). Set by scheduler::alloc_frame right after construction.
   unsigned pool_owner = ~0u;
 
+  /// Position among its parent's children in spawn order (immutable once
+  /// spawned), and the number of children this frame has spawned so far
+  /// (written only by the worker executing it). Together with `parent` they
+  /// order any two frames in serial-elision order (scheduler.cpp).
+  std::uint64_t spawn_index = 0;
+  std::uint64_t spawned = 0;
+
   /// Frame this one is nested on via help-while-blocked execution (the
   /// worker's execution stack, not the spawn tree). Set by execute(); only
   /// meaningful while the frame runs, and only read by its own worker.

@@ -14,10 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -423,12 +427,18 @@ TEST(Watchdog, CancelsAStalledRunWithADiagnostic) {
 }
 
 TEST(Watchdog, EnvKnobArmsThePipelineSchedulers) {
-  // HQ_WATCHDOG_MS is read at scheduler construction, so the hyperqueue
-  // backend's per-run scheduler picks it up; a stalled stage then reports
+  // HQ_WATCHDOG_MS is read at the start of every run, so the hyperqueue
+  // backend's resident scheduler picks it up even though it was built
+  // before the knob was set; a stalled stage then reports
   // run_outcome::stalled through run_app.
   app_params p;
   p.workers = 2;
   prewarm_reference("ferret", p);
+  // One clean execute first, so the 2-worker resident scheduler exists
+  // before setenv.
+  const auto warm = hq::pipe::run_app("ferret", backend::hyperqueue, p);
+  ASSERT_EQ(warm.exec.outcome, run_outcome::ok) << warm.exec.error;
+  ASSERT_TRUE(warm.ok);
 
   hq::fault::plan pl;
   hq::fault::rule r;
@@ -439,8 +449,25 @@ TEST(Watchdog, EnvKnobArmsThePipelineSchedulers) {
   plan_guard guard;
   hq::fault::install(std::move(pl));
 
+  // If the knob is not picked up, the stall spins until the plan is
+  // cleared: release it after 10 s so that fails the test instead of
+  // hanging it.
   ASSERT_EQ(setenv("HQ_WATCHDOG_MS", "50", 1), 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread releaser([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(10), [&] { return finished; }))
+      hq::fault::clear();
+  });
   const auto run = hq::pipe::run_app("ferret", backend::hyperqueue, p);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    finished = true;
+  }
+  cv.notify_one();
+  releaser.join();
   ASSERT_EQ(unsetenv("HQ_WATCHDOG_MS"), 0);
 
   EXPECT_EQ(run.exec.outcome, run_outcome::stalled) << run.exec.error;
