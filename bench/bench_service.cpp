@@ -112,9 +112,9 @@ int main(int argc, char** argv) {
       pt.deterministic = same_curves(lo, hi);
       // Only the escape-free runs promise a hard cap; a counted overrun
       // (single-worker schedules that cannot interleave the consumer)
-      // reports itself instead of deadlocking. exec.pool sums both edge
-      // queues (budget_bytes = 2x the per-queue budget) and reports the
-      // exact structural slack for the run's shard high-water mark.
+      // reports itself instead of deadlocking. exec.pool covers the one
+      // budgeted queue, in front of the sink, and reports the exact
+      // structural slack for the run's shard high-water mark.
       auto capped = [&](const hq::seg_pool_stats& pool) {
         return spec.memory_budget == 0 || pool.budget_overruns != 0 ||
                pool.peak_bytes <= pool.budget_bytes + pool.exempt_peak_bytes;

@@ -61,6 +61,10 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
   // synchronizes-with its pop.
   auto read = g.source<block>("read", [&cfg, &input, r](pipe::emit<block> out) {
     auto blocks = slice_blocks(cfg, input);
+    // One allocation for the stream, sized for the input plus framing: the
+    // sink appends while raw blocks are still alive, so doubling growth
+    // could not reuse its freed buffers and would raise the peak footprint.
+    r->output.reserve(input.size() + 4 * (blocks.size() + 1));
     write_header(r, blocks.size());
     for (auto& b : blocks) out(std::move(b));
   });

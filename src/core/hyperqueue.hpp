@@ -21,7 +21,9 @@
 //   hq::sync();
 //
 // Access modes: pushdep (push only), popdep (empty/pop only), pushpopdep
-// (both). Tasks may pass a subset of their own privileges to children.
+// (both); pushdep_any hands push privilege on to children without naming
+// the element type. Tasks may pass a subset of their own privileges to
+// children.
 #pragma once
 
 #include <cassert>
@@ -364,6 +366,22 @@ class pushpopdep : public detail::dep_base {
   }
 };
 
+/// Push privilege on a queue whose element type the holder does not name.
+/// A task that never pushes itself but spawns children that do (the
+/// pipeline runner's producers in front of a parallel run) takes this
+/// instead of pushdep<T>; its children take pushdep<T> from the queue as
+/// usual and still merge in spawn order.
+class pushdep_any : public detail::dep_base {
+ public:
+  pushdep_any() = default;
+  explicit pushdep_any(detail::queue_cb* cb) : dep_base(cb) {}
+
+  pushdep_any hq_dep_resolve(detail::task_frame* fr) const {
+    cb_->attach_spawn(fr, detail::kPrivPush);
+    return *this;
+  }
+};
+
 /// The hyperqueue variable. Must be constructed inside a task (typically the
 /// pipeline driver); the constructing task is the owner and holds both push
 /// and pop privileges, so it may use the queue directly (Figure 6).
@@ -437,6 +455,7 @@ class hyperqueue {
   operator pushdep<T>() const { return pushdep<T>(cb_); }          // NOLINT
   operator popdep<T>() const { return popdep<T>(cb_); }            // NOLINT
   operator pushpopdep<T>() const { return pushpopdep<T>(cb_); }    // NOLINT
+  operator pushdep_any() const { return pushdep_any(cb_); }        // NOLINT
 
   /// Number of segments currently allocated (tests/benches).
   [[nodiscard]] std::size_t segments() const { return cb_->segments_allocated(); }

@@ -94,6 +94,35 @@ bool admission_ctl::admit() {
   return ok;
 }
 
+namespace {
+
+void run_from(const hq_run& run, std::size_t first, void* token,
+              const erased_emit& last) {
+  const stage_rec& s = *run.stages[first];
+  if (first + 1 == run.stages.size()) {
+    s.run_value(token, last);
+    return;
+  }
+  // The rest of the run, as the emission target of this body: each token
+  // this body emits continues depth-first, as in the serial elision.
+  struct rest_t {
+    const hq_run* run;
+    std::size_t next;
+    const erased_emit* last;
+  } rest{&run, first + 1, &last};
+  const erased_emit next{&rest, [](void* c, void* tok) {
+                           const auto* r = static_cast<const rest_t*>(c);
+                           run_from(*r->run, r->next, tok, *r->last);
+                         }};
+  s.run_value(token, next);
+}
+
+}  // namespace
+
+void run_through(const hq_run& run, void* token, const erased_emit& last) {
+  run_from(run, 0, token, last);
+}
+
 }  // namespace detail
 
 const char* to_string(stage_kind k) noexcept {
@@ -129,6 +158,11 @@ void graph::connect(stage_id from, stage_id to, edge_opts opts) {
   if (dst.in_edge != -1)
     throw graph_error("pipe::connect: input of stage '" + dst.name +
                       "' already connected");
+  if (opts.memory_budget != 0 && dst.kind == stage_kind::parallel &&
+      !dst.is_sink)
+    throw graph_error("pipe::connect: memory_budget on edge '" + src.name +
+                      "' -> '" + dst.name +
+                      "': an edge into a parallel stage has no queue to cap");
 
   detail::edge_rec e;
   e.from = from;
@@ -209,13 +243,18 @@ hq::queue_graph graph::build_queue_graph() const {
   plan p = compile();
   hq::queue_graph g;
   g.num_stages = static_cast<unsigned>(p.order.size());
-  g.queues.reserve(p.edges.size());
-  for (std::size_t i = 0; i < p.edges.size(); ++i) {
+  // One queue in front of every serial stage and the sink. Its pushers are
+  // the stage feeding it plus, past a parallel run, the run's stages (their
+  // bodies execute in run tasks that the feeding stage spawns).
+  unsigned first = 0;
+  for (std::size_t i = 1; i < p.order.size(); ++i) {
+    if (stages_[p.order[i]].kind == stage_kind::parallel) continue;
     hq::queue_graph::queue_desc q;
-    q.producers = {static_cast<unsigned>(i)};
-    q.consumer = static_cast<unsigned>(i + 1);
-    q.traffic = edges_[p.edges[i]].opts.traffic;
+    for (unsigned j = first; j < i; ++j) q.producers.push_back(j);
+    q.consumer = static_cast<unsigned>(i);
+    q.traffic = edges_[p.edges[i - 1]].opts.traffic;
     g.queues.push_back(std::move(q));
+    first = static_cast<unsigned>(i);
   }
   return g;
 }

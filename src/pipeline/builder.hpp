@@ -30,6 +30,16 @@
 // element-vs-bulk data path and the bounded-queue capacity of the pthreads
 // baseline — the numbers the hand-rolled variants hard-coded.
 //
+// The hyperqueue lowering follows the paper's producer-spawns-consumers
+// idiom. Each serial stage and the sink has a hyperqueue in front of it; a
+// run of consecutive parallel stages has none. Instead, the emitter of the
+// stage feeding the run (the source or a serial stage) collects
+// `slice_batch` tokens and spawns one task per batch, which carries each
+// token through the run's bodies and pushes the results into the queue in
+// front of the next serial stage or the sink. No task ever waits for a
+// parallel stage's input, so with two or more workers the sink retires
+// while the source still emits.
+//
 // Misuse (type-mismatched edges, unattached stages, parallel sinks) throws
 // graph_error at connect()/compile() time. The builder also emits the
 // stage->queue attachment graph (build_queue_graph) that feeds
@@ -44,6 +54,7 @@
 #include <stdexcept>
 #include <string>
 #include <typeindex>
+#include <type_traits>
 #include <typeinfo>
 #include <utility>
 #include <vector>
@@ -65,13 +76,17 @@ struct edge_opts {
   /// Bounded-queue slots in the pthreads baseline (the PARSEC-style
   /// hand-wired `bounded_queue<item> q(64)` numbers, now declarative).
   std::size_t capacity = 64;
-  /// Tokens moved per slice grant / per dispatched batch (Section 5.2).
+  /// Tokens moved per slice grant (Section 5.2). On an edge into a
+  /// parallel stage: tokens per spawned run task (hyperqueue_element
+  /// spawns one token per task).
   std::size_t slice_batch = 16;
   /// Hyperqueue segment length (Section 5.1); 0 = 2 * slice_batch so a
-  /// batch normally fits one contiguous grant.
+  /// batch normally fits one contiguous grant. Ignored on an edge into a
+  /// parallel stage, which has no queue.
   std::size_t segment_length = 0;
   /// Slice data path (default) vs element-at-a-time pushes/pops. The
-  /// hyperqueue_element backend forces the element path on every edge.
+  /// hyperqueue_element backend forces the element path on every queue.
+  /// Ignored on an edge into a parallel stage, which has no queue.
   bool bulk = true;
   /// Relative element volume; feeds the placement partitioner's cut
   /// objective (sched/partition.hpp).
@@ -80,7 +95,9 @@ struct edge_opts {
   /// HQ_QUEUE_BUDGET environment default, itself unlimited when unset).
   /// Producers that would grow the queue past the cap block cooperatively
   /// until the consumer catches up — deterministic backpressure; see
-  /// hyperqueue<T>::set_memory_budget.
+  /// hyperqueue<T>::set_memory_budget. An edge into a parallel stage has no
+  /// queue to cap: connect() rejects a nonzero budget there (the admission
+  /// window is what bounds how far the source spawns ahead).
   std::uint64_t memory_budget = 0;
 };
 
@@ -105,7 +122,8 @@ struct admission_opts {
 };
 
 /// Thrown on pipeline misuse: type-mismatched edges, unattached stages,
-/// missing source/sink, parallel sinks, over-deep fan-out nesting.
+/// missing source/sink, parallel sinks, over-deep fan-out nesting, memory
+/// budgets on edges into parallel stages.
 class graph_error : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -199,6 +217,31 @@ emit<T> heap_emit(const erased_emit& next) {
   });
 }
 
+/// A batch of tokens whose type the task carrying it does not name: the
+/// producer in front of a parallel run fills one per spawn, and the run
+/// task hands each token to the run's first body by address.
+class token_batch {
+ public:
+  token_batch() = default;
+  token_batch(const token_batch&) = delete;
+  token_batch& operator=(const token_batch&) = delete;
+  virtual ~token_batch() = default;
+  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
+  [[nodiscard]] virtual void* at(std::size_t i) noexcept = 0;
+};
+
+template <typename T>
+class token_batch_of final : public token_batch {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept override { return v.size(); }
+  [[nodiscard]] void* at(std::size_t i) noexcept override { return &v[i]; }
+
+  std::vector<T> v;
+};
+
+struct stage_rec;
+struct hq_run;
+
 /// Type-erased handle on one inter-stage hyperqueue, so the runner can
 /// construct, place and probe channels without knowing token types.
 class hq_chan_base {
@@ -207,26 +250,42 @@ class hq_chan_base {
   [[nodiscard]] virtual int node() const = 0;
   [[nodiscard]] virtual seg_pool_stats pool() const = 0;
   [[nodiscard]] virtual std::size_t segments() const = 0;
+  /// Push privilege for a producer that only spawns this queue's pushers.
+  [[nodiscard]] virtual pushdep_any push_any() const = 0;
+  /// Spawn one run task over `work` that pushes into this queue (called
+  /// from the producer task holding push_any()).
+  virtual void spawn_run(std::unique_ptr<token_batch> work,
+                         const hq_run& run) = 0;
 };
 
-template <typename T>
-class hq_chan final : public hq_chan_base {
- public:
-  hq_chan(std::size_t seglen, int home_node, std::uint64_t budget_bytes)
-      : q(seglen, home_node, budget_bytes) {}
-  [[nodiscard]] int node() const override { return q.home_node(); }
-  [[nodiscard]] seg_pool_stats pool() const override { return q.pool_stats(); }
-  [[nodiscard]] std::size_t segments() const override { return q.segments(); }
-
-  hyperqueue<T> q;
+/// A run of consecutive parallel stages, lowered without queues. The
+/// emitter of the stage feeding the run batches its tokens and spawns one
+/// run task per batch; the task carries each token through the run's
+/// bodies in value mode (the serial elision's run_value chain) and pushes
+/// the results into `out`, the queue in front of the next serial stage or
+/// the sink. Spawn order is serial-elision order, so `out` sees exactly
+/// the elision's token order.
+struct hq_run {
+  std::vector<const stage_rec*> stages;
+  hq_chan_base* out = nullptr;
+  std::size_t batch = 16;      ///< tokens per run task (spawn batch)
+  std::size_t out_batch = 16;  ///< slice size of the pushes into `out`
+  bool out_bulk = true;
 };
 
-/// Resolved data-path knobs of one stage's input/output edges.
+/// Deliver one token through every body of `run`, handing the last body's
+/// emissions to `last`.
+void run_through(const hq_run& run, void* token, const erased_emit& last);
+
+/// Resolved data-path knobs of one stage task's input/output.
 struct hq_knobs {
   std::size_t in_batch = 16;
   std::size_t out_batch = 16;
   bool in_bulk = true;
   bool out_bulk = true;
+  /// The parallel run this stage's output feeds (null: the output queue is
+  /// in front of the next stage itself).
+  const hq_run* run = nullptr;
   /// Admission gate, set by the runner on the source stage only: every
   /// emission passes admission_ctl::admit() and is dropped when it sheds.
   admission_ctl* admit = nullptr;
@@ -235,7 +294,8 @@ struct hq_knobs {
 };
 
 /// Channel endpoints handed to a stage's hyperqueue lowering (null at the
-/// chain ends).
+/// chain ends). `out` is the queue the stage's tokens land in: the next
+/// stage's input, or past the parallel run knobs.run.
 struct hq_stage_ctx {
   hq_chan_base* in = nullptr;
   hq_chan_base* out = nullptr;
@@ -250,6 +310,8 @@ class hq_emitter {
   hq_emitter(pushdep<Out>& out, std::size_t batch, bool bulk,
              admission_ctl* admit = nullptr)
       : out_(out), batch_(batch ? batch : 1), bulk_(bulk), admit_(admit) {}
+  hq_emitter(pushdep<Out>& out, const hq_knobs& k)
+      : hq_emitter(out, k.out_batch, k.out_bulk, k.admit) {}
   hq_emitter(const hq_emitter&) = delete;
   hq_emitter& operator=(const hq_emitter&) = delete;
   ~hq_emitter() {
@@ -298,55 +360,77 @@ class hq_emitter {
   admission_ctl* admit_;
 };
 
-// ---- hyperqueue stage tasks ------------------------------------------------
-// One template per stage shape; the graph's per-stage `hq_spawn` closure
-// picks the right one and binds the typed channel endpoints. Stage tasks are
-// spawned by the runner's root task in declaration order, which *is* the
-// serial-elision order the queues' definitive-empty gate relies on.
-
+/// The emitter of a stage feeding a parallel run: collects run.batch
+/// tokens, then spawns a run task over them from the calling stage task.
 template <typename Out>
-void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,
-                    pushdep<Out> out) {
-  hq_emitter<Out> em(out, k.out_batch, k.out_bulk, k.admit);
-  body(em.handle());
-}
-
-template <typename In, typename Out>
-void hq_batch_task(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
-                   std::vector<In> work, pushdep<Out> out) {
-  hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
-  for (auto& v : work) body(std::move(v), em.handle());
-}
-
-/// Parallel stage: a dispatcher pops batches (read slices on the bulk path,
-/// single values on the element path) and spawns one child per batch; the
-/// hyperqueue keeps the children's output in spawn (= serial-elision) order.
-template <typename In, typename Out>
-void hq_parallel_stage(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
-                       popdep<In> in, pushdep<Out> out) {
-  for (;;) {
-    std::vector<In> work;
-    if (k.in_bulk) {
-      auto rs = in.get_read_slice(k.in_batch);
-      if (rs.empty()) break;  // definitive end of stream
-      work.reserve(rs.size());
-      for (auto& v : rs) work.push_back(std::move(v));
-      rs.release();
-    } else {
-      if (in.empty()) break;
-      work.push_back(in.pop());
+class hq_spawner {
+ public:
+  hq_spawner(const pushdep_any&, const hq_knobs& k)
+      : run_(*k.run), admit_(k.admit) {}
+  hq_spawner(const hq_spawner&) = delete;
+  hq_spawner& operator=(const hq_spawner&) = delete;
+  ~hq_spawner() {
+    // As hq_emitter: the final partial batch is spawned here, and a failing
+    // spawn (injected allocation fault) must not terminate.
+    try {
+      flush();
+    } catch (...) {
+      if (scheduler* s = scheduler::current())
+        s->record_failure(std::current_exception());
     }
-    spawn(hq_batch_task<In, Out>, body, k, std::move(work), out);
   }
-  sync();
+
+  emit<Out> handle() {
+    return emit<Out>(this, [](void* c, Out&& v) {
+      static_cast<hq_spawner*>(c)->put(std::move(v));
+    });
+  }
+
+  void put(Out&& v) {
+    if (admit_ != nullptr && !admit_->admit()) return;
+    if (!work_) {
+      work_ = std::make_unique<token_batch_of<Out>>();
+      work_->v.reserve(run_.batch);
+    }
+    work_->v.push_back(std::move(v));
+    if (work_->v.size() >= run_.batch) flush();
+  }
+
+  void flush() {
+    if (work_) run_.out->spawn_run(std::move(work_), run_);
+  }
+
+ private:
+  const hq_run& run_;
+  admission_ctl* admit_;
+  std::unique_ptr<token_batch_of<Out>> work_;
+};
+
+/// What a stage task emits through, by the output dependence it was
+/// spawned with: the queue itself (pushdep<Out>) or a run (pushdep_any).
+template <typename Out, typename Dep>
+using hq_output_t = std::conditional_t<std::is_same_v<Dep, pushdep_any>,
+                                       hq_spawner<Out>, hq_emitter<Out>>;
+
+// ---- hyperqueue stage tasks ------------------------------------------------
+// Every non-parallel stage is one task, spawned by the runner's root in
+// declaration order — the serial-elision order the queues' definitive-empty
+// gate relies on. Parallel stages have no task of their own: they run
+// inside the run tasks their producer's hq_spawner spawns.
+
+template <typename Out, typename Dep>
+void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,
+                    Dep out) {
+  hq_output_t<Out, Dep> em(out, k);
+  body(em.handle());
 }
 
 /// Serial stage (ordered or not): one task draining the input inline. Pop
 /// order is serial-elision order, so serial_in_order needs nothing extra.
-template <typename In, typename Out>
+template <typename In, typename Out, typename Dep>
 void hq_serial_stage(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
-                     popdep<In> in, pushdep<Out> out) {
-  hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
+                     popdep<In> in, Dep out) {
+  hq_output_t<Out, Dep> em(out, k);
   if (k.in_bulk) {
     for (;;) {
       auto rs = in.get_read_slice(k.in_batch);
@@ -383,6 +467,36 @@ void hq_sink_task(std::function<void(In&&)> body, hq_knobs k, popdep<In> in) {
   }
 }
 
+/// One batch through a parallel run, pushed into the run's output queue.
+template <typename T>
+void hq_run_task(std::unique_ptr<token_batch> work, const hq_run* run,
+                 pushdep<T> out) {
+  hq_emitter<T> em(out, run->out_batch, run->out_bulk);
+  const erased_emit last{&em, [](void* c, void* tok) {
+                           static_cast<hq_emitter<T>*>(c)->put(
+                               std::move(*static_cast<T*>(tok)));
+                         }};
+  for (std::size_t i = 0; i < work->size(); ++i)
+    run_through(*run, work->at(i), last);
+}
+
+template <typename T>
+class hq_chan final : public hq_chan_base {
+ public:
+  hq_chan(std::size_t seglen, int home_node, std::uint64_t budget_bytes)
+      : q(seglen, home_node, budget_bytes) {}
+  [[nodiscard]] int node() const override { return q.home_node(); }
+  [[nodiscard]] seg_pool_stats pool() const override { return q.pool_stats(); }
+  [[nodiscard]] std::size_t segments() const override { return q.segments(); }
+  [[nodiscard]] pushdep_any push_any() const override { return q; }
+  void spawn_run(std::unique_ptr<token_batch> work,
+                 const hq_run& run) override {
+    hq::spawn(hq_run_task<T>, std::move(work), &run, (pushdep<T>)q);
+  }
+
+  hyperqueue<T> q;
+};
+
 /// One declared stage, with its typed behavior captured behind erased
 /// runners so the backends stay non-template code.
 struct stage_rec {
@@ -404,7 +518,8 @@ struct stage_rec {
   /// Heap-mode runner (pthreads/TBB backends): `token` is an owned heap In*
   /// (consumed); emissions are owned heap Out*.
   std::function<void(void* token, const erased_emit& next)> run_heap;
-  /// Hyperqueue lowering: spawn this stage's task over the typed channels.
+  /// Hyperqueue lowering: spawn this stage's task over the typed channels
+  /// (empty for parallel stages, which run inside their producer's runs).
   std::function<void(const hq_stage_ctx&)> hq_spawn;
   /// Factory for this stage's *output* channel (typed on Out).
   std::function<std::unique_ptr<hq_chan_base>(
@@ -463,8 +578,14 @@ class graph {
       fn(detail::heap_emit<Out>(next));
     };
     s.hq_spawn = [fn](const detail::hq_stage_ctx& c) {
-      auto& q = static_cast<detail::hq_chan<Out>*>(c.out)->q;
-      hq::spawn(detail::hq_source_task<Out>, fn, c.knobs, (pushdep<Out>)q);
+      if (c.knobs.run != nullptr) {
+        hq::spawn(detail::hq_source_task<Out, pushdep_any>, fn, c.knobs,
+                  c.out->push_any());
+      } else {
+        auto& q = static_cast<detail::hq_chan<Out>*>(c.out)->q;
+        hq::spawn(detail::hq_source_task<Out, pushdep<Out>>, fn, c.knobs,
+                  (pushdep<Out>)q);
+      }
     };
     stages_.push_back(std::move(s));
     return stages_.size() - 1;
@@ -547,7 +668,8 @@ class graph {
 
   /// The stage->queue attachment graph of the declared pipeline, in chain
   /// order — the input plan_queue_placement needs, built by the runtime
-  /// instead of being passed in by callers.
+  /// instead of being passed in by callers. Lists the hyperqueue lowering's
+  /// queues: one in front of each serial stage and the sink.
   [[nodiscard]] hq::queue_graph build_queue_graph() const;
 
  private:
@@ -574,17 +696,20 @@ class graph {
       std::unique_ptr<In> own(static_cast<In*>(t));
       fn(std::move(*own), detail::heap_emit<Out>(next));
     };
-    s.hq_spawn = [fn, kind](const detail::hq_stage_ctx& c) {
-      auto& inq = static_cast<detail::hq_chan<In>*>(c.in)->q;
-      auto& outq = static_cast<detail::hq_chan<Out>*>(c.out)->q;
-      if (kind == stage_kind::parallel) {
-        hq::spawn(detail::hq_parallel_stage<In, Out>, fn, c.knobs,
-                  (popdep<In>)inq, (pushdep<Out>)outq);
-      } else {
-        hq::spawn(detail::hq_serial_stage<In, Out>, fn, c.knobs,
-                  (popdep<In>)inq, (pushdep<Out>)outq);
-      }
-    };
+    // Parallel stages get no task of their own (see hq_run).
+    if (kind != stage_kind::parallel) {
+      s.hq_spawn = [fn](const detail::hq_stage_ctx& c) {
+        auto& inq = static_cast<detail::hq_chan<In>*>(c.in)->q;
+        if (c.knobs.run != nullptr) {
+          hq::spawn(detail::hq_serial_stage<In, Out, pushdep_any>, fn, c.knobs,
+                    (popdep<In>)inq, c.out->push_any());
+        } else {
+          auto& outq = static_cast<detail::hq_chan<Out>*>(c.out)->q;
+          hq::spawn(detail::hq_serial_stage<In, Out, pushdep<Out>>, fn,
+                    c.knobs, (popdep<In>)inq, (pushdep<Out>)outq);
+        }
+      };
+    }
     stages_.push_back(std::move(s));
     return stages_.size() - 1;
   }

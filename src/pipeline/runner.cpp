@@ -103,33 +103,36 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
 }
 
 // ---- hyperqueue backend ----------------------------------------------------
-// One hyperqueue per edge, created by the root task (which thereby owns
-// them, per the attachment model) and homed per the partition plan; stage
-// tasks spawned in chain order — the serial-elision order the queues'
-// visibility rules assume. The element backend is the same lowering with
-// the bulk path forced off on every edge.
-
-detail::hq_knobs knobs_for(const graph& g, const graph::plan& p,
-                           std::size_t chain_pos, bool force_element) {
-  detail::hq_knobs k;
-  if (chain_pos > 0) {
-    const auto& in = g.edge_at(p.edges[chain_pos - 1]).opts;
-    k.in_batch = in.slice_batch ? in.slice_batch : 1;
-    k.in_bulk = in.bulk && !force_element;
-  }
-  if (chain_pos + 1 < p.order.size()) {
-    const auto& out = g.edge_at(p.edges[chain_pos]).opts;
-    k.out_batch = out.slice_batch ? out.slice_batch : 1;
-    k.out_bulk = out.bulk && !force_element;
-  }
-  return k;
-}
+// One hyperqueue in front of every serial stage and the sink, created by the
+// root task (which thereby owns them, per the attachment model) and homed
+// per the partition plan. Runs of parallel stages have no queue: the stage
+// feeding a run spawns one task per batch that carries the batch through
+// the run's bodies (hq_run, builder.hpp). Stage tasks are spawned in chain
+// order — the serial-elision order the queues' visibility rules assume —
+// and joined oldest first, so the source starts at top level and never
+// nests above its consumers. The element backend is the same lowering with
+// one token per run task and the bulk path forced off on every queue.
 
 exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
                                    bool force_element,
                                    detail::admission_ctl* ctl) {
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
+  auto stage = [&](std::size_t i) -> const stage_rec& {
+    return g.stage_at(p.order[i]);
+  };
+  // Edge i connects chain positions i and i + 1.
+  auto edge = [&](std::size_t i) -> const edge_opts& {
+    return g.edge_at(p.edges[i]).opts;
+  };
+  auto batch_of = [](const edge_opts& e) {
+    return e.slice_batch ? e.slice_batch : std::size_t{1};
+  };
+
+  // Chain positions with a queue in front: the serial stages and the sink.
+  std::vector<std::size_t> heads;
+  for (std::size_t i = 1; i < n; ++i)
+    if (stage(i).kind != stage_kind::parallel) heads.push_back(i);
 
   // A resident scheduler for (workers, placement): after the first run per
   // key this neither parses the topology nor starts threads.
@@ -137,42 +140,68 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
   scheduler& sched = *lease;
 
   // Runtime-fed placement: the builder knows the stage->queue attachment
-  // graph, so under a placement policy each queue's segments are homed on
-  // its consumer stage's node without the caller supplying a queue_graph.
-  std::vector<int> nodes(p.edges.size(), -1);
+  // graph (the same queues, in the same order), so under a placement policy
+  // each queue's segments are homed on its consumer stage's node without
+  // the caller supplying a queue_graph.
+  std::vector<int> nodes(heads.size(), -1);
   if (sched.policy() != placement_policy::none &&
       sched.topo().num_nodes() > 1) {
     queue_plan plan = plan_queue_placement(
         g.build_queue_graph(), sched.topo().num_nodes(), opt.seed);
-    for (std::size_t j = 0; j < p.edges.size(); ++j)
-      nodes[j] = plan.queue_node[j];
+    for (std::size_t k = 0; k < heads.size(); ++k)
+      nodes[k] = plan.queue_node[k];
   }
 
   exec_result res;
   util::stopwatch sw;
   sched.run([&] {
+    // Declared before the queues: a run must outlive its tasks, and queue
+    // destruction waits for every task attached to the queue.
+    std::vector<detail::hq_run> runs;
+    runs.reserve(heads.size());
     std::vector<std::unique_ptr<detail::hq_chan_base>> chans;
-    chans.reserve(p.edges.size());
-    for (std::size_t j = 0; j < p.edges.size(); ++j) {
-      const auto& opts = g.edge_at(p.edges[j]).opts;
-      std::size_t seglen = opts.segment_length
-                               ? opts.segment_length
-                               : 2 * (opts.slice_batch ? opts.slice_batch : 1);
-      chans.push_back(g.stage_at(p.order[j])
-                          .make_out_chan(seglen, nodes[j], opts.memory_budget));
+    chans.reserve(heads.size());
+    for (std::size_t k = 0; k < heads.size(); ++k) {
+      const edge_opts& e = edge(heads[k] - 1);
+      const std::size_t seglen =
+          e.segment_length ? e.segment_length : 2 * batch_of(e);
+      chans.push_back(stage(heads[k] - 1)
+                          .make_out_chan(seglen, nodes[k], e.memory_budget));
     }
-    for (std::size_t i = 0; i < n; ++i) {
+    // Producer k is the source (k = 0) or the stage behind queue k - 1; it
+    // pushes into queue k, directly or through the parallel run between.
+    for (std::size_t k = 0; k <= heads.size(); ++k) {
+      const std::size_t i = k == 0 ? 0 : heads[k - 1];
       detail::hq_stage_ctx ctx;
-      ctx.in = i > 0 ? chans[i - 1].get() : nullptr;
-      ctx.out = i + 1 < n ? chans[i].get() : nullptr;
-      ctx.knobs = knobs_for(g, p, i, force_element);
+      if (k > 0) {
+        ctx.in = chans[k - 1].get();
+        ctx.knobs.in_batch = batch_of(edge(i - 1));
+        ctx.knobs.in_bulk = edge(i - 1).bulk && !force_element;
+      }
+      if (k < heads.size()) {
+        const std::size_t next = heads[k];
+        ctx.out = chans[k].get();
+        if (next > i + 1) {
+          detail::hq_run& r = runs.emplace_back();
+          for (std::size_t j = i + 1; j < next; ++j)
+            r.stages.push_back(&stage(j));
+          r.out = ctx.out;
+          r.batch = force_element ? 1 : batch_of(edge(i));
+          r.out_batch = batch_of(edge(next - 1));
+          r.out_bulk = edge(next - 1).bulk && !force_element;
+          ctx.knobs.run = &r;
+        } else {
+          ctx.knobs.out_batch = batch_of(edge(i));
+          ctx.knobs.out_bulk = edge(i).bulk && !force_element;
+        }
+      }
       // Admission boundary: gate at the source's emitter, retire at the
       // sink's pop loop.
-      if (i == 0) ctx.knobs.admit = ctl;
-      if (i + 1 == n) ctx.knobs.complete = ctl;
-      g.stage_at(p.order[i]).hq_spawn(ctx);
+      if (k == 0) ctx.knobs.admit = ctl;
+      if (k == heads.size()) ctx.knobs.complete = ctl;
+      stage(i).hq_spawn(ctx);
     }
-    sync();
+    sync_oldest_first();
     for (auto& ch : chans) {
       res.pool = res.pool + ch->pool();
       res.peak_segments = std::max(res.peak_segments, ch->segments());

@@ -6,13 +6,17 @@
 //                         one thread, emissions passed as stack references.
 //                         The correctness reference every other backend is
 //                         gated against.
-//   hyperqueue          — hyperqueues with the slice (bulk) data path; the
-//                         scheduler's placement policy feeds
-//                         plan_queue_placement from the graph's own
+//   hyperqueue          — hyperqueues with the slice (bulk) data path, one
+//                         in front of each serial stage and the sink; the
+//                         stage feeding a run of parallel stages spawns one
+//                         task per slice_batch tokens through the run
+//                         (builder.hpp). The scheduler's placement policy
+//                         feeds plan_queue_placement from the graph's own
 //                         attachment topology and homes each queue on its
-//                         consumer stage's node (PR 6 residual closed).
-//   hyperqueue_element  — same lowering, element-at-a-time pushes/pops on
-//                         every edge (Section 4 baseline data path).
+//                         consumer stage's node.
+//   hyperqueue_element  — same lowering, one token per spawned task and
+//                         element-at-a-time pushes/pops on every queue
+//                         (Section 4 baseline data path).
 //   pthreads            — explicit-thread baseline over bounded_queue, with
 //                         multi-level reorder buffers recovering
 //                         serial-elision order behind expand stages.

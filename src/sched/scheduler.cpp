@@ -19,7 +19,7 @@ namespace hq {
 
 namespace detail {
 
-thread_local worker_ctx* t_worker = nullptr;
+constinit thread_local worker_ctx* t_worker = nullptr;
 
 task_frame* current_frame() noexcept {
   return t_worker ? t_worker->current : nullptr;
@@ -366,7 +366,7 @@ bool safe_to_nest(task_frame* host, task_frame* cand) {
 
 }  // namespace
 
-bool scheduler::help_one() {
+bool scheduler::help_one(help_order order) {
   worker_ctx* w = detail::t_worker;
   if (w == nullptr || w->sched != this) return false;
   // Two attempts: if the first pick is unsafe to nest, re-expose it and try
@@ -375,7 +375,13 @@ bool scheduler::help_one() {
   // back — recognize it and stop rather than churn.
   task_frame* deferred = nullptr;
   for (int attempt = 0; attempt < 2; ++attempt) {
-    task_frame* t = attempt == 0 ? find_task(*w) : w->deque.steal();
+    task_frame* t = nullptr;
+    if (attempt == 0) {
+      if (order == help_order::oldest_first) t = w->deque.steal();
+      if (t == nullptr) t = find_task(*w);
+    } else {
+      t = w->deque.steal();
+    }
     if (t == nullptr) return false;
     if (t == deferred) {
       w->deque.push_bottom(t);  // already exposed and advertised once

@@ -94,6 +94,11 @@ struct worker_ctx {
 
 }  // namespace detail
 
+/// Which ready task a helping wait takes from its own deque first: the
+/// newest (LIFO, the default: depth-first and cache-warm) or the oldest
+/// (spawn order).
+enum class help_order { newest_first, oldest_first };
+
 /// Work-stealing scheduler over a fixed pool of worker threads. Construct
 /// once, call run() any number of times (serially) — workers park in between.
 class scheduler {
@@ -296,7 +301,7 @@ class scheduler {
 
   /// Execute one ready task if any is available. Returns false when no task
   /// could be obtained (the caller should back off).
-  bool help_one();
+  bool help_one(help_order order = help_order::newest_first);
 
   /// Help-while-blocked wait: run ready tasks until `p()` holds. Does not
   /// unwind on cancellation — used where the wait must complete regardless
@@ -317,11 +322,12 @@ class scheduler {
   /// waits): identical help-while-blocked loop, but once the run cancels it
   /// throws detail::cancel_unwind so no blocking wait outlives a failure.
   template <typename Pred>
-  void wait_until_cancellable(Pred&& p) {
+  void wait_until_cancellable(Pred&& p,
+                              help_order order = help_order::newest_first) {
     backoff bo;
     while (!p()) {
       throw_if_cancelled();
-      if (help_one()) {
+      if (help_one(order)) {
         bo.reset();
       } else {
         bo.pause();

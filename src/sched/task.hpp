@@ -105,7 +105,7 @@ struct task_frame {
 
 /// Per-thread worker context; null on threads that are not scheduler workers.
 struct worker_ctx;
-extern thread_local worker_ctx* t_worker;
+extern constinit thread_local worker_ctx* t_worker;
 
 /// The frame of the task currently executing on this thread (null outside
 /// task context).

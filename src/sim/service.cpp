@@ -131,9 +131,12 @@ service_result run_service(const service_spec& spec) {
         r.id &= 0xffffffffull;
         model.offer(r);
       });
+  // The budget caps the queue in front of the sink. The edge into the
+  // parallel hop has no queue on the hyperqueue backends; the admission
+  // window bounds how far the source runs ahead of it.
   pipe::edge_opts eo;
-  eo.memory_budget = spec.memory_budget;
   g.connect(src, svc, eo);
+  eo.memory_budget = spec.memory_budget;
   g.connect(svc, snk, eo);
 
   pipe::exec_options opt;

@@ -60,7 +60,7 @@ struct service_spec {
 
   // -- real transport --
   unsigned workers = 1;
-  std::uint64_t memory_budget = 0;  ///< per-edge bytes; 0 = env/unlimited
+  std::uint64_t memory_budget = 0;  ///< sink-queue bytes; 0 = env/unlimited
   pipe::backend transport = pipe::backend::hyperqueue;
 };
 

@@ -105,7 +105,9 @@ TEST(PipelineBuilder, CompileRejectsParallelSink) {
 TEST(PipelineBuilder, KnobsTravelOnEdges) {
   graph g;
   auto src = g.source<int>("src", [](emit<int> out) { out(1); });
-  auto mid = g.expand<int, int>("mid", stage_kind::parallel,
+  // Serial, so both edges carry a queue for the attachment graph below (an
+  // edge into a parallel stage has none).
+  auto mid = g.expand<int, int>("mid", stage_kind::serial,
                                 [](int&& v, emit<int> out) { out(std::move(v)); });
   auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
   edge_opts a;
@@ -275,8 +277,10 @@ TEST(PipelinePlacement, QueueHomesFollowPartitionPlan) {
   auto src = g.source<std::uint64_t>("src", [](emit<std::uint64_t> out) {
     for (std::uint64_t i = 0; i < 64; ++i) out(std::uint64_t{i});
   });
+  // A serial middle stage, so both edges carry a real queue (an edge into a
+  // parallel stage has none).
   auto mid = g.stage<std::uint64_t, std::uint64_t>(
-      "id", stage_kind::parallel,
+      "id", stage_kind::serial,
       [](std::uint64_t&& v, emit<std::uint64_t> out) { out(std::move(v)); });
   auto snk = g.sink<std::uint64_t>("snk", stage_kind::serial_in_order,
                                    [](std::uint64_t&&) {});
