@@ -1,11 +1,13 @@
 // Chase–Lev work-stealing deque.
 //
 // The per-worker ready queue of the scheduler (src/sched). The owner pushes
-// and pops at the bottom (LIFO, depth-first execution order for locality, as
-// in Cilk); thieves steal from the top (FIFO, oldest task first — for
-// pipelines this hands the earliest spawned stage instance to an idle
-// worker). Memory ordering follows Lê, Pop, Cohen & Zappa Nardelli,
-// "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP'13).
+// at the bottom and takes from either end: pop_bottom (LIFO, depth-first
+// execution order for locality, as in Cilk) or take_top (oldest first, but
+// only above a floor index — a joining task's own children, in spawn order).
+// Thieves steal from the top (FIFO, oldest task first — for pipelines this
+// hands the earliest spawned stage instance to an idle worker). Memory
+// ordering follows Lê, Pop, Cohen & Zappa Nardelli, "Correct and Efficient
+// Work-Stealing for Weak Memory Models" (PPoPP'13).
 #pragma once
 
 #include <atomic>
@@ -19,7 +21,8 @@
 namespace hq {
 
 /// Unbounded SPMC work-stealing deque of pointers.
-/// Owner thread: push_bottom / pop_bottom. Any thread: steal.
+/// Owner thread: push_bottom / pop_bottom / take_top / bottom_index.
+/// Any thread: steal.
 template <typename T>
 class chase_lev_deque {
  public:
@@ -79,6 +82,36 @@ class chase_lev_deque {
       bottom_.value.store(b + 1, std::memory_order_relaxed);
     }
     return item;
+  }
+
+  /// Owner only: index the next push_bottom will use. Every item pushed
+  /// from now on sits at this index or above until it is taken.
+  [[nodiscard]] std::int64_t bottom_index() const noexcept {
+    return bottom_.value.load(std::memory_order_relaxed);
+  }
+
+  /// Owner only: take the oldest item, provided its index is at least
+  /// `floor`; nullptr when the deque is empty or its top lies below the
+  /// floor. Claims the item with the same CAS on top as steal(), so it
+  /// races thieves exactly like another thief would; a lost race retries on
+  /// the next item. The owner is the only writer of bottom, so no fence is
+  /// needed between the two index loads.
+  T* take_top(std::int64_t floor) {
+    const std::int64_t b = bottom_.value.load(std::memory_order_relaxed);
+#if HQ_TSAN
+    std::int64_t t = top_.value.load(std::memory_order_seq_cst);
+#else
+    std::int64_t t = top_.value.load(std::memory_order_acquire);
+#endif
+    while (t >= floor && t < b) {
+      T* item = array_.load(std::memory_order_relaxed)->get(t);
+      if (top_.value.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                             std::memory_order_relaxed)) {
+        return item;
+      }
+      // Lost to a thief: t now holds the current top.
+    }
+    return nullptr;
   }
 
   /// Any thread: FIFO steal; nullptr when empty or on a lost race (callers

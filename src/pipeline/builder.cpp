@@ -41,14 +41,19 @@ bool admission_ctl::admit() {
   // documents). When sink completions stop arriving entirely — a schedule
   // that cannot interleave the sink at all — the wait escapes by admitting
   // over the window rather than wedging; a block window degrades to a soft
-  // one only where a hard one is impossible. cancel() and scheduler
-  // cancellation both unblock as a shed so failure teardown never hangs.
+  // one only where a hard one is impossible. "Stopped" takes both many
+  // yielding iterations and a stall longer than an OS time slice: a sink
+  // whose worker is merely preempted must not open the window. cancel() and
+  // scheduler cancellation both unblock as a shed so failure teardown never
+  // hangs.
   scheduler* sc = scheduler::current();
   const auto t0 = std::chrono::steady_clock::now();
   backoff bo;
   std::uint64_t last_done = completed.load(std::memory_order_acquire);
+  auto last_progress = t0;
   std::uint32_t stalled_iters = 0;
   constexpr std::uint32_t kPatience = 1024;
+  constexpr auto kPatienceTime = std::chrono::milliseconds(20);
   bool ok;
   for (;;) {
     if (in_flight() < opts.window) {
@@ -62,7 +67,8 @@ bool admission_ctl::admit() {
       ok = false;
       break;
     }
-    const auto waited = std::chrono::steady_clock::now() - t0;
+    const auto now = std::chrono::steady_clock::now();
+    const auto waited = now - t0;
     if (opts.policy == admission_policy::bounded_wait &&
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
@@ -74,9 +80,11 @@ bool admission_ctl::admit() {
     const std::uint64_t done = completed.load(std::memory_order_acquire);
     if (done != last_done) {
       last_done = done;
+      last_progress = now;
       stalled_iters = 0;
       bo.reset();
-    } else if (bo.is_yielding() && ++stalled_iters > kPatience) {
+    } else if (bo.is_yielding() && ++stalled_iters > kPatience &&
+               now - last_progress >= kPatienceTime) {
       wedge_done.store(done, std::memory_order_relaxed);
       wedged.store(true, std::memory_order_relaxed);
       admitted.fetch_add(1, std::memory_order_relaxed);
@@ -92,6 +100,17 @@ bool admission_ctl::admit() {
               .count()),
       std::memory_order_relaxed);
   return ok;
+}
+
+bool admission_ctl::would_wait() const noexcept {
+  if (opts.policy == admission_policy::none ||
+      opts.policy == admission_policy::shed)
+    return false;
+  if (in_flight() < opts.window || cancelled.load(std::memory_order_acquire))
+    return false;
+  return !wedged.load(std::memory_order_relaxed) ||
+         completed.load(std::memory_order_acquire) !=
+             wedge_done.load(std::memory_order_relaxed);
 }
 
 namespace {

@@ -172,6 +172,12 @@ struct admission_ctl {
   /// on external driver threads. cancel() unblocks every waiter (they shed).
   bool admit();
 
+  /// True when admit() would park the caller right now: a full window under
+  /// block or bounded_wait, not cancelled, no wedge escape latched. The
+  /// emitters flush their partial batch first, so the tokens the sink must
+  /// retire to open the window are not held back behind the wait.
+  [[nodiscard]] bool would_wait() const noexcept;
+
   /// Sink-side retirement: opens the window for the next waiter.
   void complete() noexcept {
     completed.fetch_add(1, std::memory_order_release);
@@ -336,7 +342,10 @@ class hq_emitter {
   void put(Out&& v) {
     // Admission gate (source stage only): a shed token dies here, before it
     // touches the queue — bounded memory is the point.
-    if (admit_ != nullptr && !admit_->admit()) return;
+    if (admit_ != nullptr) {
+      if (admit_->would_wait()) flush();
+      if (!admit_->admit()) return;
+    }
     if (!bulk_) {
       out_.push(std::move(v));
       return;
@@ -387,7 +396,10 @@ class hq_spawner {
   }
 
   void put(Out&& v) {
-    if (admit_ != nullptr && !admit_->admit()) return;
+    if (admit_ != nullptr) {
+      if (admit_->would_wait()) flush();
+      if (!admit_->admit()) return;
+    }
     if (!work_) {
       work_ = std::make_unique<token_batch_of<Out>>();
       work_->v.reserve(run_.batch);

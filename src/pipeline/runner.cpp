@@ -109,9 +109,10 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
 // feeding a run spawns one task per batch that carries the batch through
 // the run's bodies (hq_run, builder.hpp). Stage tasks are spawned in chain
 // order — the serial-elision order the queues' visibility rules assume —
-// and joined oldest first, so the source starts at top level and never
-// nests above its consumers. The element backend is the same lowering with
-// one token per run task and the bulk path forced off on every queue.
+// joined oldest first (as every join is, scheduler.hpp), so the source
+// starts at top level and never nests above its consumers. The element
+// backend is the same lowering with one token per run task and the bulk
+// path forced off on every queue.
 
 exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
                                    bool force_element,
@@ -201,7 +202,7 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       if (k == heads.size()) ctx.knobs.complete = ctl;
       stage(i).hq_spawn(ctx);
     }
-    sync_oldest_first();
+    hq::sync();
     for (auto& ch : chans) {
       res.pool = res.pool + ch->pool();
       res.peak_segments = std::max(res.peak_segments, ch->segments());

@@ -366,7 +366,7 @@ bool safe_to_nest(task_frame* host, task_frame* cand) {
 
 }  // namespace
 
-bool scheduler::help_one(help_order order) {
+bool scheduler::help_one(const task_frame* joiner) {
   worker_ctx* w = detail::t_worker;
   if (w == nullptr || w->sched != this) return false;
   // Two attempts: if the first pick is unsafe to nest, re-expose it and try
@@ -377,7 +377,12 @@ bool scheduler::help_one(help_order order) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     task_frame* t = nullptr;
     if (attempt == 0) {
-      if (order == help_order::oldest_first) t = w->deque.steal();
+      // A join runs the joiner's own children in spawn order. The floor
+      // keeps the take off everything pushed before the joiner started —
+      // the pending siblings of the frames below it on this worker's stack
+      // — which pop_bottom below never reaches while the joiner has
+      // children of its own on the deque.
+      if (joiner != nullptr) t = w->deque.take_top(joiner->deque_floor);
       if (t == nullptr) t = find_task(*w);
     } else {
       t = w->deque.steal();
@@ -399,11 +404,28 @@ bool scheduler::help_one(help_order order) {
   return false;
 }
 
+void scheduler::join_children(bool cancellable) {
+  worker_ctx* w = detail::t_worker;
+  assert(w != nullptr && w->sched == this && w->current != nullptr &&
+         "join outside a task");
+  const task_frame* f = w->current;
+  backoff bo;
+  while (f->live_children.load(std::memory_order_acquire) != 0) {
+    if (cancellable) throw_if_cancelled();
+    if (help_one(f)) {
+      bo.reset();
+    } else {
+      bo.pause();
+    }
+  }
+}
+
 void scheduler::execute(task_frame* t) {
   worker_ctx* w = detail::t_worker;
   assert(w != nullptr);
   task_frame* prev = w->current;
   t->exec_parent = prev;
+  t->deque_floor = w->deque.bottom_index();
   w->current = t;
   w->counters.executed.fetch_add(1, std::memory_order_relaxed);
 
@@ -427,7 +449,7 @@ void scheduler::execute(task_frame* t) {
   // (Cilk semantics; required for the hyperqueue view cascade, which merges
   // children views bottom-up). Not cancellable: children always complete
   // (their bodies skip once cancelling), and the view cascade needs them.
-  wait_until([t] { return t->live_children.load(std::memory_order_acquire) == 0; });
+  join_children(/*cancellable=*/false);
   t->fn.reset();
   finish(t);
   w->current = prev;

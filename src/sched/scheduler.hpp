@@ -3,10 +3,21 @@
 // Help-first spawning: spawn() enqueues the child on the calling worker's
 // Chase–Lev deque and the parent continues; idle workers steal oldest-first.
 // All waiting primitives (sync, blocking hyperqueue operations) re-enter the
-// scheduler through help_one()/wait_until(), so a "blocked" worker keeps
-// executing ready tasks — this realizes the paper's block-the-worker policy
-// (Section 4.5) without losing progress, and makes single-worker execution
-// of pipelines deadlock-free.
+// scheduler through help_one(), so a "blocked" worker keeps executing ready
+// tasks — this realizes the paper's block-the-worker policy (Section 4.5)
+// without losing progress, and makes single-worker execution of pipelines
+// deadlock-free.
+//
+// Joins (hq::sync and the implicit sync at task return, one path:
+// join_children) help with the joining task's own ready children oldest
+// first, in spawn order, and fall back to the newest-first / steal path
+// only once none is left. Spawn order is serial-elision order, so the tasks
+// feeding a pipeline's serial consumer finish in the order it drains them,
+// and the consumer's worker (stealing oldest first) is not handed a batch
+// the joiner will reach last. The frame's deque floor (task_frame::
+// deque_floor) bounds the oldest-first take to the joiner's own children:
+// it never reaches the pending siblings of frames further down the
+// worker's stack, so nesting depth stays within the spawn tree.
 //
 // Hot-path design (the "scale-free" requirement of the paper's Section 1:
 // one task per element/batch must stay cheap at any worker count):
@@ -93,11 +104,6 @@ struct worker_ctx {
 };
 
 }  // namespace detail
-
-/// Which ready task a helping wait takes from its own deque first: the
-/// newest (LIFO, the default: depth-first and cache-warm) or the oldest
-/// (spawn order).
-enum class help_order { newest_first, oldest_first };
 
 /// Work-stealing scheduler over a fixed pool of worker threads. Construct
 /// once, call run() any number of times (serially) — workers park in between.
@@ -300,34 +306,29 @@ class scheduler {
   void enqueue(detail::task_frame* t);
 
   /// Execute one ready task if any is available. Returns false when no task
-  /// could be obtained (the caller should back off).
-  bool help_one(help_order order = help_order::newest_first);
+  /// could be obtained (the caller should back off). With `joiner` (the
+  /// calling worker's current frame, waiting for its children) the oldest
+  /// of its own ready children is taken first; otherwise, and once it has
+  /// none left on this worker's deque, the newest local task, then the
+  /// injector, then a steal.
+  bool help_one(const detail::task_frame* joiner = nullptr);
+
+  /// Wait until the calling worker's current task has no live children,
+  /// helping with its own children oldest first (help_one(current)). The
+  /// one join path: hq::sync() (cancellable: unwinds with
+  /// detail::cancel_unwind once the run cancels) and the implicit sync at
+  /// task return (not cancellable: children always complete, and the view
+  /// cascade needs them).
+  void join_children(bool cancellable);
 
   /// Help-while-blocked wait: run ready tasks until `p()` holds. Does not
   /// unwind on cancellation — used where the wait must complete regardless
-  /// (the implicit sync in execute(), queue teardown in detach_owner).
+  /// (hq::call, whose callee writes into the waiting stack frame).
   template <typename Pred>
   void wait_until(Pred&& p) {
     backoff bo;
     while (!p()) {
       if (help_one()) {
-        bo.reset();
-      } else {
-        bo.pause();
-      }
-    }
-  }
-
-  /// Cancellable variant for user-facing waits (hq::sync, call, queue data
-  /// waits): identical help-while-blocked loop, but once the run cancels it
-  /// throws detail::cancel_unwind so no blocking wait outlives a failure.
-  template <typename Pred>
-  void wait_until_cancellable(Pred&& p,
-                              help_order order = help_order::newest_first) {
-    backoff bo;
-    while (!p()) {
-      throw_if_cancelled();
-      if (help_one(order)) {
         bo.reset();
       } else {
         bo.pause();

@@ -93,31 +93,17 @@ void spawn(F&& f, Args&&... args) {
   detail::launch(detail::make_task(std::forward<F>(f), std::forward<Args>(args)...));
 }
 
-namespace detail {
-
-inline void join_children(help_order order) {
-  worker_ctx* w = t_worker;
-  assert(w != nullptr && w->current != nullptr && "sync() outside a task");
-  task_frame* f = w->current;
-  w->sched->wait_until_cancellable(
-      [f] { return f->live_children.load(std::memory_order_acquire) == 0; },
-      order);
-}
-
-}  // namespace detail
-
 /// Wait until all children spawned by the calling task have completed.
-/// The worker helps execute ready tasks while waiting. Cancellable: once a
-/// failure cancels the run this unwinds with detail::cancel_unwind (the
-/// implicit sync at task return still joins the children).
-inline void sync() { detail::join_children(help_order::newest_first); }
-
-/// sync() that helps with the calling task's own ready children oldest
-/// first (spawn order) instead of newest first. The pipeline runner's root
-/// joins its stage tasks this way, so the source starts at top level
-/// instead of nested above — and burying — the stages that consume it.
-inline void sync_oldest_first() {
-  detail::join_children(help_order::oldest_first);
+/// The worker helps while waiting: first with the task's own ready
+/// children, oldest (first spawned) first, then with any other ready task
+/// (scheduler::join_children; the implicit sync at task return takes the
+/// same path). Cancellable: once a failure cancels the run this unwinds
+/// with detail::cancel_unwind (the implicit sync at task return still joins
+/// the children).
+inline void sync() {
+  detail::worker_ctx* w = detail::t_worker;
+  assert(w != nullptr && w->current != nullptr && "sync() outside a task");
+  w->sched->join_children(/*cancellable=*/true);
 }
 
 /// Call `f(args...)` through the task machinery and wait for it (paper

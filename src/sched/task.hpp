@@ -59,6 +59,13 @@ struct task_frame {
   /// meaningful while the frame runs, and only read by its own worker.
   task_frame* exec_parent = nullptr;
 
+  /// Bottom index of the executing worker's deque when execute() started
+  /// this frame. The frame's own children are pushed at or above it, so a
+  /// join takes them oldest first with take_top(deque_floor) without
+  /// reaching the pending siblings of frames further down the worker's
+  /// stack (scheduler::join_children). Set and read by that worker only.
+  std::int64_t deque_floor = 0;
+
   task_fn fn;
 
   /// Children spawned and not yet completed; sync() waits for zero.

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -200,6 +201,68 @@ TEST(ChaseLev, StealStressNoLossNoDup) {
     if (int* p = d.pop_bottom()) account(p);
   }
   done.store(true, std::memory_order_release);
+  for (auto& t : thieves) t.join();
+
+  EXPECT_EQ(taken.load(), kItems);
+  for (int i = 0; i < kItems; ++i) {
+    ASSERT_EQ(seen[i].load(), 1) << "item " << i << " lost or duplicated";
+  }
+}
+
+TEST(ChaseLev, OwnerTakeTopStopsAtFloor) {
+  hq::chase_lev_deque<int> d;
+  int a = 1, b = 2, c = 3;
+  d.push_bottom(&a);
+  const std::int64_t floor = d.bottom_index();
+  d.push_bottom(&b);
+  d.push_bottom(&c);
+  EXPECT_EQ(d.take_top(floor), nullptr) << "top lies below the floor";
+  EXPECT_EQ(d.steal(), &a);
+  EXPECT_EQ(d.take_top(floor), &b) << "oldest item at or above the floor";
+  EXPECT_EQ(d.take_top(floor), &c);
+  EXPECT_EQ(d.take_top(floor), nullptr);
+  EXPECT_EQ(d.pop_bottom(), nullptr);
+}
+
+TEST(ChaseLev, TakeTopRacesThievesNoLossNoDup) {
+  // The owner drains from both ends (take_top with floor 0, pop_bottom)
+  // while thieves steal: every item is taken exactly once.
+  constexpr int kItems = 100000;
+  constexpr int kThieves = 2;
+  hq::chase_lev_deque<int> d;
+  std::vector<int> vals(kItems);
+  std::vector<std::atomic<int>> seen(kItems);
+  for (auto& s : seen) s.store(0);
+  std::atomic<int> taken{0};
+
+  auto account = [&](int* p) {
+    seen[static_cast<std::size_t>(p - vals.data())].fetch_add(1);
+    taken.fetch_add(1);
+  };
+
+  std::vector<std::thread> thieves;
+  for (int t = 0; t < kThieves; ++t) {
+    thieves.emplace_back([&] {
+      while (taken.load() < kItems) {
+        if (int* p = d.steal()) {
+          account(p);
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kItems; ++i) {
+    d.push_bottom(&vals[i]);
+    if ((i & 3) == 0) {
+      if (int* p = d.take_top(0)) account(p);
+    } else if ((i & 7) == 1) {
+      if (int* p = d.pop_bottom()) account(p);
+    }
+  }
+  while (taken.load() < kItems) {
+    if (int* p = d.take_top(0)) account(p);
+  }
   for (auto& t : thieves) t.join();
 
   EXPECT_EQ(taken.load(), kItems);

@@ -245,12 +245,43 @@ TEST(FailurePropagation, CancellationUnblocksHyperqueueWaits) {
 
 // ---- allocation faults -----------------------------------------------------
 
+/// Execution options whose run leases a scheduler no earlier run in the
+/// process has leased. pool.slab and numa.map fire only while the
+/// scheduler's frame and attachment pools carve memory, which a warmed
+/// resident scheduler no longer does. Leases are keyed on the worker count
+/// and the placement, so a topology model of the instance's own (under
+/// policy none it places nothing) yields fresh pools whatever ran before.
+class fresh_scheduler_opts {
+ public:
+  explicit fresh_scheduler_opts(unsigned workers)
+      : topo_(hq::topology::flat(kFirstCpus + next_++)) {
+    placement_.topo = &topo_;
+    opt_.workers = workers;
+    opt_.placement = &placement_;
+  }
+  fresh_scheduler_opts(const fresh_scheduler_opts&) = delete;
+  fresh_scheduler_opts& operator=(const fresh_scheduler_opts&) = delete;
+
+  [[nodiscard]] const hq::pipe::exec_options* get() const { return &opt_; }
+
+ private:
+  /// Above any CPU count another test models.
+  static constexpr unsigned kFirstCpus = 256;
+  static inline unsigned next_ = 0;
+  hq::topology topo_;
+  hq::scheduler::placement_config placement_;
+  hq::pipe::exec_options opt_;
+};
+
 class AllocFault : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AllocFault, SurfacesAsBadAllocAndRunStaysReusable) {
   app_params p;
   p.workers = 4;
   prewarm_reference("bzip2", p);
+  // Both runs lease the same scheduler: the one whose pools the fault hits
+  // serves the clean run after it.
+  const fresh_scheduler_opts fresh(p.workers);
 
   hq::fault::plan pl;
   pl.seed = 7;
@@ -262,12 +293,14 @@ TEST_P(AllocFault, SurfacesAsBadAllocAndRunStaysReusable) {
   plan_guard guard;
   hq::fault::install(std::move(pl));
 
-  const auto failed = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+  const auto failed =
+      hq::pipe::run_app("bzip2", backend::hyperqueue, p, fresh.get());
   EXPECT_EQ(failed.exec.outcome, run_outcome::failed) << GetParam();
   EXPECT_NE(failed.exec.error.find("bad_alloc"), std::string::npos)
       << "error was: " << failed.exec.error;
 
-  const auto clean = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+  const auto clean =
+      hq::pipe::run_app("bzip2", backend::hyperqueue, p, fresh.get());
   EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
   EXPECT_TRUE(clean.ok);
 }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "sched/spawn.hpp"
@@ -181,5 +182,91 @@ TEST(Scheduler, NestedSpawnDepth) {
   sched.run([&] { Chain::step(0, kDepth, &max_seen); });
   EXPECT_EQ(max_seen.load(), kDepth);
 }
+
+// ------------------------------------------------------------- join order
+// A join helps its own ready children oldest first (spawn order), and the
+// deque floor keeps that take within the joiner's own children.
+
+TEST(JoinOrder, SyncRunsOwnChildrenInSpawnOrder) {
+  hq::scheduler sched(1);
+  constexpr int kN = 64;
+  std::vector<int> ran;
+  sched.run([&] {
+    for (int i = 0; i < kN; ++i) hq::spawn([&ran, i] { ran.push_back(i); });
+    hq::sync();
+  });
+  std::vector<int> want(kN);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(ran, want);
+}
+
+TEST(JoinOrder, ImplicitSyncRunsOwnChildrenInSpawnOrder) {
+  hq::scheduler sched(1);
+  constexpr int kN = 64;
+  std::vector<int> ran;
+  sched.run([&] {
+    hq::spawn([&ran] {
+      for (int i = 0; i < kN; ++i) hq::spawn([&ran, i] { ran.push_back(i); });
+      // no sync: the children run in the implicit sync at task return
+    });
+  });
+  std::vector<int> want(kN);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(ran, want);
+}
+
+/// Bodies currently executing on this thread, nested or not.
+thread_local int t_body_depth = 0;
+
+struct depth_probe {
+  std::atomic<int> max_depth{0};
+
+  void enter() {
+    const int d = ++t_body_depth;
+    int seen = max_depth.load(std::memory_order_relaxed);
+    while (d > seen && !max_depth.compare_exchange_weak(seen, d)) {
+    }
+  }
+  static void leave() { --t_body_depth; }
+};
+
+class JoinDepth : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(JoinDepth, OldestFirstJoinStaysWithinTheSpawnTree) {
+  // Root -> 10 000 children -> 2 grandchildren each. A join that took its
+  // worker's oldest task regardless of who spawned it would nest each
+  // child's pending siblings on top of one another; the floor keeps every
+  // worker's nesting at root, child, grandchild.
+  hq::scheduler sched(GetParam());
+  constexpr int kChildren = 10000;
+  depth_probe probe;
+  std::atomic<int> leaves{0};
+  sched.run([&] {
+    probe.enter();
+    for (int i = 0; i < kChildren; ++i) {
+      hq::spawn([&probe, &leaves] {
+        probe.enter();
+        for (int k = 0; k < 2; ++k) {
+          hq::spawn([&probe, &leaves] {
+            probe.enter();
+            leaves.fetch_add(1, std::memory_order_relaxed);
+            depth_probe::leave();
+          });
+        }
+        hq::sync();
+        depth_probe::leave();
+      });
+    }
+    hq::sync();
+    depth_probe::leave();
+  });
+  EXPECT_EQ(leaves.load(), 2 * kChildren);
+  EXPECT_LE(probe.max_depth.load(), 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, JoinDepth, ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return "P" + std::to_string(info.param);
+                         });
 
 }  // namespace

@@ -14,6 +14,7 @@
 //  * budgets and placement see only the real queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -143,6 +144,88 @@ INSTANTIATE_TEST_SUITE_P(Backends, StreamingRetire,
                                       ? std::string("Hyperqueue")
                                       : std::string("HyperqueueElement");
                          });
+
+// --------------------------------------------------- admission window flush
+
+/// src -> sink, or src -> parallel -> sink, under a block window of 4 with
+/// slice_batch 16 on the source edge. Admitted tokens the source's emitter
+/// still buffers cannot reach the sink, so unless the emitter hands its
+/// partial batch on before waiting for the window, the window opens only
+/// when the wait's wedge escape admits over it. The source samples, after
+/// each emission, how many of its tokens the sink has not retired yet.
+struct window_probe {
+  static constexpr std::uint64_t kN = 256;
+  static constexpr std::size_t kWindow = 4;
+
+  std::atomic<std::uint64_t> retired{0};
+  std::uint64_t max_in_flight = 0;
+  std::uint64_t digest = 0;
+  graph g;
+
+  explicit window_probe(bool through_run) {
+    auto src = g.source<std::uint64_t>("src", [this](emit<std::uint64_t> out) {
+      for (std::uint64_t i = 0; i < kN; ++i) {
+        out(std::uint64_t{i});
+        const std::uint64_t pending =
+            i + 1 - retired.load(std::memory_order_acquire);
+        max_in_flight = std::max(max_in_flight, pending);
+      }
+    });
+    auto snk = g.sink<std::uint64_t>(
+        "snk", stage_kind::serial_in_order, [this](std::uint64_t&& v) {
+          digest = digest * 31 + v;
+          retired.fetch_add(1, std::memory_order_release);
+        });
+    edge_opts wide;
+    wide.slice_batch = 16;
+    if (through_run) {
+      auto mid = g.stage<std::uint64_t, std::uint64_t>(
+          "mix", stage_kind::parallel,
+          [](std::uint64_t&& v, emit<std::uint64_t> out) { out(mix(v)); });
+      g.connect(src, mid, wide);
+      g.connect(mid, snk);
+    } else {
+      g.connect(src, snk, wide);
+    }
+  }
+};
+
+using window_param = std::tuple<bool, backend>;
+
+class StreamingWindow : public ::testing::TestWithParam<window_param> {};
+
+TEST_P(StreamingWindow, BlockWindowBelowSliceBatchHolds) {
+  const auto [through_run, b] = GetParam();
+  window_probe ref(through_run);
+  (void)hq::pipe::execute(ref.g, backend::serial);
+
+  window_probe two(through_run);
+  exec_options opt;
+  opt.workers = 2;
+  opt.admission.policy = admission_policy::block;
+  opt.admission.window = window_probe::kWindow;
+  {
+    watchdog_scope dog(2);
+    const auto res = hq::pipe::execute(two.g, b, opt);
+    EXPECT_EQ(res.shed, 0u);
+  }
+  EXPECT_LE(two.max_in_flight, window_probe::kWindow)
+      << "admitted tokens outran the window";
+  EXPECT_EQ(two.retired.load(), window_probe::kN);
+  EXPECT_EQ(two.digest, ref.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Window, StreamingWindow,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(backend::hyperqueue,
+                                         backend::hyperqueue_element)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "SrcParSink" : "SrcSink") +
+             (std::get<1>(info.param) == backend::hyperqueue
+                  ? "_Hyperqueue"
+                  : "_HyperqueueElement");
+    });
 
 // ------------------------------------------------------------- shape matrix
 
