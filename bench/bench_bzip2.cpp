@@ -1,97 +1,103 @@
 // Section 6.3 reproduction: bzip2 pipeline, hyperqueue vs the baseline task
 // dataflow ("objects") implementation, plus the Section 5.4 loop-split
-// ablation (queue growth under serial execution).
+// ablation (queue growth under serial execution), measured on this host.
 //
 // The paper's claim: the hyperqueue version performs equivalently to the
 // task-dataflow version once the loop-split idiom bounds queue growth.
-// The host has far fewer cores than the paper's testbed, so the scaling
-// comparison of the two models is a model prediction in virtual time; the
-// real runs below measure times and the queue footprint at the host's core
-// count. Every real run — the declared graph on each backend, the
-// task-dataflow baseline and the split variant — must reproduce the serial
-// elision's stream and decompress back to the input.
+// Every worker count the host has (P = 1..nproc) runs interleaved rounds of
+// the serial elision, the declared graph on every parallel backend, the
+// task-dataflow baseline and the split variant. Every run must reproduce
+// the same round's elision stream, and the elision's stream must decompress
+// back to the input; otherwise the bench exits nonzero.
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/bzip2/bzip2.hpp"
-#include "calibrate.hpp"
 #include "pipeline/runner.hpp"
 #include "quick.hpp"
-#include "sim/models.hpp"
+#include "speedup.hpp"
 #include "util/datagen.hpp"
 #include "util/mbzip.hpp"
 #include "util/table.hpp"
 
+namespace {
+
+using bytes = std::vector<std::uint8_t>;
+using run = hq::bench::timed_run<bytes>;
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  const bool quick = hq::bench::quick_mode(argc, argv);
   hq::apps::bzip2::config cfg;
   cfg.input_bytes = 4u << 20;
   if (const char* env = std::getenv("HQ_BZIP_MB")) {
     cfg.input_bytes = static_cast<std::size_t>(std::atol(env)) << 20;
   }
-  if (hq::bench::quick_mode(argc, argv)) cfg.input_bytes = 1u << 20;
-  cfg.threads = std::max(1u, std::thread::hardware_concurrency());
-  auto input = hq::util::gen_text(cfg.input_bytes, cfg.seed);
+  if (quick) cfg.input_bytes = 1u << 20;
+  const auto input = hq::util::gen_text(cfg.input_bytes, cfg.seed);
 
-  hq::util::table table({"Variant", "Time (s)", "Peak queue segments",
-                         "Output ok"});
-  std::vector<std::uint8_t> reference;
-  bool ok = true;
-  // peak == 0 means the variant has no hyperqueues to measure.
-  auto add = [&](const std::string& name, double seconds, std::size_t peak,
-                 const std::vector<std::uint8_t>& output) {
-    const bool good =
-        output == reference &&
-        hq::util::mbzip_decompress(output.data(), output.size()) == input;
-    ok = ok && good;
-    table.add_row({name, hq::util::table::cell(seconds, 3),
-                   peak ? hq::util::table::cell(static_cast<std::uint64_t>(peak))
-                        : "-",
-                   good ? "yes" : "NO"});
-  };
-  std::vector<hq::pipe::backend> backends = {hq::pipe::backend::serial};
-  for (const auto b : hq::pipe::parallel_backends()) backends.push_back(b);
-  for (const auto b : backends) {
+  // Peak queue segments per hyperqueue variant, max over all its runs.
+  std::map<std::string, std::size_t> peak;
+  auto graph_run = [&](hq::pipe::backend b, unsigned workers) {
     hq::apps::bzip2::result r;
     hq::pipe::graph g;
     hq::apps::bzip2::describe_pipeline(cfg, input, &r, g);
     const auto ex =
-        hq::pipe::execute(g, b, {.workers = cfg.threads, .seed = cfg.seed});
-    if (b == hq::pipe::backend::serial) reference = r.output;
-    add(hq::pipe::to_string(b), ex.seconds, ex.peak_segments, r.output);
-  }
-  const auto obj_r = hq::apps::bzip2::run_objects(cfg, input);
-  add("objects", obj_r.seconds, 0, obj_r.output);
-  const auto split_r = hq::apps::bzip2::run_hyperqueue_split(cfg, input);
-  add("hyperqueue+split(5.4)", split_r.seconds, split_r.peak_segments,
-      split_r.output);
-  table.print("bzip2 (Section 6.3), " + std::to_string(cfg.input_bytes >> 20) +
-              " MiB input, " + std::to_string(cfg.threads) + " worker(s)");
+        hq::pipe::execute(g, b, {.workers = workers, .seed = cfg.seed});
+    if (ex.peak_segments != 0) {
+      auto& p = peak[hq::pipe::to_string(b)];
+      p = std::max(p, ex.peak_segments);
+    }
+    return run{ex.seconds, std::move(r.output)};
+  };
 
-  // Virtual-time scaling: hyperqueue vs objects on the 3-stage pipeline
-  // (both overlap the read stage; Section 6.3 reports equal performance).
-  auto t = hq::apps::bzip2::stage_times(cfg, input);
-  const double blocks =
-      static_cast<double>((input.size() + cfg.block_bytes - 1) / cfg.block_bytes);
-  hq::sim::flat_spec spec;
-  spec.stages = {{true, t[0] / blocks}, {false, t[1] / blocks},
-                 {true, t[2] / blocks}};
-  spec.items = static_cast<std::size_t>(blocks) * 8;  // longer stream
-  spec.seed = cfg.seed;
-  auto ov = hq::bench::calibrate_overheads();
-  const double serial_v = hq::sim::serial_time_flat(spec);
-  hq::util::table sweep({"Cores", "Objects", "Hyperqueue"});
-  for (unsigned p : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    auto m = hq::bench::paper_machine(p);
-    sweep.add_row(
-        {hq::util::table::cell(static_cast<std::uint64_t>(p)),
-         hq::util::table::cell(
-             serial_v / hq::sim::sim_flat_objects(spec, m, ov, true), 2),
-         hq::util::table::cell(
-             serial_v / hq::sim::sim_flat_hyperqueue(spec, m, ov), 2)});
+  std::vector<hq::bench::variant<bytes>> variants;
+  for (const auto b : hq::pipe::parallel_backends()) {
+    variants.push_back({hq::pipe::to_string(b), [&, b](unsigned workers) {
+                          return graph_run(b, workers);
+                        }});
   }
-  sweep.print("bzip2 speedup, task dataflow vs hyperqueue (model predictions, "
-              "virtual time)");
-  return ok ? 0 : 1;
+  variants.push_back({"objects", [&](unsigned workers) {
+                        hq::apps::bzip2::config c = cfg;
+                        c.threads = workers;
+                        auto r = hq::apps::bzip2::run_objects(c, input);
+                        return run{r.seconds, std::move(r.output)};
+                      }});
+  variants.push_back({"hyperqueue+split(5.4)", [&](unsigned workers) {
+                        hq::apps::bzip2::config c = cfg;
+                        c.threads = workers;
+                        auto r =
+                            hq::apps::bzip2::run_hyperqueue_split(c, input);
+                        auto& p = peak["hyperqueue+split(5.4)"];
+                        p = std::max(p, r.peak_segments);
+                        return run{r.seconds, std::move(r.output)};
+                      }});
+  bool roundtrip = true;
+  const bool ok = hq::bench::measure_speedups<bytes>(
+      "bzip2 (Section 6.3), " + std::to_string(cfg.input_bytes >> 20) +
+          " MiB input",
+      quick ? 1 : 5,
+      [&] {
+        run r = graph_run(hq::pipe::backend::serial, 1);
+        roundtrip = roundtrip && hq::util::mbzip_decompress(
+                                     r.output.data(), r.output.size()) == input;
+        return r;
+      },
+      variants);
+  if (!roundtrip) {
+    std::fprintf(stderr, "MISMATCH: the serial elision's stream does not "
+                         "decompress to the input\n");
+  }
+
+  hq::util::table seg({"Variant", "Peak queue segments"});
+  for (const auto& [name, p] : peak) {
+    seg.add_row({name, hq::util::table::cell(static_cast<std::uint64_t>(p))});
+  }
+  seg.print("bzip2 queue footprint, max over all runs above");
+  return ok && roundtrip ? 0 : 1;
 }

@@ -1,30 +1,38 @@
 // Figure 11 reproduction: dedup speedup vs cores for Pthreads, TBB,
-// Objects and Hyperqueue.
+// Objects and Hyperqueue, measured on this host.
 //
-// Stage costs and chunk statistics are measured on this host; speedup
-// curves are model predictions from the virtual-time models, because the
-// paper's core counts exceed the host's (see README "Substitutions").
-// Expected shape: hyperqueue leads pthreads by ~12-30% in the
-// 6-8 core range (fine-grained streaming vs list gathering / queue
-// overhead); TBB trails pthreads; everything saturates against the ~8%
-// serial output stage; the hyperqueue advantage narrows at high core
-// counts (task granularity), as in the paper.
-//
-// A real-execution validation block runs the declared graph on every
-// backend, plus the task-dataflow baseline, at the host's core count and
-// checks each output stream against the serial elision's.
+// The paper's curves run to 32 cores; this bench measures every worker
+// count the host has (P = 1..nproc, see README "Substitutions"). Each P runs
+// interleaved rounds of the serial elision, the declared graph on every
+// parallel backend and the task-dataflow baseline, and exits nonzero if any
+// run's output stream differs from the same round's elision.
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/dedup/dedup.hpp"
-#include "calibrate.hpp"
 #include "pipeline/runner.hpp"
 #include "quick.hpp"
-#include "sim/models.hpp"
+#include "speedup.hpp"
 #include "util/datagen.hpp"
-#include "util/table.hpp"
+
+namespace {
+
+using bytes = std::vector<std::uint8_t>;
+using run = hq::bench::timed_run<bytes>;
+
+run run_graph(const hq::apps::dedup::config& cfg, const bytes& input,
+              hq::pipe::backend b, unsigned workers) {
+  hq::apps::dedup::result r;
+  hq::apps::dedup::dedup_table table;
+  hq::pipe::graph g;
+  hq::apps::dedup::describe_pipeline(cfg, input, &table, &r, g);
+  const auto ex =
+      hq::pipe::execute(g, b, {.workers = workers, .seed = cfg.seed});
+  return {ex.seconds, std::move(r.output)};
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const bool quick = hq::bench::quick_mode(argc, argv);
@@ -34,83 +42,26 @@ int main(int argc, char** argv) {
     cfg.input_bytes = static_cast<std::size_t>(std::atol(env)) << 20;
   }
   if (quick) cfg.input_bytes = 2u << 20;
-  auto input =
+  const auto input =
       hq::util::gen_archive(cfg.input_bytes, cfg.dup_fraction, cfg.seed);
 
-  // 1. Host-measured characterization -> nested pipeline spec.
-  auto ch = hq::apps::dedup::stage_times(cfg, input);
-  hq::sim::nested_spec spec;
-  spec.coarse = ch.iterations[0];
-  spec.fine_per_coarse = ch.iterations[2] / std::max<std::uint64_t>(1, ch.iterations[0]);
-  spec.fragment_cost = ch.seconds[0] / static_cast<double>(ch.iterations[0]);
-  spec.refine_cost = ch.seconds[1] / static_cast<double>(ch.iterations[1]);
-  spec.dedup_cost = ch.seconds[2] / static_cast<double>(ch.iterations[2]);
-  spec.compress_cost = ch.seconds[3] / static_cast<double>(ch.iterations[3]);
-  spec.unique_fraction = static_cast<double>(ch.iterations[3]) /
-                         static_cast<double>(ch.iterations[2]);
-  spec.output_cost = ch.seconds[4] / static_cast<double>(ch.iterations[4]);
-  spec.jitter = 0.3;
-  spec.seed = cfg.seed;
-  const double serial = hq::sim::serial_time_nested(spec);
-
-  // 2. Host-calibrated overheads, plus the dedup-specific oversubscription
-  // locality stretch (per-chunk compressor state is evicted when ~3x more
-  // stage threads than cores timeshare; see overheads::pth_oversub_penalty).
-  auto ov = hq::bench::calibrate_overheads();
-  ov.pth_oversub_penalty = 0.35;
-
-  // 3. Core sweep.
-  hq::util::table table({"Cores", "Pthreads", "TBB", "Objects", "Hyperqueue",
-                         "HQ/Pthreads"});
-  for (unsigned p : {1u, 2u, 4u, 6u, 8u, 12u, 16u, 22u, 28u, 32u}) {
-    auto m = hq::bench::paper_machine(p);
-    const double sp_pth =
-        serial / hq::sim::sim_nested_pthreads(spec, m, ov, /*threads=*/p);
-    // Reed et al. use a token count on the order of the thread count; the
-    // nested-list tokens are heavyweight (a whole coarse chunk each).
-    const double sp_tbb = serial / hq::sim::sim_nested_tbb(spec, m, ov, p);
-    const double sp_obj = serial / hq::sim::sim_nested_objects(spec, m, ov);
-    const double sp_hq = serial / hq::sim::sim_nested_hyperqueue(spec, m, ov);
-    table.add_row({hq::util::table::cell(static_cast<std::uint64_t>(p)),
-                   hq::util::table::cell(sp_pth, 2),
-                   hq::util::table::cell(sp_tbb, 2),
-                   hq::util::table::cell(sp_obj, 2),
-                   hq::util::table::cell(sp_hq, 2),
-                   hq::util::table::cell(sp_hq / sp_pth, 3)});
+  std::vector<hq::bench::variant<bytes>> variants;
+  for (const auto b : hq::pipe::parallel_backends()) {
+    variants.push_back({hq::pipe::to_string(b), [&, b](unsigned workers) {
+                          return run_graph(cfg, input, b, workers);
+                        }});
   }
-  table.print("Figure 11: dedup speedup over serial (model predictions: "
-              "virtual-time models, host-measured stage costs)");
-
-  // 4. Real-execution validation on this host.
-  hq::apps::dedup::config small = cfg;
-  small.input_bytes = quick ? (1u << 20) : (2u << 20);
-  small.threads = std::max(1u, std::thread::hardware_concurrency());
-  auto sinput =
-      hq::util::gen_archive(small.input_bytes, small.dup_fraction, small.seed);
-  hq::util::table val({"Variant", "Time (s)", "Output matches serial"});
-  std::vector<std::uint8_t> reference;
-  bool ok = true;
-  auto add = [&](const std::string& name, double seconds,
-                 const std::vector<std::uint8_t>& output) {
-    ok = ok && output == reference;
-    val.add_row({name, hq::util::table::cell(seconds, 3),
-                 output == reference ? "yes" : "NO"});
-  };
-  std::vector<hq::pipe::backend> backends = {hq::pipe::backend::serial};
-  for (const auto b : hq::pipe::parallel_backends()) backends.push_back(b);
-  for (const auto b : backends) {
-    hq::apps::dedup::result r;
-    hq::apps::dedup::dedup_table table;
-    hq::pipe::graph g;
-    hq::apps::dedup::describe_pipeline(small, sinput, &table, &r, g);
-    const auto ex =
-        hq::pipe::execute(g, b, {.workers = small.threads, .seed = small.seed});
-    if (b == hq::pipe::backend::serial) reference = r.output;
-    add(hq::pipe::to_string(b), ex.seconds, r.output);
-  }
-  const auto obj_r = hq::apps::dedup::run_objects(small, sinput);
-  add("objects", obj_r.seconds, obj_r.output);
-  val.print("Real execution at " + std::to_string(small.threads) +
-            " worker(s) on this host (validation)");
+  variants.push_back({"objects", [&](unsigned workers) {
+                        hq::apps::dedup::config c = cfg;
+                        c.threads = workers;
+                        auto r = hq::apps::dedup::run_objects(c, input);
+                        return run{r.seconds, std::move(r.output)};
+                      }});
+  const bool ok = hq::bench::measure_speedups<bytes>(
+      "Figure 11: dedup, " + std::to_string(cfg.input_bytes >> 20) +
+          " MiB input",
+      quick ? 1 : 5,
+      [&] { return run_graph(cfg, input, hq::pipe::backend::serial, 1); },
+      variants);
   return ok ? 0 : 1;
 }

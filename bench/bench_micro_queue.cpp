@@ -320,8 +320,8 @@ void run_locality_probe(bool quick, probe_result& pr) {
 /// Zero-mutex-on-push gate: repeated wide producer-only bursts must never
 /// touch queue_cb::mu. mu_attach counts pop-FIFO registrations only, so its
 /// delta across a burst of push spawns pins the lock-free producer contract
-/// (push, write_slice, push-privileged spawn and completion); mu_view must
-/// stay 0 outright. The owner then drains and checks the serial-elision sum.
+/// (push, write_slice, push-privileged spawn and completion). The owner then
+/// drains and checks the serial-elision sum.
 void run_push_probe(bool quick, probe_result& pr) {
   const int rounds = quick ? 4 : 16;
   const int producers = 64;
@@ -342,8 +342,7 @@ void run_push_probe(bool quick, probe_result& pr) {
       }
       q.sync_push();
       const hq::data_path_stats after = q.data_stats();
-      mu_delta += (after.mu_attach - before.mu_attach) +
-                  (after.mu_view - before.mu_view);
+      mu_delta += after.mu_attach - before.mu_attach;
       long sum = 0;
       while (!q.empty()) sum += q.pop();
       const long n = static_cast<long>(producers) * per_leaf;

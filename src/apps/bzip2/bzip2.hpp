@@ -50,8 +50,4 @@ result run_objects(const config& cfg, const std::vector<std::uint8_t>& input);
 result run_hyperqueue_split(const config& cfg,
                             const std::vector<std::uint8_t>& input);
 
-/// Serial per-stage seconds {read, compress, write}.
-std::vector<double> stage_times(const config& cfg,
-                                const std::vector<std::uint8_t>& input);
-
 }  // namespace hq::apps::bzip2

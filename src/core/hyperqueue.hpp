@@ -467,8 +467,8 @@ class hyperqueue {
 
   /// Data-path slow-event counters: remote index reloads (bounded by one
   /// per segment-capacity of elements in steady state) and mutex
-  /// acquisitions (zero on the fast path; mu_view and mu_attach stay 0 on
-  /// the producer side — the zero-mutex-on-push contract).
+  /// acquisitions (zero on the fast path; mu_attach stays 0 on the
+  /// producer side — the zero-mutex-on-push contract).
   [[nodiscard]] data_path_stats data_stats() const { return cb_->data_stats(); }
 
   /// Re-pin fresh segment arenas to `node` (takes effect for segments

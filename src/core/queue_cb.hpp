@@ -102,7 +102,7 @@ struct seg_pool_stats {
 
 /// Data-path slow-event snapshot (tests / benches): the element fast path
 /// increments none of these. The mu_* fields pin the locking contract:
-/// mu_view and (after warm-up) mu_attach stay 0 because the producer side —
+/// mu_attach stays 0 across producer-only bursts because the producer side —
 /// push, write_slice, push-privileged spawn and completion — never takes a
 /// mutex; mu_attach/mu_complete count the pop-side registrations that still
 /// do.
@@ -110,7 +110,6 @@ struct data_path_stats {
   std::uint64_t head_reloads = 0;   ///< producer re-read the consumer's head
   std::uint64_t tail_reloads = 0;   ///< consumer re-read the producer's tail
   std::uint64_t mu_data = 0;        ///< consumer took mu (scan-position claim)
-  std::uint64_t mu_view = 0;        ///< producer took mu (always 0; pinned)
   std::uint64_t seg_cache_hits = 0; ///< segment allocs served lock-free
   std::uint64_t mu_attach = 0;      ///< attach_spawn took mu (pop FIFO only)
   std::uint64_t mu_complete = 0;    ///< completion took mu (pop hand-back only)
@@ -281,7 +280,6 @@ struct queue_cb {
     st.head_reloads = dp_.head_reloads.load(std::memory_order_relaxed);
     st.tail_reloads = dp_.tail_reloads.load(std::memory_order_relaxed);
     st.mu_data = dp_.mu_data.load(std::memory_order_relaxed);
-    st.mu_view = dp_.mu_view.load(std::memory_order_relaxed);
     st.seg_cache_hits = dp_.seg_cache_hits.load(std::memory_order_relaxed);
     st.mu_attach = dp_.mu_attach.load(std::memory_order_relaxed);
     st.mu_complete = dp_.mu_complete.load(std::memory_order_relaxed);

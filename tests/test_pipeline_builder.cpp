@@ -114,7 +114,6 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   a.capacity = 5;
   a.slice_batch = 3;
   a.segment_length = 32;
-  a.bulk = false;
   a.traffic = 2.5;
   edge_opts b;
   b.capacity = 9;
@@ -126,7 +125,6 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   EXPECT_EQ(g.edge_at(0).opts.capacity, 5u);
   EXPECT_EQ(g.edge_at(0).opts.slice_batch, 3u);
   EXPECT_EQ(g.edge_at(0).opts.segment_length, 32u);
-  EXPECT_FALSE(g.edge_at(0).opts.bulk);
   EXPECT_EQ(g.edge_at(1).opts.capacity, 9u);
 
   const auto plan = g.compile();

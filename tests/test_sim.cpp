@@ -1,25 +1,16 @@
-// Tests for the discrete-event engine and the four scheduling models:
-// sanity (1 core ≈ serial), monotonic scaling, serial-stage throughput
-// bounds, and the paper-shape properties (objects plateau, nested-pipeline
-// gap, FPU-pairing dip).
+// Tests for the discrete-event engine that the SLO service model is checked
+// against (tests/test_service.cpp): FIFO dispatch onto a fixed core count,
+// completions that submit more work, and pure timer events.
 #include <gtest/gtest.h>
 
-#include "sim/models.hpp"
+#include "sim/des.hpp"
 
 namespace {
 
-using namespace hq::sim;
-
-overheads no_overheads() {
-  overheads ov;
-  ov.task_spawn = ov.hq_queue_op = ov.pth_queue_op = ov.tbb_token = 0;
-  return ov;
-}
-
-// ------------------------------------------------------------------ engine
+using hq::sim::engine;
 
 TEST(DesEngine, SingleCoreSerializes) {
-  engine eng({1, 0, 0});
+  engine eng({.cores = 1});
   int done = 0;
   eng.submit(1.0, [&] { ++done; });
   eng.submit(2.0, [&] { ++done; });
@@ -28,14 +19,14 @@ TEST(DesEngine, SingleCoreSerializes) {
 }
 
 TEST(DesEngine, TwoCoresOverlap) {
-  engine eng({2, 0, 0});
+  engine eng({.cores = 2});
   eng.submit(1.0, [] {});
   eng.submit(2.0, [] {});
   EXPECT_DOUBLE_EQ(eng.run(), 2.0);
 }
 
 TEST(DesEngine, CompletionCanSubmitMore) {
-  engine eng({1, 0, 0});
+  engine eng({.cores = 1});
   double second_done = 0;
   eng.submit(1.0, [&] {
     eng.submit(0.5, [&] { second_done = eng.now(); });
@@ -44,184 +35,12 @@ TEST(DesEngine, CompletionCanSubmitMore) {
   EXPECT_DOUBLE_EQ(second_done, 1.5);
 }
 
-TEST(DesEngine, FpuPenaltyStretchesAtHighOccupancy) {
-  engine base({4, 2, 1.0});
-  // With 2 busy cores: no penalty.
-  base.submit(1.0, [] {});
-  base.submit(1.0, [] {});
-  EXPECT_DOUBLE_EQ(base.run(), 1.0);
-  engine crowded({4, 2, 1.0});
-  for (int i = 0; i < 4; ++i) crowded.submit(1.0, [] {});
-  EXPECT_GT(crowded.run(), 1.0) << "4 busy cores on 2 FPU pairs must slow down";
-}
-
 TEST(DesEngine, TimerEventsFire) {
-  engine eng({1, 0, 0});
+  engine eng({.cores = 1});
   double fired = -1;
   eng.submit_after(2.5, [&] { fired = eng.now(); });
   eng.run();
   EXPECT_DOUBLE_EQ(fired, 2.5);
-}
-
-// ------------------------------------------------------------- flat models
-
-flat_spec ferret_like() {
-  // input 4.5%, seg 3.6%, extract 0.35%, vector 16.2%, rank 75.3%, out 0.1%
-  flat_spec spec;
-  spec.stages = {{true, 4.5e-4}, {false, 3.6e-4}, {false, 0.35e-4},
-                 {false, 16.2e-4}, {false, 75.3e-4}, {true, 0.1e-4}};
-  spec.items = 400;
-  spec.jitter = 0.1;
-  spec.seed = 5;
-  return spec;
-}
-
-class FlatModels : public ::testing::Test {
- protected:
-  flat_spec spec = ferret_like();
-  overheads ov = no_overheads();
-};
-
-TEST_F(FlatModels, OneCoreMatchesSerial) {
-  const double serial = serial_time_flat(spec);
-  const machine m{1, 0, 0};
-  EXPECT_NEAR(sim_flat_hyperqueue(spec, m, ov), serial, serial * 0.01);
-  EXPECT_NEAR(sim_flat_objects(spec, m, ov, false), serial, serial * 0.01);
-  EXPECT_NEAR(sim_flat_tbb(spec, m, ov, 8), serial, serial * 0.01);
-  EXPECT_NEAR(sim_flat_pthreads(spec, m, ov, 1), serial, serial * 0.01);
-}
-
-TEST_F(FlatModels, SpeedupMonotonicInCores) {
-  const double serial = serial_time_flat(spec);
-  double prev = 0;
-  for (unsigned p : {1u, 2u, 4u, 8u, 16u}) {
-    const double sp = serial / sim_flat_hyperqueue(spec, {p, 0, 0}, ov);
-    EXPECT_GE(sp, prev * 0.98) << "speedup must not collapse as cores grow";
-    prev = sp;
-  }
-  EXPECT_GT(prev, 8.0) << "16 cores must give substantial speedup";
-}
-
-TEST_F(FlatModels, SerialStageBoundsThroughput) {
-  // With a dominant serial stage, speedup caps near total/serial_stage share.
-  flat_spec s2 = spec;
-  s2.stages[0].cost = 20e-4;  // serial input ~20% of work
-  const double serial = serial_time_flat(s2);
-  const double t32 = sim_flat_hyperqueue(s2, {32, 0, 0}, ov);
-  const double cap = serial / (20e-4 * static_cast<double>(s2.items));
-  EXPECT_LT(serial / t32, cap * 1.05);
-}
-
-TEST_F(FlatModels, ObjectsInputNonOverlapPlateaus) {
-  // The paper's Figure 8 "objects" curve: not overlapping the 4.5% input
-  // stage costs roughly a 1/(s + (1-s)/P) Amdahl plateau.
-  const double serial = serial_time_flat(spec);
-  const machine m{32, 0, 0};
-  const double sp_objects = serial / sim_flat_objects(spec, m, ov, false);
-  const double sp_hq = serial / sim_flat_hyperqueue(spec, m, ov);
-  EXPECT_LT(sp_objects, sp_hq * 0.65)
-      << "objects must trail hyperqueue distinctly at 32 cores";
-  EXPECT_GT(sp_hq, 18.0);
-  EXPECT_LT(sp_objects, 16.0);
-}
-
-TEST_F(FlatModels, FpuPairingCausesDip) {
-  // Figure 8's slope change past 16 cores on the 16-module Bulldozer.
-  const double serial = serial_time_flat(spec);
-  const machine flat24{24, 16, 0.4};
-  const machine flat16{16, 16, 0.4};
-  const double sp16 = serial / sim_flat_hyperqueue(spec, flat16, ov);
-  const double sp24 = serial / sim_flat_hyperqueue(spec, flat24, ov);
-  const double slope = (sp24 - sp16) / 8.0;
-  EXPECT_LT(slope, (sp16 / 16.0) * 0.9)
-      << "per-core gains must flatten once FPU pairs are shared";
-}
-
-TEST_F(FlatModels, TokenStarvationHurtsTbb) {
-  // Too few tokens bound concurrency.
-  const double serial = serial_time_flat(spec);
-  const machine m{16, 0, 0};
-  const double sp2 = serial / sim_flat_tbb(spec, m, ov, 2);
-  const double sp64 = serial / sim_flat_tbb(spec, m, ov, 64);
-  EXPECT_LT(sp2, 3.0);
-  EXPECT_GT(sp64, sp2 * 3);
-}
-
-TEST_F(FlatModels, PthreadsNeedsThreadTuning) {
-  // One thread per parallel stage cannot exploit 16 cores on a
-  // rank-dominated pipeline; many threads per stage can (the core-count
-  // tuning the paper criticizes).
-  const double serial = serial_time_flat(spec);
-  const machine m{16, 0, 0};
-  const double sp1 = serial / sim_flat_pthreads(spec, m, ov, 1);
-  const double sp16 = serial / sim_flat_pthreads(spec, m, ov, 16);
-  EXPECT_LT(sp1, 3.0);
-  EXPECT_GT(sp16, sp1 * 3);
-}
-
-// ----------------------------------------------------------- nested models
-
-nested_spec dedup_like() {
-  // Table 2 shape: compress-dominated, ~8% serial output, ~1100 fine/coarse
-  // scaled down for test speed.
-  nested_spec spec;
-  spec.coarse = 48;
-  spec.fine_per_coarse = 40;
-  spec.fragment_cost = 80e-6;
-  spec.refine_cost = 160e-6;
-  spec.dedup_cost = 2.7e-6;
-  spec.compress_cost = 56e-6;
-  spec.unique_fraction = 0.45;
-  spec.output_cost = 2.8e-6;
-  spec.seed = 77;
-  return spec;
-}
-
-class NestedModels : public ::testing::Test {
- protected:
-  nested_spec spec = dedup_like();
-  overheads ov = no_overheads();
-};
-
-TEST_F(NestedModels, OneCoreMatchesSerial) {
-  const double serial = serial_time_nested(spec);
-  const machine m{1, 0, 0};
-  EXPECT_NEAR(sim_nested_hyperqueue(spec, m, ov), serial, serial * 0.01);
-  EXPECT_NEAR(sim_nested_objects(spec, m, ov), serial, serial * 0.01);
-  EXPECT_NEAR(sim_nested_tbb(spec, m, ov, 8), serial, serial * 0.01);
-  EXPECT_NEAR(sim_nested_pthreads(spec, m, ov, 1), serial, serial * 0.01);
-}
-
-TEST_F(NestedModels, HyperqueueStreamsPastListGathering) {
-  // Figure 11's midrange: the hyperqueue's fine-grained streaming output
-  // beats the gather-whole-list structure of the nested-pipeline versions.
-  const double serial = serial_time_nested(spec);
-  const machine m{8, 0, 0};
-  const double sp_hq = serial / sim_nested_hyperqueue(spec, m, ov);
-  const double sp_tbb = serial / sim_nested_tbb(spec, m, ov, 4 * 8);
-  EXPECT_GT(sp_hq, sp_tbb) << "hyperqueue must beat the TBB nested pipeline";
-}
-
-TEST_F(NestedModels, SpeedupMonotonicHyperqueue) {
-  const double serial = serial_time_nested(spec);
-  double prev = 0;
-  for (unsigned p : {1u, 2u, 4u, 8u}) {
-    const double sp = serial / sim_nested_hyperqueue(spec, {p, 0, 0}, ov);
-    EXPECT_GE(sp, prev * 0.98);
-    prev = sp;
-  }
-}
-
-TEST_F(NestedModels, SerialOutputBoundsAllModels) {
-  // Table 2: output ≈ 8% serial caps dedup speedup around 12-13.
-  nested_spec s2 = spec;
-  const double serial = serial_time_nested(s2);
-  const double total_output =
-      serial * 0.08 / (s2.output_cost > 0 ? 1.0 : 1.0);  // approx via spec
-  (void)total_output;
-  const machine m{32, 0, 0};
-  const double sp = serial / sim_nested_hyperqueue(s2, m, ov);
-  EXPECT_LT(sp, 20.0) << "serial output stage must bound scaling";
 }
 
 }  // namespace

@@ -355,7 +355,17 @@ TEST(Stats, SummaryBasics) {
   EXPECT_EQ(s.min, 1.0);
   EXPECT_EQ(s.max, 100.0);
   EXPECT_EQ(s.median, 3.0);
+  EXPECT_EQ(s.q1, 2.0);
+  EXPECT_EQ(s.q3, 4.0);
   EXPECT_EQ(s.n, 5u);
+
+  // Even-sized sample: quantiles interpolate between order statistics at
+  // rank p * (n - 1), so the median is the mean of the two middle values.
+  auto e = summarize({4, 1, 3, 2});
+  EXPECT_DOUBLE_EQ(e.q1, 1.75);
+  EXPECT_DOUBLE_EQ(e.median, 2.5);
+  EXPECT_DOUBLE_EQ(e.q3, 3.25);
+  EXPECT_EQ(e.n, 4u);
 }
 
 TEST(Table, RendersAligned) {
