@@ -1,11 +1,11 @@
 // Shared JSON-trajectory emission for the Google-Benchmark micro harnesses.
 //
 // bench_micro_sched / bench_micro_queue provide their own main() (instead of
-// benchmark_main) so they can emit a BENCH_*.json record with the same
-// shape as bench_slice_apps' BENCH_slice.json: a top-level {"bench", ...,
-// "all_ok"} object holding one entry per benchmark. CI runs them in --quick
-// mode and uploads the JSON artifacts, making the perf trajectory
-// machine-readable run over run.
+// benchmark_main) so they can emit a BENCH_*.json record: a top-level
+// {"bench", ..., "all_ok"} object holding one entry per benchmark, the
+// shape scripts/bench_compare.py diffs against bench/baselines/. CI runs
+// them in --quick mode and uploads the JSON artifacts, making the perf
+// trajectory machine-readable run over run.
 //
 // Flags handled here (stripped before benchmark::Initialize sees argv):
 //   --quick        smoke sizes (maps to a tiny --benchmark_min_time)
@@ -27,12 +27,6 @@ struct bench_row {
   double ns_per_op = 0;         // wall-clock per iteration
   double items_per_second = 0;  // 0 when the bench reports no item counter
   std::uint64_t iterations = 0;
-  // Latency percentiles (core/latency.hpp histograms), populated by
-  // harnesses that measure per-item sojourn rather than throughput; all
-  // zero when the bench reports none (the JSON fields are then omitted).
-  std::uint64_t p50_ns = 0;
-  std::uint64_t p99_ns = 0;
-  std::uint64_t p999_ns = 0;
 };
 
 /// ConsoleReporter that additionally collects per-benchmark rows (real time;
@@ -128,13 +122,6 @@ bool write_micro_json(const micro_bench_options& opt, const char* bench_name,
                  "\"items_per_second\": %.0f, \"iterations\": %llu",
                  r.name.c_str(), r.ns_per_op, r.items_per_second,
                  static_cast<unsigned long long>(r.iterations));
-    if (r.p50_ns || r.p99_ns || r.p999_ns) {
-      std::fprintf(f,
-                   ", \"p50_ns\": %llu, \"p99_ns\": %llu, \"p999_ns\": %llu",
-                   static_cast<unsigned long long>(r.p50_ns),
-                   static_cast<unsigned long long>(r.p99_ns),
-                   static_cast<unsigned long long>(r.p999_ns));
-    }
     std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

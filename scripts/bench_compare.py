@@ -6,8 +6,8 @@ Usage:
                      [--records name1,name2,...] [--stable name1,name2,...]
                      [--fields dotted.path1,dotted.path2,...]
 
-Both files are the records emitted by the bench harnesses (bench_json.hpp /
-bench_slice_apps): a top-level object with a "results" array of
+Both files are the records emitted by the micro bench harnesses
+(bench_json.hpp): a top-level object with a "results" array of
 {"name", "ns_per_op", ...} entries. For every benchmark present in either
 record (or the --records subset), the relative ns_per_op change is computed;
 a record present on only one side is a reported discrepancy, never a silent
@@ -39,22 +39,6 @@ def load_results(path):
     with open(path) as f:
         doc = json.load(f)
     rows = {r["name"]: r for r in doc.get("results", [])}
-    # BENCH_slice.json shape: {"apps": [{"app", "runs": [{"workers",
-    # "element_s", "slice_s", ...}]}]} — flatten each timing into a record.
-    for app in doc.get("apps", []):
-        for run in app.get("runs", []):
-            for key in ("element_s", "slice_s"):
-                if key in run:
-                    name = f"{app['app']}/w{run['workers']}/{key[:-2]}"
-                    rows[name] = {"name": name, "ns_per_op": run[key] * 1e9}
-    # BENCH_service.json shape: {"points": [{"load", "policy", "p99_ns",
-    # ...}]} — gate on admitted-request p99. The percentile comes from the
-    # virtual-time model, a pure function of the seed: any drift is a
-    # semantic change in admission/queueing, not runner jitter, so these
-    # records gate at a tight threshold.
-    for pt in doc.get("points", []):
-        name = f"service/{pt['policy']}@{pt['load']:g}"
-        rows[name] = {"name": name, "ns_per_op": float(pt.get("p99_ns", 0))}
     return doc, rows
 
 

@@ -1,16 +1,16 @@
 // Streaming latency-percentile statistics (p50 / p99 / p99.9) over
 // fixed-bucket logarithmic histograms.
 //
-// The service-scale story ("million-user simulation with latency SLOs",
-// ROADMAP) needs tail percentiles, not means: a mean hides exactly the
-// overload behavior budgets and admission policies exist to control. This
-// module keeps them cheap and deterministic:
+// Latency SLOs need tail percentiles, not means: a mean hides exactly the
+// overload behavior budgets and admission policies exist to control
+// (bench_service records wall-clock request latency here). This module
+// keeps them cheap and deterministic:
 //
 //  * record() is O(1): the bucket index is (octave, sub-bucket) derived from
 //    the value's bit width — no floating point, no allocation, no locks;
 //  * buckets are value-determined, so two histograms fed the same multiset
 //    of samples are bit-identical regardless of arrival order or thread
-//    interleaving — percentile curves from a seeded run reproduce exactly;
+//    interleaving;
 //  * merge() is element-wise addition, so per-worker histograms combine into
 //    a run-wide one without synchronizing the record path.
 //
@@ -32,7 +32,7 @@ class latency_histogram {
   static constexpr unsigned kSubBits = 4;
   static constexpr unsigned kSub = 1u << kSubBits;
   /// Octaves 0..63 cover the full uint64 range (values in any unit; the
-  /// histogram is unit-agnostic — callers pick ns, us, or virtual ticks).
+  /// histogram is unit-agnostic — callers pick ns or us).
   static constexpr unsigned kBuckets = 64 * kSub;
 
   /// Record one sample. O(1), allocation-free, not thread-safe — keep one

@@ -263,6 +263,10 @@ TEST(BzipApp, LoopSplitBoundsQueueGrowth) {
   auto split2 = hq::apps::bzip2::run_hyperqueue_split(cfg2, input2);
   EXPECT_LE(split2.seg_high_water, split.seg_high_water)
       << "split footprint must be independent of the input length";
+  // Once warm the segment pool stops allocating: the doubled stream is
+  // carried by recycled segments, not fresh ones.
+  EXPECT_LE(split2.seg_allocated, split.seg_allocated + 2);
+  EXPECT_GT(split2.seg_recycled, split.seg_recycled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, AppParam, ::testing::Values(1u, 2u, 4u),
