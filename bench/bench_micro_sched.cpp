@@ -6,12 +6,52 @@
 // a warm pipeline must report zero fresh task_frame allocations) and emits
 // a BENCH_sched.json trajectory record (see bench_json.hpp; --json PATH
 // overrides, --quick shrinks everything to smoke size).
+//
+// Beside the absolute records it writes one same-process ratio record,
+// kSpawnRatioRecord: BM_SpawnSyncFlat/10000's per-spawn ns over the ns of a
+// fixed calibration loop timed in the same process. Clock speed cancels
+// out of it; whether it also holds across CPU models is not measured (the
+// loop is bound by ALU latency, a spawn by atomics and the cache), so CI
+// prints its diff without gating it. Its "ns_per_op" field carries the
+// dimensionless ratio: the cost of one spawn in calibration steps.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 
 #include "bench_json.hpp"
 #include "hq.hpp"
 
 namespace {
+
+constexpr const char* kSpawnRatioRecord = "BM_SpawnSyncFlat/10000:per_calib";
+
+/// ns of one calibration step: one link of a dependent multiply-xorshift
+/// chain, timed over 6.4M steps. Best of 9 repetitions, so preemption
+/// inflates neither side of the ratio beyond what it does to the benchmark
+/// itself. The ratio then reads "one spawn costs this many chain steps".
+double calibration_step_ns() {
+  constexpr int kSteps = 64;
+  constexpr int kUnits = 100000;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 9; ++rep) {
+    std::uint64_t x = static_cast<std::uint64_t>(rep) + 1;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int u = 0; u < kUnits; ++u) {
+      for (int i = 0; i < kSteps; ++i) {
+        x ^= x >> 29;
+        x *= 0x9e3779b97f4a7c15ull;
+      }
+      benchmark::DoNotOptimize(x);
+    }
+    const std::chrono::duration<double, std::nano> dt =
+        std::chrono::steady_clock::now() - t0;
+    best = std::min(best, dt.count() / (double{kUnits} * kSteps));
+  }
+  return best;
+}
 
 void BM_SpawnSyncFlat(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -191,6 +231,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, args.data());
   hq::bench::collecting_reporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  const double calib_ns = calibration_step_ns();
 
   const probe_result pr = run_probe(opt.quick);
   if (!pr.zero_alloc_steady_state) {
@@ -209,12 +250,22 @@ int main(int argc, char** argv) {
   for (const auto& r : reporter.rows) {
     if (r.name == "BM_SpawnSyncFlat/10000") spawn_ns = r.ns_per_op / 10000.0;
   }
+  if (spawn_ns > 0) {
+    hq::bench::bench_row ratio;
+    ratio.name = kSpawnRatioRecord;
+    ratio.ns_per_op = spawn_ns / calib_ns;
+    ratio.iterations = 1;
+    reporter.rows.push_back(ratio);
+    std::printf("%s: %.3f (spawn %.1f ns / calibration step %.3f ns)\n",
+                kSpawnRatioRecord, ratio.ns_per_op, spawn_ns, calib_ns);
+  }
 
   const bool all_ok = pr.zero_alloc_steady_state && pr.counters_ok &&
                       !reporter.rows.empty();
   const bool wrote = hq::bench::write_micro_json(
       opt, "micro_sched", reporter.rows, all_ok, [&](FILE* f) {
         std::fprintf(f, "  \"spawn_ns\": %.1f,\n", spawn_ns);
+        std::fprintf(f, "  \"calib_step_ns\": %.3f,\n", calib_ns);
         std::fprintf(f, "  \"probe\": {\n");
         std::fprintf(
             f,

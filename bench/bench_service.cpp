@@ -12,7 +12,11 @@
 // is shed, and how long the source blocks, is the runtime's decision. The
 // spinning source holds one of the nproc (at least 2) workers, so capacity is
 // servers = workers - 1 and each offered load is a fraction of
-// servers / service mean.
+// servers / service mean. When the serve stage falls behind, the source
+// serves too: its emitter runs a request it claims back inline (bounded
+// run-ahead, pipeline/builder.hpp). Under none and block that only makes the
+// source late, so their backlog is the source's lateness; shed and
+// bounded_wait drop offers while the source is late from such a run.
 //
 // The process exits nonzero unless every run ends ok, the sink sees strictly
 // increasing request ids, admitted + shed equals the requests offered and the

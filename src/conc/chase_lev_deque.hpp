@@ -4,6 +4,9 @@
 // at the bottom and takes from either end: pop_bottom (LIFO, depth-first
 // execution order for locality, as in Cilk) or take_top (oldest first, but
 // only above a floor index — a joining task's own children, in spawn order).
+// A pipeline emitter claims its own newest child with pop_bottom_from(floor)
+// after checking count_from(floor): both leave everything below the floor
+// (the pending siblings of frames further down the worker's stack) alone.
 // Thieves steal from the top (FIFO, oldest task first — for pipelines this
 // hands the earliest spawned stage instance to an idle worker). Memory
 // ordering follows Lê, Pop, Cohen & Zappa Nardelli, "Correct and Efficient
@@ -21,7 +24,8 @@
 namespace hq {
 
 /// Unbounded SPMC work-stealing deque of pointers.
-/// Owner thread: push_bottom / pop_bottom / take_top / bottom_index.
+/// Owner thread: push_bottom / pop_bottom / pop_bottom_from / take_top /
+/// count_from / bottom_index.
 /// Any thread: steal.
 template <typename T>
 class chase_lev_deque {
@@ -82,6 +86,25 @@ class chase_lev_deque {
       bottom_.value.store(b + 1, std::memory_order_relaxed);
     }
     return item;
+  }
+
+  /// Owner only: pop_bottom, provided the bottom item's index is at least
+  /// `floor`; nullptr (deque untouched) when it sits below the floor, and,
+  /// as pop_bottom, when the deque is empty or the item was lost to a thief.
+  /// The owner is the only writer of bottom, so the check cannot go stale.
+  T* pop_bottom_from(std::int64_t floor) {
+    if (bottom_.value.load(std::memory_order_relaxed) - 1 < floor) return nullptr;
+    return pop_bottom();
+  }
+
+  /// Owner only: how many items sit at index `floor` or above. Exact up to
+  /// steals in flight (a thief that has read top but not yet won its CAS
+  /// still counts).
+  [[nodiscard]] std::int64_t count_from(std::int64_t floor) const noexcept {
+    const std::int64_t b = bottom_.value.load(std::memory_order_relaxed);
+    const std::int64_t t = top_.value.load(std::memory_order_acquire);
+    const std::int64_t lo = t > floor ? t : floor;
+    return b > lo ? b - lo : 0;
   }
 
   /// Owner only: index the next push_bottom will use. Every item pushed

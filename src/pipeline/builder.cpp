@@ -14,6 +14,22 @@ bool admission_ctl::admit() {
     admitted.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
+  if (late_ns > 0) {
+    // Pay the claimed runs back with the source's own time since the last
+    // offer (see held()).
+    const std::int64_t now = clock_ns();
+    late_ns -= now - paced_at_ns;
+    paced_at_ns = now;
+    const std::int64_t allowed =
+        opts.policy == admission_policy::bounded_wait
+            ? static_cast<std::int64_t>(opts.max_wait_ns)
+            : 0;
+    if (late_ns > allowed) {
+      shed.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    if (late_ns < 0) late_ns = 0;
+  }
   if (in_flight() < opts.window) {
     admitted.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -100,6 +116,14 @@ bool admission_ctl::admit() {
               .count()),
       std::memory_order_relaxed);
   return ok;
+}
+
+void admission_ctl::held(std::int64_t start_ns, std::int64_t end_ns) noexcept {
+  if (opts.policy != admission_policy::shed &&
+      opts.policy != admission_policy::bounded_wait)
+    return;
+  late_ns += end_ns - start_ns;
+  paced_at_ns = end_ns;
 }
 
 bool admission_ctl::would_wait() const noexcept {

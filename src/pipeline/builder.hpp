@@ -40,6 +40,15 @@
 // parallel stage's input, so with two or more workers the sink retires
 // while the source still emits.
 //
+// Run-ahead is bounded: at each batch the emitter claims its own newest
+// run task back off its worker's deque if no thief took it, spawns the new
+// batch (which stays exposed) and runs the claimed one inline
+// (scheduler::claim_child). It claims only while one batch per other
+// worker is still unstolen, so tokens emitted but not yet through the run
+// stay below 2·P·batch however long the stream is. Every emitter claims,
+// a source under admission control too; the time a claimed run holds the
+// source back is what shed and bounded_wait see (admission_ctl::held).
+//
 // Misuse (type-mismatched edges, unattached stages, parallel sinks) throws
 // graph_error at connect()/compile() time. The builder also emits the
 // stage->queue attachment graph (build_queue_graph) that feeds
@@ -48,7 +57,9 @@
 #pragma once
 
 #include <cassert>
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -105,8 +116,11 @@ struct edge_opts {
 ///                  lossless, output identical to the serial elision;
 ///   shed         — over-window tokens are dropped at the source and
 ///                  counted: lossy, bounded memory and bounded latency for
-///                  the admitted;
-///   bounded_wait — block up to max_wait_ns, then shed.
+///                  the admitted. So are tokens offered while the source is
+///                  late from running a claimed batch inline (bounded
+///                  run-ahead; admission_ctl::held);
+///   bounded_wait — block up to max_wait_ns, then shed; the same bound
+///                  applies to how late a claimed batch makes the source.
 enum class admission_policy { none, block, shed, bounded_wait };
 
 struct admission_opts {
@@ -127,7 +141,10 @@ class graph_error : public std::logic_error {
 
 /// The typed emission handle a stage body writes its outputs through. A
 /// lightweight (context, function) pair so the same body serves every
-/// backend: the runner decides where emitted tokens actually go.
+/// backend: the runner decides where emitted tokens actually go. On the
+/// hyperqueue backends an emission into a parallel stage may run a batch of
+/// that stage's bodies (and the parallel stages after it) inline, on the
+/// emitting body's stack, before it returns: bounded run-ahead.
 template <typename T>
 class emit {
  public:
@@ -173,6 +190,23 @@ struct admission_ctl {
   /// emitters flush their partial batch first, so the tokens the sink must
   /// retire to open the window are not held back behind the wait.
   [[nodiscard]] bool would_wait() const noexcept;
+
+  /// Bounded run-ahead holds the source back too: its emitter runs a
+  /// batch it claimed back inline (hq_spawner), and the run stays too short
+  /// for the window ever to fill. held() books such a run as the source's
+  /// lateness; the time the source then spends in its own body, between
+  /// offers, pays it back. Under shed an offer is dropped while any
+  /// lateness is owed, under bounded_wait once it exceeds max_wait_ns:
+  /// the hold is the wait those policies bound. block and none owe
+  /// nothing. Source task only: no other thread reads these.
+  void held(std::int64_t start_ns, std::int64_t end_ns) noexcept;
+  static std::int64_t clock_ns() noexcept {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+  std::int64_t late_ns = 0;
+  std::int64_t paced_at_ns = 0;  ///< when late_ns was last brought up to date
 
   /// Sink-side retirement: opens the window for the next waiter.
   void complete() noexcept {
@@ -367,18 +401,26 @@ class hq_emitter {
 
 /// The emitter of a stage feeding a parallel run: collects run.batch
 /// tokens, then spawns a run task over them from the calling stage task.
+/// Each flush first claims the task's newest unstolen run task
+/// (scheduler::claim_child), spawns the new batch, then runs the claimed
+/// batch inline — the emitter works off its own backlog instead of running
+/// ahead of the run by the whole stream. A source under admission control
+/// books each claimed run with admission_ctl::held(). The flush in the
+/// destructor of a body that is unwinding only spawns: the failed body's
+/// tokens are left to the cancelled join.
 template <typename Out>
 class hq_spawner {
  public:
   hq_spawner(const pushdep_any&, const hq_knobs& k)
-      : run_(*k.run), admit_(k.admit) {}
+      : run_(*k.run), admit_(k.admit),
+        uncaught_(std::uncaught_exceptions()) {}
   hq_spawner(const hq_spawner&) = delete;
   hq_spawner& operator=(const hq_spawner&) = delete;
   ~hq_spawner() {
     // As hq_emitter: the final partial batch is spawned here, and a failing
     // spawn (injected allocation fault) must not terminate.
     try {
-      flush();
+      flush(std::uncaught_exceptions() == uncaught_);
     } catch (...) {
       if (scheduler* s = scheduler::current())
         s->record_failure(std::current_exception());
@@ -404,13 +446,34 @@ class hq_spawner {
     if (work_->v.size() >= run_.batch) flush();
   }
 
-  void flush() {
-    if (work_) run_.out->spawn_run(std::move(work_), run_);
+  void flush(bool claim = true) {
+    if (!work_) return;
+    scheduler& s = *scheduler::current();
+    hq::detail::task_frame* mine = claim ? s.claim_child() : nullptr;
+    try {
+      run_.out->spawn_run(std::move(work_), run_);
+    } catch (...) {
+      // A popped frame is off every deque: it must run, or the join hangs.
+      if (mine != nullptr) run_claimed(s, mine);
+      throw;
+    }
+    if (mine != nullptr) run_claimed(s, mine);
   }
 
  private:
+  void run_claimed(scheduler& s, hq::detail::task_frame* t) {
+    if (admit_ == nullptr) {
+      s.run_claimed(t);
+      return;
+    }
+    const std::int64_t start = admission_ctl::clock_ns();
+    s.run_claimed(t);
+    admit_->held(start, admission_ctl::clock_ns());
+  }
+
   const hq_run& run_;
   admission_ctl* admit_;
+  const int uncaught_;  ///< std::uncaught_exceptions() at construction
   std::unique_ptr<token_batch_of<Out>> work_;
 };
 

@@ -404,6 +404,28 @@ bool scheduler::help_one(const task_frame* joiner) {
   return false;
 }
 
+task_frame* scheduler::claim_child() {
+  worker_ctx* w = detail::t_worker;
+  assert(w != nullptr && w->sched == this && w->current != nullptr &&
+         "claim_child outside a task");
+  task_frame* cur = w->current;
+  const std::int64_t keep =
+      std::max<std::int64_t>(1, static_cast<std::int64_t>(num_workers()) - 1);
+  if (w->deque.count_from(cur->deque_floor) < keep) return nullptr;
+  task_frame* t = w->deque.pop_bottom_from(cur->deque_floor);
+  if (t == nullptr) return nullptr;
+  if (t->parent != cur || !safe_to_nest(cur, t)) {
+    w->deque.push_bottom(t);  // already advertised when it was enqueued
+    return nullptr;
+  }
+  return t;
+}
+
+void scheduler::run_claimed(task_frame* t) {
+  detail::t_worker->counters.inline_runs.fetch_add(1, std::memory_order_relaxed);
+  execute(t);
+}
+
 void scheduler::join_children(bool cancellable) {
   worker_ctx* w = detail::t_worker;
   assert(w != nullptr && w->sched == this && w->current != nullptr &&
@@ -536,6 +558,7 @@ scheduler::stats_t scheduler::stats() const {
     s.steals += w->counters.steals.load(std::memory_order_relaxed);
     s.steal_attempts += w->counters.steal_attempts.load(std::memory_order_relaxed);
     s.helps += w->counters.helps.load(std::memory_order_relaxed);
+    s.inline_runs += w->counters.inline_runs.load(std::memory_order_relaxed);
   }
   s.throttle_waits = throttle_waits_.load(std::memory_order_relaxed);
   s.throttle_ns = throttle_ns_.load(std::memory_order_relaxed);
@@ -572,6 +595,7 @@ std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
     s.steal_attempts =
         w->counters.steal_attempts.load(std::memory_order_relaxed);
     s.helps = w->counters.helps.load(std::memory_order_relaxed);
+    s.inline_runs = w->counters.inline_runs.load(std::memory_order_relaxed);
     s.deque_depth = w->deque.size_estimate();
     s.blocked_on_budget = w->blocked_on_budget.load(std::memory_order_relaxed);
     out.push_back(s);
@@ -591,6 +615,7 @@ void scheduler::reset_stats() {
     w->counters.steals.store(0, std::memory_order_relaxed);
     w->counters.steal_attempts.store(0, std::memory_order_relaxed);
     w->counters.helps.store(0, std::memory_order_relaxed);
+    w->counters.inline_runs.store(0, std::memory_order_relaxed);
   }
   throttle_waits_.store(0, std::memory_order_relaxed);
   throttle_ns_.store(0, std::memory_order_relaxed);

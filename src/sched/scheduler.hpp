@@ -19,6 +19,18 @@
 // it never reaches the pending siblings of frames further down the
 // worker's stack, so nesting depth stays within the spawn tree.
 //
+// Bounded run-ahead (claim_child / run_claimed). Help-first spawning lets a
+// task that spawns faster than its children finish run ahead of them
+// without bound. A pipeline emitter (pipeline/builder.hpp, hq_spawner) therefore
+// claims, exposes, then runs: before it spawns its next child it pops its
+// own newest child back off the deque, if no thief took it, spawns the new
+// one (which stays exposed to thieves) and runs the claimed one inline. It
+// claims only while at least max(1, P - 1) of its children sit unstolen on
+// the deque — one exposed child per other worker — so thieves never starve,
+// and the children spawned but not finished stay below 2·P at any stream
+// length. Generic hq::spawn does not claim: a flat spawn loop that kept one
+// child per spawner exposed would cap its own parallelism.
+//
 // Hot-path design (the "scale-free" requirement of the paper's Section 1:
 // one task per element/batch must stay cheap at any worker count):
 //  * task frames come from a per-worker magazine pool (sched/obj_pool.hpp) —
@@ -93,6 +105,7 @@ struct worker_ctx {
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> steal_attempts{0};
     std::atomic<std::uint64_t> helps{0};
+    std::atomic<std::uint64_t> inline_runs{0};
   } counters;
 
   /// Backpressure marker: the hyperqueue this worker is currently throttled
@@ -162,6 +175,7 @@ class scheduler {
     std::uint64_t steals = 0;
     std::uint64_t steal_attempts = 0;
     std::uint64_t helps = 0;  // tasks executed inside a wait
+    std::uint64_t inline_runs = 0;  // claimed children run by their spawner
     /// Backpressure-throttle accounting (queue memory budgets): wait-loop
     /// iterations and total blocked wall time across all workers. The
     /// watchdog counts throttle_waits as progress — a producer parked on a
@@ -188,6 +202,7 @@ class scheduler {
     std::uint64_t steals = 0;
     std::uint64_t steal_attempts = 0;
     std::uint64_t helps = 0;
+    std::uint64_t inline_runs = 0;
     std::size_t deque_depth = 0;  ///< ready frames on the worker's deque
     /// Queue this worker is throttled on right now (memory-budget wait);
     /// null when it is not. See worker_ctx::blocked_on_budget.
@@ -312,6 +327,20 @@ class scheduler {
   /// none left on this worker's deque, the newest local task, then the
   /// injector, then a steal.
   bool help_one(const detail::task_frame* joiner = nullptr);
+
+  /// Bounded run-ahead, step 1 (see the class comment): pop the calling
+  /// task's newest child off this worker's deque and hand it to the caller,
+  /// provided no thief took it and at least max(1, P - 1) of the task's
+  /// children are still unstolen there (counted from the task's
+  /// deque_floor). Null otherwise. A popped frame that is not the task's
+  /// child, or that safe_to_nest refuses, is pushed back untouched. The
+  /// caller spawns its next child and then must pass a non-null result to
+  /// run_claimed(), also when that spawn throws.
+  detail::task_frame* claim_child();
+
+  /// Bounded run-ahead, step 2: execute a frame claim_child() returned,
+  /// nested on the calling task. Counted in inline_runs, not helps.
+  void run_claimed(detail::task_frame* t);
 
   /// Wait until the calling worker's current task has no live children,
   /// helping with its own children oldest first (help_one(current)). The

@@ -50,7 +50,8 @@ std::string watchdog::report(std::uint64_t last_progress) const {
        << (w.pinned ? " pinned" : " unpinned") << ", deque depth "
        << w.deque_depth << ", spawns " << w.spawns << ", executed "
        << w.executed << ", steals " << w.steals << "/" << w.steal_attempts
-       << " attempts, helps " << w.helps;
+       << " attempts, helps " << w.helps << ", inline runs "
+       << w.inline_runs;
     if (w.blocked_on_budget != nullptr)
       os << ", blocked_on: budget(queue@" << w.blocked_on_budget << ")";
     os << "\n";

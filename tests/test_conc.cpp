@@ -224,9 +224,29 @@ TEST(ChaseLev, OwnerTakeTopStopsAtFloor) {
   EXPECT_EQ(d.pop_bottom(), nullptr);
 }
 
+TEST(ChaseLev, OwnerPopBottomFromStopsAtFloor) {
+  hq::chase_lev_deque<int> d;
+  int a = 1, b = 2, c = 3;
+  d.push_bottom(&a);
+  const std::int64_t floor = d.bottom_index();
+  EXPECT_EQ(d.count_from(floor), 0);
+  EXPECT_EQ(d.pop_bottom_from(floor), nullptr) << "bottom lies below the floor";
+  EXPECT_EQ(d.count_from(0), 1) << "the refused pop left the deque untouched";
+  d.push_bottom(&b);
+  d.push_bottom(&c);
+  EXPECT_EQ(d.count_from(floor), 2);
+  EXPECT_EQ(d.pop_bottom_from(floor), &c) << "newest item at or above the floor";
+  EXPECT_EQ(d.steal(), &a);
+  EXPECT_EQ(d.steal(), &b);
+  EXPECT_EQ(d.count_from(floor), 0) << "stolen items no longer count";
+  EXPECT_EQ(d.pop_bottom_from(floor), nullptr);
+  EXPECT_EQ(d.count_from(0), 0);
+}
+
 TEST(ChaseLev, TakeTopRacesThievesNoLossNoDup) {
-  // The owner drains from both ends (take_top with floor 0, pop_bottom)
-  // while thieves steal: every item is taken exactly once.
+  // The owner drains from both ends (take_top with floor 0, pop_bottom,
+  // pop_bottom_from above a floor) while thieves steal: every item is taken
+  // exactly once.
   constexpr int kItems = 100000;
   constexpr int kThieves = 2;
   hq::chase_lev_deque<int> d;
@@ -258,6 +278,8 @@ TEST(ChaseLev, TakeTopRacesThievesNoLossNoDup) {
       if (int* p = d.take_top(0)) account(p);
     } else if ((i & 7) == 1) {
       if (int* p = d.pop_bottom()) account(p);
+    } else if ((i & 7) == 3 && d.count_from(i - 1) > 0) {
+      if (int* p = d.pop_bottom_from(i - 1)) account(p);
     }
   }
   while (taken.load() < kItems) {

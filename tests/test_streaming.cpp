@@ -11,6 +11,13 @@
 //    stage, and between serial stages — matches the serial elision at 1, 2
 //    and 4 workers on both hyperqueue backends, under admission control and
 //    with an injected stage fault;
+//  * the stage feeding a parallel run stays less than 2·P batches ahead of
+//    the run at any stream length, and at one worker runs its batches in
+//    spawn order, claiming all but the last back off its own deque;
+//  * a fault inside a claimed batch fails the run cleanly, a source that
+//    throws runs no claimed batch while it unwinds, and every
+//    admission policy claims, shed dropping offers while the source is late
+//    from a claimed run;
 //  * budgets and placement see only the real queues.
 #include <gtest/gtest.h>
 
@@ -18,7 +25,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -419,6 +429,262 @@ INSTANTIATE_TEST_SUITE_P(
              "_P" + std::to_string(std::get<2>(p)) + "_" +
              mode_label(std::get<3>(p));
     });
+
+// ------------------------------------------------------- bounded run-ahead
+
+/// src -> parallel -> sink, or src -> serial -> parallel -> sink: N = 4096
+/// tokens, batch 16 on the edge into the parallel stage. The emitter — the
+/// stage feeding the parallel run: the source, or the serial stage —
+/// records before each emission how many of its tokens the parallel body
+/// has not finished yet. (In the serial shape the source itself is not
+/// bounded: the queue in front of the serial stage absorbs whatever it runs
+/// ahead.) At one worker the parallel body also records the first token of
+/// every batch in the order it runs them.
+struct runahead_probe {
+  static constexpr std::uint64_t kN = 4096;
+  static constexpr std::size_t kBatch = 16;
+
+  std::atomic<std::uint64_t> finished{0};
+  std::uint64_t emitted = 0;
+  std::uint64_t max_ahead = 0;
+  std::vector<std::uint64_t> starts;
+  std::uint64_t digest = 0;
+  graph g;
+
+  void note_emission() {
+    const std::uint64_t ahead =
+        emitted - finished.load(std::memory_order_acquire);
+    max_ahead = std::max(max_ahead, ahead);
+    ++emitted;
+  }
+
+  explicit runahead_probe(bool serial_first) {
+    auto src = g.source<std::uint64_t>(
+        "src", [this, serial_first](emit<std::uint64_t> out) {
+          for (std::uint64_t i = 0; i < kN; ++i) {
+            if (!serial_first) note_emission();
+            out(std::uint64_t{i});
+          }
+        });
+    auto par = g.stage<std::uint64_t, std::uint64_t>(
+        "par", stage_kind::parallel,
+        [this](std::uint64_t&& v, emit<std::uint64_t> out) {
+          if (hq::workers() == 1 && v % kBatch == 0) starts.push_back(v);
+          jitter(v);
+          out(mix(v));
+          finished.fetch_add(1, std::memory_order_release);
+        });
+    auto snk = g.sink<std::uint64_t>(
+        "snk", stage_kind::serial_in_order,
+        [this](std::uint64_t&& v) { digest = digest * 31 + v; });
+    edge_opts into_run;
+    into_run.slice_batch = kBatch;
+    if (serial_first) {
+      auto ser = g.stage<std::uint64_t, std::uint64_t>(
+          "ser", stage_kind::serial,
+          [this](std::uint64_t&& v, emit<std::uint64_t> out) {
+            note_emission();
+            out(std::move(v));
+          });
+      g.connect(src, ser);
+      g.connect(ser, par, into_run);
+    } else {
+      g.connect(src, par, into_run);
+    }
+    g.connect(par, snk);
+  }
+};
+
+std::uint64_t inline_runs(unsigned workers) {
+  hq::scheduler_lease lease(workers);
+  return lease->stats().inline_runs;
+}
+
+using runahead_param = std::tuple<backend, unsigned, bool>;
+
+class StreamingRunAhead : public ::testing::TestWithParam<runahead_param> {};
+
+TEST_P(StreamingRunAhead, EmitterStaysWithinTwoPBatches) {
+  const auto [b, workers, serial_first] = GetParam();
+  // hyperqueue_element spawns one token per run task.
+  const std::uint64_t batch =
+      b == backend::hyperqueue ? runahead_probe::kBatch : 1;
+
+  runahead_probe ref(serial_first);
+  (void)hq::pipe::execute(ref.g, backend::serial);
+
+  runahead_probe run(serial_first);
+  exec_options opt;
+  opt.workers = workers;
+  const std::uint64_t claims_before = inline_runs(workers);
+  {
+    watchdog_scope dog(workers);
+    (void)hq::pipe::execute(run.g, b, opt);
+  }
+  const std::uint64_t claims = inline_runs(workers) - claims_before;
+
+  EXPECT_EQ(run.emitted, runahead_probe::kN);
+  EXPECT_EQ(run.digest, ref.digest);
+  EXPECT_LT(run.max_ahead, 2 * workers * batch)
+      << "the emitter ran " << run.max_ahead
+      << " tokens ahead of the parallel run";
+  if (workers != 1) return;
+  // One worker: every batch but the last is claimed by the flush of the
+  // next one, and the last runs in the emitter's join, so the run tasks
+  // start in spawn order.
+  EXPECT_EQ(claims, runahead_probe::kN / batch - 1);
+  std::vector<std::uint64_t> in_order;
+  for (std::uint64_t v = 0; v < runahead_probe::kN; v += runahead_probe::kBatch)
+    in_order.push_back(v);
+  ASSERT_EQ(run.starts.size(), in_order.size());
+  EXPECT_EQ(run.starts, in_order)
+      << "run tasks started out of spawn order; first starts: "
+      << run.starts[0] << ", " << run.starts[1] << ", " << run.starts[2];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, StreamingRunAhead,
+    ::testing::Combine(::testing::Values(backend::hyperqueue,
+                                         backend::hyperqueue_element),
+                       ::testing::Values(1u, 2u, 4u), ::testing::Bool()),
+    [](const auto& info) {
+      const auto& p = info.param;
+      return std::string(std::get<2>(p) ? "SrcSerParSink" : "SrcParSink") +
+             (std::get<0>(p) == backend::hyperqueue ? "_Hyperqueue"
+                                                    : "_HyperqueueElement") +
+             "_P" + std::to_string(std::get<1>(p));
+    });
+
+/// The run-ahead probe as a registered app, so a faulted run reports its
+/// outcome the way every app run does.
+class runahead_app final : public hq::pipe::app_instance {
+ public:
+  void describe(graph& g) override {
+    probe_ = std::make_unique<runahead_probe>(false);
+    g = std::move(probe_->g);
+  }
+  [[nodiscard]] std::string digest() const override {
+    return std::to_string(probe_->digest);
+  }
+
+ private:
+  std::unique_ptr<runahead_probe> probe_;
+};
+
+TEST(StreamingClaim, FaultInClaimedBatchFailsCleanly) {
+  static std::once_flag registered;
+  std::call_once(registered, [] {
+    hq::pipe::register_app("streaming.runahead", [](const auto&) {
+      return std::make_unique<runahead_app>();
+    });
+  });
+  hq::pipe::app_params p;
+  p.workers = 1;
+  // Clean first: memoizes the elision reference outside the fault plan.
+  ASSERT_TRUE(hq::pipe::run_app("streaming.runahead", backend::hyperqueue, p).ok);
+
+  // Token 39 lies in batch 2. At one worker every batch but the last runs
+  // claimed, inline in the source's flush of a later batch.
+  const std::uint64_t claims_before = inline_runs(1);
+  {
+    plan_guard guard;
+    hq::fault::plan pl;
+    std::string err;
+    ASSERT_TRUE(hq::fault::parse("seed=3;throw@stage.par:nth=40", &pl, &err))
+        << err;
+    hq::fault::install(std::move(pl));
+    watchdog_scope dog(1);
+    const auto r =
+        hq::pipe::run_app("streaming.runahead", backend::hyperqueue, p);
+    EXPECT_EQ(r.exec.outcome, hq::pipe::run_outcome::failed) << r.exec.error;
+    EXPECT_NE(r.exec.error.find("stage.par"), std::string::npos)
+        << r.exec.error;
+  }
+  EXPECT_GE(inline_runs(1) - claims_before, 3u)
+      << "the faulting batch was not run through the claim path";
+  {
+    hq::scheduler_lease lease(1);
+    EXPECT_EQ(lease->frame_pool_stats().live, 0u);
+  }
+  const auto again =
+      hq::pipe::run_app("streaming.runahead", backend::hyperqueue, p);
+  EXPECT_EQ(again.exec.outcome, hq::pipe::run_outcome::ok) << again.exec.error;
+  EXPECT_TRUE(again.ok);
+}
+
+TEST(StreamingClaim, EveryAdmissionPolicyClaims) {
+  // One worker, a window wide enough never to fill: every policy claims on
+  // the same path. The lossless ones claim every batch but the last. Under
+  // shed each claimed run leaves the source late by its length, and a
+  // tight-loop source pays that back far slower than it offers, so it
+  // sheds; bounded_wait with a max_wait longer than the whole run never
+  // does.
+  runahead_probe ref(false);
+  (void)hq::pipe::execute(ref.g, backend::serial);
+  constexpr std::uint64_t kAllButLast =
+      runahead_probe::kN / runahead_probe::kBatch - 1;
+  for (const admission_policy p :
+       {admission_policy::block, admission_policy::shed,
+        admission_policy::bounded_wait}) {
+    runahead_probe run(false);
+    exec_options opt;
+    opt.workers = 1;
+    opt.admission.policy = p;
+    opt.admission.window = 2 * runahead_probe::kN;
+    opt.admission.max_wait_ns = 10'000'000'000;
+    const std::uint64_t before = inline_runs(1);
+    const auto res = hq::pipe::execute(run.g, backend::hyperqueue, opt);
+    const std::uint64_t claims = inline_runs(1) - before;
+    const std::string what = "policy " + std::to_string(static_cast<int>(p));
+    EXPECT_EQ(res.outcome, hq::pipe::run_outcome::ok) << what;
+    EXPECT_EQ(res.admitted + res.shed, runahead_probe::kN) << what;
+    if (p == admission_policy::shed) {
+      EXPECT_GT(res.shed, 0u) << what;
+      EXPECT_GT(claims, 0u) << what;
+      continue;
+    }
+    EXPECT_EQ(res.shed, 0u) << what;
+    EXPECT_EQ(run.digest, ref.digest) << what;
+    EXPECT_EQ(claims, kAllButLast) << what;
+  }
+}
+
+TEST(StreamingClaim, UnwindingSourceOnlySpawns) {
+  // One worker, batch 16: the source's flushes of batches 1 and 2 run
+  // batches 0 and 1 inline. It then throws with three tokens buffered. The
+  // flush in its emitter's destructor spawns them without claiming batch 2,
+  // so the cancelled join skips both: no parallel body runs past the
+  // failure.
+  constexpr std::uint64_t kBatch = 16;
+  std::atomic<std::uint64_t> bodies{0};
+  graph g;
+  auto src = g.source<std::uint64_t>("src", [](emit<std::uint64_t> out) {
+    for (std::uint64_t i = 0;; ++i) {
+      if (i == 3 * kBatch + 3) throw std::runtime_error("source failed");
+      out(std::uint64_t{i});
+    }
+  });
+  auto par = g.stage<std::uint64_t, std::uint64_t>(
+      "par", stage_kind::parallel,
+      [&bodies](std::uint64_t&& v, emit<std::uint64_t> out) {
+        bodies.fetch_add(1, std::memory_order_relaxed);
+        out(std::move(v));
+      });
+  auto snk = g.sink<std::uint64_t>("snk", stage_kind::serial_in_order,
+                                   [](std::uint64_t&&) {});
+  edge_opts into_run;
+  into_run.slice_batch = kBatch;
+  g.connect(src, par, into_run);
+  g.connect(par, snk);
+  exec_options opt;
+  opt.workers = 1;
+  watchdog_scope dog(1);
+  EXPECT_THROW((void)hq::pipe::execute(g, backend::hyperqueue, opt),
+               std::runtime_error);
+  EXPECT_EQ(bodies.load(), 2 * kBatch);
+  hq::scheduler_lease lease(1);
+  EXPECT_EQ(lease->frame_pool_stats().live, 0u);
+}
 
 // ------------------------------------------------------ budgets and queues
 
