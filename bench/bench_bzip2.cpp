@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     hq::pipe::graph g;
     hq::apps::bzip2::describe_pipeline(cfg, input, &r, g);
     const auto ex =
-        hq::pipe::execute(g, b, {.workers = workers, .seed = cfg.seed});
+        hq::pipe::execute(g, b, {.workers = workers});
     if (ex.peak_segments != 0) {
       auto& p = peak[hq::pipe::to_string(b)];
       p = std::max(p, ex.peak_segments);

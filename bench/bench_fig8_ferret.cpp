@@ -26,7 +26,7 @@ run run_graph(const hq::apps::ferret::config& cfg,
   hq::pipe::graph g;
   hq::apps::ferret::describe_pipeline(cfg, db, &checksum, g);
   const auto ex =
-      hq::pipe::execute(g, b, {.workers = workers, .seed = cfg.seed});
+      hq::pipe::execute(g, b, {.workers = workers});
   return {ex.seconds, checksum};
 }
 

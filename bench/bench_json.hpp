@@ -90,14 +90,11 @@ inline void emit_pool_json(FILE* f, const char* key,
                            const hq::detail::obj_pool::stats_t& p) {
   std::fprintf(f,
                "    \"%s\": {\"allocated\": %llu, \"recycled\": %llu, "
-               "\"high_water\": %llu, \"live\": %llu, "
-               "\"node_local_allocs\": %llu, \"remote_allocs\": %llu},\n",
+               "\"high_water\": %llu, \"live\": %llu},\n",
                key, static_cast<unsigned long long>(p.allocated),
                static_cast<unsigned long long>(p.recycled),
                static_cast<unsigned long long>(p.high_water),
-               static_cast<unsigned long long>(p.live),
-               static_cast<unsigned long long>(p.node_local_allocs),
-               static_cast<unsigned long long>(p.remote_allocs));
+               static_cast<unsigned long long>(p.live));
 }
 
 /// Write the trajectory record. `extra` (optional, may be null) is invoked

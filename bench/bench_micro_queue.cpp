@@ -168,99 +168,6 @@ void BM_ParallelProducers(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelProducers)->Arg(1)->Arg(8)->Arg(64);
 
-// Placement ablation of the same workload: identical stream, identical
-// worker count, only the worker->CPU policy differs (compact packs both
-// workers into one cache domain; scatter spreads them across nodes). On a
-// single-node machine the two arms coincide — the records then document
-// that placement is free, not that it helps.
-void BM_ParallelProducersPlaced(benchmark::State& state,
-                                hq::placement_policy policy) {
-  const int leaves = static_cast<int>(state.range(0));
-  constexpr int kTotal = 64000;
-  const int per_leaf = kTotal / leaves;
-  hq::scheduler sched(2, {policy, nullptr, {}});
-  for (auto _ : state) {
-    long sum = 0;
-    sched.run([&] {
-      hq::hyperqueue<int> q(256);
-      for (int l = 0; l < leaves; ++l) {
-        hq::spawn(
-            [l, per_leaf](hq::pushdep<int> qq) {
-              for (int i = 0; i < per_leaf; ++i) qq.push(l * per_leaf + i);
-            },
-            (hq::pushdep<int>)q);
-      }
-      hq::spawn(
-          [&sum](hq::popdep<int> qq) {
-            while (!qq.empty()) sum += qq.pop();
-          },
-          (hq::popdep<int>)q);
-      hq::sync();
-    });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * kTotal);
-}
-BENCHMARK_CAPTURE(BM_ParallelProducersPlaced, compact,
-                  hq::placement_policy::compact)
-    ->Arg(8)
-    ->Arg(64);
-BENCHMARK_CAPTURE(BM_ParallelProducersPlaced, scatter,
-                  hq::placement_policy::scatter)
-    ->Arg(8)
-    ->Arg(64);
-
-/// Pick a CPU pair from the machine model at a requested topology distance:
-/// `cross_node` = two CPUs on different nodes, otherwise two CPUs sharing
-/// an LLC. Falls back to the nearest available pair (single-node machines
-/// have no cross-node pair; the record still exists and simply measures the
-/// same placement as same_llc).
-std::vector<unsigned> pick_pair(bool cross_node) {
-  const hq::topology& t = hq::topology::system();
-  const auto& cpus = t.cpus();
-  if (cpus.size() < 2) return {cpus.empty() ? 0u : cpus[0].cpu};
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    for (std::size_t j = i + 1; j < cpus.size(); ++j) {
-      if (cross_node ? cpus[i].node != cpus[j].node
-                     : cpus[i].llc == cpus[j].llc) {
-        return {cpus[i].cpu, cpus[j].cpu};
-      }
-    }
-  }
-  return {cpus.front().cpu, cpus.back().cpu};
-}
-
-// Producer/consumer pair at a controlled topology distance: same LLC vs
-// different nodes. The element stream crosses exactly the boundary the
-// explicit pinning chooses, so the arm difference is the cache/interconnect
-// cost the placement policies are designed to manage.
-void BM_PairPlacement(benchmark::State& state, bool cross_node) {
-  hq::scheduler sched(
-      2, {hq::placement_policy::compact, nullptr, pick_pair(cross_node)});
-  constexpr int kTotal = 64000;
-  for (auto _ : state) {
-    long sum = 0;
-    sched.run([&] {
-      hq::hyperqueue<int> q(256);
-      hq::spawn(
-          [](hq::pushdep<int> qq) {
-            for (int i = 0; i < kTotal; ++i) qq.push(i);
-          },
-          (hq::pushdep<int>)q);
-      hq::spawn(
-          [&sum](hq::popdep<int> qq) {
-            while (!qq.empty()) sum += qq.pop();
-          },
-          (hq::popdep<int>)q);
-      hq::sync();
-    });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * kTotal);
-}
-BENCHMARK_CAPTURE(BM_PairPlacement, same_llc, false);
-BENCHMARK_CAPTURE(BM_PairPlacement, cross_node, true);
-
 /// Steady-state probe: a producer/consumer ring that stays in step must
 /// recycle one segment and a bounded set of qattaches — no fresh segment or
 /// attachment allocations once warm. This is the JSON correctness gate.
@@ -272,50 +179,7 @@ struct probe_result {
   std::uint64_t mu_attach_push_burst = 0;  // mu acquisitions by push spawns
   bool zero_mutex_push_path = false;
   bool push_burst_sum_ok = false;
-  hq::detail::obj_pool::stats_t loc_frames;   // compact/flat locality run
-  hq::detail::obj_pool::stats_t loc_attaches;
-  bool locality_ok = false;
-  bool locality_sum_ok = false;
 };
-
-/// Locality gate: under compact placement on a single-node (flat synthetic)
-/// topology every worker magazine and slab is homed on node 0, so the pool
-/// locality counters must attribute zero remote allocations — remote blocks
-/// can only be minted by cross-node return-stack migration, and there is no
-/// second node. Deterministic by construction (no dependence on the CI
-/// machine's real topology or on whether the pins stuck).
-void run_locality_probe(bool quick, probe_result& pr) {
-  const int rounds = quick ? 8 : 32;
-  const hq::topology topo = hq::topology::synthetic("flat");
-  hq::scheduler sched(2, {hq::placement_policy::compact, &topo, {}});
-  long total = 0;
-  sched.run([&] {
-    for (int r = 0; r < rounds; ++r) {
-      hq::hyperqueue<int> q(256);
-      hq::spawn(
-          [](hq::pushdep<int> qq) {
-            for (int i = 0; i < 4096; ++i) qq.push(i);
-          },
-          (hq::pushdep<int>)q);
-      hq::spawn(
-          [&total](hq::popdep<int> qq) {
-            long s = 0;
-            while (!qq.empty()) s += qq.pop();
-            total += s;
-          },
-          (hq::popdep<int>)q);
-      hq::sync();
-    }
-  });
-  pr.loc_frames = sched.frame_pool_stats();
-  pr.loc_attaches = sched.attach_pool_stats();
-  pr.locality_ok = pr.loc_frames.remote_allocs == 0 &&
-                   pr.loc_attaches.remote_allocs == 0 &&
-                   pr.loc_frames.node_local_allocs > 0 &&
-                   pr.loc_attaches.node_local_allocs > 0;
-  pr.locality_sum_ok =
-      total == static_cast<long>(rounds) * (4096L * 4095 / 2);
-}
 
 /// Zero-mutex-on-push gate: repeated wide producer-only bursts must never
 /// touch queue_cb::mu. mu_attach counts pop-FIFO registrations only, so its
@@ -417,7 +281,6 @@ int main(int argc, char** argv) {
 
   probe_result pr = run_probe(opt.quick);
   run_push_probe(opt.quick, pr);
-  run_locality_probe(opt.quick, pr);
 
   // Scale-free gate (machine-independent, so it can run on any CI host):
   // BM_ParallelProducers pushes the same 64k-element stream at every leaf
@@ -454,24 +317,10 @@ int main(int argc, char** argv) {
   if (!pr.push_burst_sum_ok) {
     std::fprintf(stderr, "FAIL: push-burst checksum mismatch\n");
   }
-  if (!pr.locality_ok) {
-    std::fprintf(stderr,
-                 "FAIL: pool locality counters report remote allocations "
-                 "under compact single-node placement (frames: %llu local / "
-                 "%llu remote; attaches: %llu local / %llu remote)\n",
-                 static_cast<unsigned long long>(pr.loc_frames.node_local_allocs),
-                 static_cast<unsigned long long>(pr.loc_frames.remote_allocs),
-                 static_cast<unsigned long long>(pr.loc_attaches.node_local_allocs),
-                 static_cast<unsigned long long>(pr.loc_attaches.remote_allocs));
-  }
-  if (!pr.locality_sum_ok) {
-    std::fprintf(stderr, "FAIL: locality-probe checksum mismatch\n");
-  }
 
   const bool all_ok = pr.zero_alloc_steady_state && pr.sum_ok &&
                       pr.zero_mutex_push_path && pr.push_burst_sum_ok &&
-                      pr.locality_ok && pr.locality_sum_ok && scale_free &&
-                      !reporter.rows.empty();
+                      scale_free && !reporter.rows.empty();
   const bool wrote = hq::bench::write_micro_json(
       opt, "micro_queue", reporter.rows, all_ok, [&](FILE* f) {
         std::fprintf(f, "  \"probe\": {\n");
@@ -490,26 +339,8 @@ int main(int argc, char** argv) {
                      pr.zero_mutex_push_path ? "true" : "false");
         std::fprintf(f, "    \"parallel_producers_64_vs_1\": %.3f,\n",
                      scale_ratio);
-        std::fprintf(f, "    \"scale_free\": %s,\n",
+        std::fprintf(f, "    \"scale_free\": %s\n  },\n",
                      scale_free ? "true" : "false");
-        std::fprintf(f, "    \"locality\": {\n");
-        std::fprintf(f,
-                     "      \"frame_node_local\": %llu, \"frame_remote\": "
-                     "%llu,\n",
-                     static_cast<unsigned long long>(
-                         pr.loc_frames.node_local_allocs),
-                     static_cast<unsigned long long>(pr.loc_frames.remote_allocs));
-        std::fprintf(f,
-                     "      \"attach_node_local\": %llu, \"attach_remote\": "
-                     "%llu,\n",
-                     static_cast<unsigned long long>(
-                         pr.loc_attaches.node_local_allocs),
-                     static_cast<unsigned long long>(
-                         pr.loc_attaches.remote_allocs));
-        std::fprintf(f, "      \"placement\": \"%s\",\n",
-                     hq::to_string(hq::placement_policy_from_env()));
-        std::fprintf(f, "      \"locality_ok\": %s\n    }\n  },\n",
-                     pr.locality_ok ? "true" : "false");
       });
   return all_ok && wrote ? 0 : 1;
 }

@@ -24,8 +24,8 @@ Failure rules:
     mode the CI gate runs in.
 
 --fields diffs non-benchmark scalars by dotted path into the raw documents
-(e.g. probe.locality.remote_allocs) between baseline and current. Always
-advisory: the values are printed side by side so locality/probe counters
+(e.g. probe.attach_pool.allocated) between baseline and current. Always
+advisory: the values are printed side by side so probe counters
 are visible in the trajectory, but they never gate the exit code (the
 binary's own all_ok probes gate correctness).
 """
@@ -56,7 +56,7 @@ def main():
                          "gate the exit code; the rest are advisory")
     ap.add_argument("--fields", default="",
                     help="comma-separated dotted paths into the raw records "
-                         "(e.g. probe.locality.remote_allocs) to print side "
+                         "(e.g. probe.attach_pool.allocated) to print side "
                          "by side; advisory only")
     args = ap.parse_args()
 

@@ -70,14 +70,12 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
   refine_edge.capacity = 256;
   refine_edge.slice_batch = cfg.slice_batch;
   refine_edge.segment_length = 64;
-  refine_edge.traffic = 8.0;  // many fine records per coarse chunk
   g.connect(refine, dedup_compress, refine_edge);
 
   pipe::edge_opts out_edge;
   out_edge.capacity = 256;
   out_edge.slice_batch = cfg.slice_batch;
   out_edge.segment_length = 256;
-  out_edge.traffic = 8.0;
   g.connect(dedup_compress, output, out_edge);
 }
 

@@ -2,17 +2,15 @@
 //
 // A fault *plan* is a seed plus a list of rules keyed by site name. Every
 // instrumented point in the runtime names its site ("stage.compress",
-// "pool.slab", "segment.alloc", "numa.map", "numa.bind", "queue.push",
-// "queue.pop") and calls one of three entry points:
+// "pool.slab", "segment.alloc", "queue.push", "queue.pop") and calls one of
+// three entry points:
 //
 //   crashpoint(site)        may throw injected_fault (action `throw`), spin
 //                           until the run cancels (action `stall`), or spin a
 //                           fixed count (action `delay`);
 //   failpoint(site)         returns true when the caller should simulate an
 //                           operation failure (action `alloc`: the pool /
-//                           segment / numa sites throw std::bad_alloc, the
-//                           numa.bind site skips mbind to exercise the
-//                           first-touch fallback);
+//                           segment sites throw std::bad_alloc);
 //   delaypoint(site)        applies only `delay` rules — placed on queue ops
 //                           to widen interleavings without changing results.
 //

@@ -395,27 +395,15 @@ class hyperqueue {
     attach_or_release();
   }
 
-  /// As above, with the queue's segment arenas pinned to NUMA node
-  /// `home_node` (e.g. the consumer stage's node from plan_queue_placement,
-  /// sched/partition.hpp). home_node < 0 = the default follow-the-allocating-
-  /// worker behavior.
-  hyperqueue(std::size_t segment_length, int home_node)
-      : cb_(new detail::queue_cb(detail::make_element_ops<T>(), segment_length)) {
-    cb_->set_home_node(home_node);
-    attach_or_release();
-  }
-
   /// As above, plus a memory budget: cap the queue's live segment footprint
   /// at roughly `memory_budget_bytes` (0 = the HQ_QUEUE_BUDGET environment
   /// default, itself unlimited when unset). Producers that would grow the
   /// queue past the cap block cooperatively until the consumer recycles
   /// segments — deterministic backpressure, not data loss. Budgets below
   /// the structural minimum are enforced at it.
-  hyperqueue(std::size_t segment_length, int home_node,
-             std::uint64_t memory_budget_bytes)
+  hyperqueue(std::size_t segment_length, std::uint64_t memory_budget_bytes)
       : cb_(new detail::queue_cb(detail::make_element_ops<T>(), segment_length,
                                  memory_budget_bytes)) {
-    cb_->set_home_node(home_node);
     attach_or_release();
   }
 
@@ -470,12 +458,6 @@ class hyperqueue {
   /// acquisitions (zero on the fast path; mu_attach stays 0 on the
   /// producer side — the zero-mutex-on-push contract).
   [[nodiscard]] data_path_stats data_stats() const { return cb_->data_stats(); }
-
-  /// Re-pin fresh segment arenas to `node` (takes effect for segments
-  /// allocated after the call; pooled segments keep their arena). See
-  /// detail::queue_cb::set_home_node.
-  void set_home_node(int node) { cb_->set_home_node(node); }
-  [[nodiscard]] int home_node() const { return cb_->home_node(); }
 
   /// Adjust (or clear, bytes == 0) the memory budget at run time. See
   /// detail::queue_cb::set_memory_budget.

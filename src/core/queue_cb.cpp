@@ -168,14 +168,9 @@ segment* queue_cb::alloc_segment() {
       return s;
     }
   }
-  // Fresh segment: home it on the queue's pinned node when set, else on the
-  // allocating worker's node (-1 on unplaced workers keeps the heap path —
-  // the pre-topology behavior, byte for byte).
-  int node = home_node_.load(std::memory_order_relaxed);
-  if (node < 0) node = scheduler::current_worker_node();
   segment* s;
   try {
-    s = segment::create(seg_capacity, &ops, &dp_, node);
+    s = segment::create(seg_capacity, &ops, &dp_);
   } catch (...) {
     // Roll back the in-use count so a failed (real or injected) allocation
     // leaves the counters consistent for teardown and the next run.

@@ -290,21 +290,6 @@ struct queue_cb {
   /// Attachment of the calling task (current frame), requiring `need` privs.
   qattach* my_attachment(std::uint8_t need);
 
-  // ---- topology ------------------------------------------------------------
-  /// Pin fresh segment arenas to a NUMA node (e.g. the consumer's node from
-  /// plan_queue_placement). Default -1: each fresh segment follows the
-  /// *allocating worker's* home node (scheduler::current_worker_node), which
-  /// is the first-touch-like behavior — and the plain heap when the worker
-  /// is unplaced. Takes effect for segments allocated after the call;
-  /// already-pooled segments keep their arena (segments recycle far more
-  /// often than they are created, so set this before the first push).
-  void set_home_node(int node) noexcept {
-    home_node_.store(node, std::memory_order_relaxed);
-  }
-  [[nodiscard]] int home_node() const noexcept {
-    return home_node_.load(std::memory_order_relaxed);
-  }
-
   // ---- memory budget (backpressure) ---------------------------------------
   /// Cap the queue's live segment footprint at roughly `bytes` (0 =
   /// unlimited). Producers that would grow the queue past the cap enter a
@@ -397,8 +382,6 @@ struct queue_cb {
   /// exchanges through this cell and never touches free_mu.
   std::atomic<segment*> seg_cache_{nullptr};
   std::atomic<std::uint64_t> seg_live{0};
-  /// Arena node for fresh segments (-1 = allocating worker's home node).
-  std::atomic<int> home_node_{-1};
 
   // Pool statistics (relaxed: monitoring only, never load-bearing).
   std::atomic<std::uint64_t> seg_fresh{0};

@@ -4,7 +4,6 @@
 #include <new>
 
 #include "core/fault.hpp"
-#include "core/numa.hpp"
 
 namespace hq::detail {
 
@@ -31,27 +30,16 @@ std::size_t segment::footprint_bytes(std::uint64_t capacity,
 }
 
 segment* segment::create(std::uint64_t capacity, const element_ops* ops,
-                         data_path_counters* counters, int node) {
+                         data_path_counters* counters) {
   assert(capacity >= 2 && std::has_single_bit(capacity));
   if (fault::failpoint("segment.alloc")) throw std::bad_alloc();
   // One allocation: [segment header | padding to element alignment | slots].
   const std::size_t align = segment_alignment(ops);
   const std::size_t header = padded_header(ops);
   const std::size_t bytes = header + capacity * ops->size;
-  std::byte* raw;
-  std::size_t map_bytes = 0;
-  if (node >= 0) {
-    // Node-homed arena: page-granular mapping bound to the queue's home
-    // node, so the slot array — the bytes every element crosses — lives
-    // next to its consumer. The sub-page waste is irrelevant at the default
-    // segment sizes (hundreds of slots), and segments recycle through the
-    // queue's free list rather than being re-mapped per chain link.
-    raw = static_cast<std::byte*>(numa::alloc(bytes, align, node));
-    map_bytes = bytes;
-  } else {
-    raw = static_cast<std::byte*>(::operator new(bytes, std::align_val_t{align}));
-  }
-  return ::new (raw) segment(capacity, ops, raw + header, counters, map_bytes);
+  auto* raw =
+      static_cast<std::byte*>(::operator new(bytes, std::align_val_t{align}));
+  return ::new (raw) segment(capacity, ops, raw + header, counters);
 }
 
 void segment::destroy(segment* s) {
@@ -59,13 +47,8 @@ void segment::destroy(segment* s) {
              s->tail.load(std::memory_order_relaxed) &&
          "elements must be destroyed before freeing a segment");
   const std::size_t align = segment_alignment(s->ops);
-  const std::size_t map_bytes = s->map_bytes_;
   s->~segment();
-  if (map_bytes != 0) {
-    numa::free(static_cast<void*>(s), map_bytes, align);
-  } else {
-    ::operator delete(static_cast<void*>(s), std::align_val_t{align});
-  }
+  ::operator delete(static_cast<void*>(s), std::align_val_t{align});
 }
 
 }  // namespace hq::detail

@@ -128,20 +128,16 @@ class segment {
  public:
   /// Allocate a segment with `capacity` element slots (must be a power of
   /// two) in a single allocation. `counters`, when non-null, receives the
-  /// remote-index-reload counts (slow path only). `node` >= 0 places the
-  /// allocation on that NUMA node (core/numa.hpp: page-granular, preference
-  /// binding, first-touch fallback); node < 0 keeps the plain heap path.
+  /// remote-index-reload counts (slow path only).
   static segment* create(std::uint64_t capacity, const element_ops* ops,
-                         data_path_counters* counters = nullptr,
-                         int node = -1);
+                         data_path_counters* counters = nullptr);
 
   /// Free the segment's memory. Remaining elements must have been destroyed.
   static void destroy(segment* s);
 
   /// Bytes one segment of `capacity` slots occupies (header + alignment
   /// padding + slot array) — the unit of queue memory-budget accounting
-  /// (queue_cb). Matches what create() actually allocates on the heap path;
-  /// node-homed arenas round up to pages on top of this.
+  /// (queue_cb). Matches what create() actually allocates.
   static std::size_t footprint_bytes(std::uint64_t capacity,
                                      const element_ops* ops) noexcept;
 
@@ -334,14 +330,13 @@ class segment {
 
  private:
   segment(std::uint64_t capacity, const element_ops* o, std::byte* storage,
-          data_path_counters* counters, std::size_t map_bytes)
+          data_path_counters* counters)
       : mask(capacity - 1),
         ops(o),
         esize_(o->size),
         trivial_(o->trivial_copy),
         storage_(storage),
-        counters_(counters),
-        map_bytes_(map_bytes) {}
+        counters_(counters) {}
   ~segment() = default;
 
   /// Monitoring-grade counter bump: a plain load+store pair instead of a
@@ -371,9 +366,6 @@ class segment {
   const bool trivial_;
   std::byte* const storage_;
   data_path_counters* const counters_;
-  /// Mapping size when numa-allocated (destroy must munmap exactly what
-  /// create mapped); 0 marks the plain heap path.
-  const std::size_t map_bytes_;
 };
 
 }  // namespace hq::detail

@@ -57,11 +57,6 @@ std::vector<unsigned> parse_cpulist(const std::string& list) {
   return cpus;
 }
 
-unsigned hardware_cpus() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 /// Renumber arbitrary raw ids into dense 0..k-1 ids, preserving raw order.
 unsigned densify(std::vector<unsigned>& ids) {
   std::vector<unsigned> sorted = ids;
@@ -76,80 +71,14 @@ unsigned densify(std::vector<unsigned>& ids) {
 
 }  // namespace
 
-const topology& topology::system() {
-  static const topology t = detect();
-  return t;
-}
-
 topology topology::detect() {
-  if (const char* env = std::getenv("HQ_TOPOLOGY")) {
-    return synthetic(env);
-  }
   topology t = from_sysfs("/sys/devices/system");
-  if (t.num_cpus() == 0) return flat(hardware_cpus());
-  return t;
-}
-
-topology topology::flat(unsigned ncpus) {
-  topology t;
-  if (ncpus == 0) ncpus = 1;
-  t.cpus_.reserve(ncpus);
-  for (unsigned c = 0; c < ncpus; ++c) {
-    t.cpus_.push_back(cpu_desc{c, 0, 0, 0, c, 0});
+  if (t.num_cpus() == 0) {
+    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned c = 0; c < n; ++c)
+      t.cpus_.push_back(cpu_desc{c, 0, 0, 0, c, 0});
+    t.index();
   }
-  t.index();
-  return t;
-}
-
-topology topology::synthetic(std::string_view spec) {
-  if (spec == "flat") {
-    topology t = flat(hardware_cpus());
-    t.synthetic_ = true;
-    return t;
-  }
-  // "<nodes>x<cpus-per-node>[x<smt-ways>]" — each node is its own package
-  // and LLC group; cpus-per-node must divide by the SMT ways.
-  unsigned dims[3] = {0, 0, 1};
-  int ndims = 0;
-  const char* p = spec.data();
-  const char* end = p + spec.size();
-  while (p < end && ndims < 3) {
-    char* stop = nullptr;
-    const long v = std::strtol(p, &stop, 10);
-    if (stop == p || v <= 0) break;
-    dims[ndims++] = static_cast<unsigned>(v);
-    p = stop;
-    if (p == end) break;
-    if (*p != 'x' && *p != 'X') break;
-    ++p;
-  }
-  const unsigned nodes = dims[0], per_node = dims[1], smt = dims[2];
-  const bool valid = p == end && ndims >= 2 && nodes >= 1 && per_node >= 1 &&
-                     smt >= 1 && per_node % smt == 0 &&
-                     nodes * per_node <= 4096;
-  if (!valid) {
-    topology t = flat(hardware_cpus());
-    t.synthetic_ = true;
-    return t;
-  }
-  topology t;
-  t.synthetic_ = true;
-  const unsigned cores_per_node = per_node / smt;
-  for (unsigned n = 0; n < nodes; ++n) {
-    for (unsigned c = 0; c < cores_per_node; ++c) {
-      for (unsigned s = 0; s < smt; ++s) {
-        cpu_desc d;
-        d.cpu = n * per_node + c * smt + s;
-        d.package = n;
-        d.node = n;
-        d.llc = n;
-        d.core = n * cores_per_node + c;
-        d.smt = s;
-        t.cpus_.push_back(d);
-      }
-    }
-  }
-  t.index();
   return t;
 }
 
@@ -252,79 +181,6 @@ void topology::index() {
   num_nodes_ = count(&cpu_desc::node);
   num_llcs_ = count(&cpu_desc::llc);
   num_cores_ = count(&cpu_desc::core);
-}
-
-const cpu_desc* topology::find(unsigned cpu) const noexcept {
-  for (const cpu_desc& d : cpus_) {
-    if (d.cpu == cpu) return &d;
-  }
-  return nullptr;
-}
-
-unsigned topology::distance(const cpu_desc& a, const cpu_desc& b) noexcept {
-  if (a.cpu == b.cpu) return kDistSelf;
-  if (a.core == b.core) return kDistSmt;
-  if (a.llc == b.llc) return kDistLlc;
-  if (a.node == b.node) return kDistNode;
-  if (a.package == b.package) return kDistPackage;
-  return kDistRemote;
-}
-
-placement_policy placement_policy_from_env() noexcept {
-  const char* env = std::getenv("HQ_PLACEMENT");
-  if (env == nullptr) return placement_policy::none;
-  const std::string_view s(env);
-  if (s == "compact") return placement_policy::compact;
-  if (s == "scatter") return placement_policy::scatter;
-  return placement_policy::none;
-}
-
-const char* to_string(placement_policy p) noexcept {
-  switch (p) {
-    case placement_policy::compact: return "compact";
-    case placement_policy::scatter: return "scatter";
-    case placement_policy::none: break;
-  }
-  return "none";
-}
-
-std::vector<unsigned> plan_placement(const topology& topo,
-                                     placement_policy policy,
-                                     unsigned num_workers) {
-  if (policy == placement_policy::none || topo.num_cpus() == 0 ||
-      num_workers == 0) {
-    return {};
-  }
-  // Compact fill order: domain by domain, SMT siblings adjacent. Ties
-  // cannot occur (cpu ids are unique), so the order is a pure function of
-  // the topology.
-  std::vector<const cpu_desc*> order;
-  order.reserve(topo.num_cpus());
-  for (const cpu_desc& d : topo.cpus()) order.push_back(&d);
-  std::sort(order.begin(), order.end(), [](const cpu_desc* a, const cpu_desc* b) {
-    return std::tie(a->node, a->llc, a->core, a->smt, a->cpu) <
-           std::tie(b->node, b->llc, b->core, b->smt, b->cpu);
-  });
-
-  if (policy == placement_policy::scatter) {
-    // Round-robin the compact per-node sequences across nodes.
-    std::vector<std::vector<const cpu_desc*>> per_node(topo.num_nodes());
-    for (const cpu_desc* d : order) per_node[d->node].push_back(d);
-    std::vector<const cpu_desc*> rr;
-    rr.reserve(order.size());
-    for (std::size_t i = 0; rr.size() < order.size(); ++i) {
-      for (auto& nl : per_node) {
-        if (i < nl.size()) rr.push_back(nl[i]);
-      }
-    }
-    order = std::move(rr);
-  }
-
-  std::vector<unsigned> cpus(num_workers);
-  for (unsigned w = 0; w < num_workers; ++w) {
-    cpus[w] = order[w % order.size()]->cpu;
-  }
-  return cpus;
 }
 
 }  // namespace hq

@@ -282,24 +282,4 @@ graph::plan graph::compile() const {
   return p;
 }
 
-hq::queue_graph graph::build_queue_graph() const {
-  plan p = compile();
-  hq::queue_graph g;
-  g.num_stages = static_cast<unsigned>(p.order.size());
-  // One queue in front of every serial stage and the sink. Its pushers are
-  // the stage feeding it plus, past a parallel run, the run's stages (their
-  // bodies execute in run tasks that the feeding stage spawns).
-  unsigned first = 0;
-  for (std::size_t i = 1; i < p.order.size(); ++i) {
-    if (stages_[p.order[i]].kind == stage_kind::parallel) continue;
-    hq::queue_graph::queue_desc q;
-    for (unsigned j = first; j < i; ++j) q.producers.push_back(j);
-    q.consumer = static_cast<unsigned>(i);
-    q.traffic = edges_[p.edges[i - 1]].opts.traffic;
-    g.queues.push_back(std::move(q));
-    first = static_cast<unsigned>(i);
-  }
-  return g;
-}
-
 }  // namespace hq::pipe

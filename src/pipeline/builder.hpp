@@ -50,10 +50,7 @@
 // source back is what shed and bounded_wait see (admission_ctl::held).
 //
 // Misuse (type-mismatched edges, unattached stages, parallel sinks) throws
-// graph_error at connect()/compile() time. The builder also emits the
-// stage->queue attachment graph (build_queue_graph) that feeds
-// plan_queue_placement, closing the PR 6 residual: callers no longer pass
-// the graph explicitly.
+// graph_error at connect()/compile() time.
 #pragma once
 
 #include <cassert>
@@ -72,7 +69,6 @@
 
 #include "core/fault.hpp"
 #include "core/hyperqueue.hpp"
-#include "sched/partition.hpp"
 #include "sched/spawn.hpp"
 
 namespace hq::pipe {
@@ -95,8 +91,8 @@ struct edge_opts {
   /// batch normally fits one contiguous grant. Ignored on an edge into a
   /// parallel stage, which has no queue.
   std::size_t segment_length = 0;
-  /// Relative element volume; feeds the placement partitioner's cut
-  /// objective (sched/partition.hpp).
+  /// Ignored. Kept only because the end-to-end benchmark's workload graphs
+  /// still set it; it goes once they stop.
   double traffic = 1.0;
   /// Memory budget of this edge's hyperqueue in bytes (0 = the
   /// HQ_QUEUE_BUDGET environment default, itself unlimited when unset).
@@ -279,11 +275,10 @@ struct stage_rec;
 struct hq_run;
 
 /// Type-erased handle on one inter-stage hyperqueue, so the runner can
-/// construct, place and probe channels without knowing token types.
+/// construct and probe channels without knowing token types.
 class hq_chan_base {
  public:
   virtual ~hq_chan_base() = default;
-  [[nodiscard]] virtual int node() const = 0;
   [[nodiscard]] virtual seg_pool_stats pool() const = 0;
   [[nodiscard]] virtual std::size_t segments() const = 0;
   /// Push privilege for a producer that only spawns this queue's pushers.
@@ -554,9 +549,8 @@ void hq_run_task(std::unique_ptr<token_batch> work, const hq_run* run,
 template <typename T>
 class hq_chan final : public hq_chan_base {
  public:
-  hq_chan(std::size_t seglen, int home_node, std::uint64_t budget_bytes)
-      : q(seglen, home_node, budget_bytes) {}
-  [[nodiscard]] int node() const override { return q.home_node(); }
+  hq_chan(std::size_t seglen, std::uint64_t budget_bytes)
+      : q(seglen, budget_bytes) {}
   [[nodiscard]] seg_pool_stats pool() const override { return q.pool_stats(); }
   [[nodiscard]] std::size_t segments() const override { return q.segments(); }
   [[nodiscard]] pushdep_any push_any() const override { return q; }
@@ -593,8 +587,8 @@ struct stage_rec {
   /// (empty for parallel stages, which run inside their producer's runs).
   std::function<void(const hq_stage_ctx&)> hq_spawn;
   /// Factory for this stage's *output* channel (typed on Out).
-  std::function<std::unique_ptr<hq_chan_base>(
-      std::size_t seglen, int node, std::uint64_t budget_bytes)>
+  std::function<std::unique_ptr<hq_chan_base>(std::size_t seglen,
+                                              std::uint64_t budget_bytes)>
       make_out_chan;
   /// Destroy an owned heap token of this stage's input / output type. The
   /// pthreads and TBB backends use these to drain in-flight tokens leak-free
@@ -737,12 +731,6 @@ class graph {
   /// sink, fan-out nesting beyond kMaxDepth).
   [[nodiscard]] plan compile() const;
 
-  /// The stage->queue attachment graph of the declared pipeline, in chain
-  /// order — the input plan_queue_placement needs, built by the runtime
-  /// instead of being passed in by callers. Lists the hyperqueue lowering's
-  /// queues: one in front of each serial stage and the sink.
-  [[nodiscard]] hq::queue_graph build_queue_graph() const;
-
  private:
   template <typename In, typename Out, typename F>
   stage_id add_middle(std::string name, stage_kind kind, F&& body,
@@ -798,9 +786,9 @@ class graph {
     s->out_type_name = typeid(Out).name();
     s->destroy_out = [](void* p) { delete static_cast<Out*>(p); };
     s->make_out_chan =
-        [](std::size_t seglen, int node,
+        [](std::size_t seglen,
            std::uint64_t budget_bytes) -> std::unique_ptr<detail::hq_chan_base> {
-      return std::make_unique<detail::hq_chan<Out>>(seglen, node, budget_bytes);
+      return std::make_unique<detail::hq_chan<Out>>(seglen, budget_bytes);
     };
   }
 

@@ -12,7 +12,6 @@
 
 #include "conc/bounded_queue.hpp"
 #include "pipeline/tbb_pipeline.hpp"
-#include "sched/partition.hpp"
 #include "sched/scheduler_lease.hpp"
 #include "sched/watchdog.hpp"
 #include "util/stats.hpp"
@@ -104,13 +103,13 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
 
 // ---- hyperqueue backend ----------------------------------------------------
 // One hyperqueue in front of every serial stage and the sink, created by the
-// root task (which thereby owns them, per the attachment model) and homed
-// per the partition plan. Runs of parallel stages have no queue: the stage
-// feeding a run spawns one task per batch that carries the batch through
-// the run's bodies (hq_run, builder.hpp). Stage tasks are spawned in chain
-// order — the serial-elision order the queues' visibility rules assume —
-// joined oldest first (as every join is, scheduler.hpp), so the source
-// starts at top level and never nests above its consumers. The element
+// root task (which thereby owns them, per the attachment model). Runs of
+// parallel stages have no queue: the stage feeding a run spawns one task per
+// batch that carries the batch through the run's bodies (hq_run,
+// builder.hpp). Stage tasks are spawned in chain order — the serial-elision
+// order the queues' visibility rules assume — joined oldest first (as every
+// join is, scheduler.hpp), so the source starts at top level and never
+// nests above its consumers. The element
 // backend is the same lowering with one token per run task and the bulk
 // path forced off on every queue.
 
@@ -135,23 +134,10 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
   for (std::size_t i = 1; i < n; ++i)
     if (stage(i).kind != stage_kind::parallel) heads.push_back(i);
 
-  // A resident scheduler for (workers, placement): after the first run per
-  // key this neither parses the topology nor starts threads.
-  scheduler_lease lease(opt.workers, opt.placement);
+  // A resident scheduler: after the first run per worker count this starts
+  // no threads.
+  scheduler_lease lease(opt.workers);
   scheduler& sched = *lease;
-
-  // Runtime-fed placement: the builder knows the stage->queue attachment
-  // graph (the same queues, in the same order), so under a placement policy
-  // each queue's segments are homed on its consumer stage's node without
-  // the caller supplying a queue_graph.
-  std::vector<int> nodes(heads.size(), -1);
-  if (sched.policy() != placement_policy::none &&
-      sched.topo().num_nodes() > 1) {
-    queue_plan plan = plan_queue_placement(
-        g.build_queue_graph(), sched.topo().num_nodes(), opt.seed);
-    for (std::size_t k = 0; k < heads.size(); ++k)
-      nodes[k] = plan.queue_node[k];
-  }
 
   exec_result res;
   util::stopwatch sw;
@@ -166,8 +152,8 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       const edge_opts& e = edge(heads[k] - 1);
       const std::size_t seglen =
           e.segment_length ? e.segment_length : 2 * batch_of(e);
-      chans.push_back(stage(heads[k] - 1)
-                          .make_out_chan(seglen, nodes[k], e.memory_budget));
+      chans.push_back(
+          stage(heads[k] - 1).make_out_chan(seglen, e.memory_budget));
     }
     // Producer k is the source (k = 0) or the stage behind queue k - 1; it
     // pushes into queue k, directly or through the parallel run between.
@@ -206,7 +192,6 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
     for (auto& ch : chans) {
       res.pool = res.pool + ch->pool();
       res.peak_segments = std::max(res.peak_segments, ch->segments());
-      res.queue_nodes.push_back(ch->node());
     }
     chans.clear();  // queues must be destroyed by their owning task
   });
@@ -876,7 +861,6 @@ app_run run_app(const std::string& name, backend b, const app_params& p,
     opt = *opt_override;
   } else {
     opt.workers = p.workers;
-    opt.seed = p.seed;
   }
   // A failing run is a reportable result, not a crash of the harness: map
   // the backend's rethrown exception onto exec.outcome/error. The digest is

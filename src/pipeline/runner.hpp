@@ -10,10 +10,7 @@
 //                         in front of each serial stage and the sink; the
 //                         stage feeding a run of parallel stages spawns one
 //                         task per slice_batch tokens through the run
-//                         (builder.hpp). The scheduler's placement policy
-//                         feeds plan_queue_placement from the graph's own
-//                         attachment topology and homes each queue on its
-//                         consumer stage's node.
+//                         (builder.hpp).
 //   hyperqueue_element  — same lowering, one token per spawned task and
 //                         element-at-a-time pushes/pops on every queue
 //                         (Section 4 baseline data path).
@@ -38,7 +35,6 @@
 #include <vector>
 
 #include "pipeline/builder.hpp"
-#include "sched/scheduler.hpp"
 
 namespace hq::pipe {
 
@@ -52,12 +48,8 @@ enum class backend { serial, hyperqueue, hyperqueue_element, pthreads, tbb };
 
 struct exec_options {
   unsigned workers = 1;
-  std::uint64_t seed = 0;
   /// TBB backend: max in-flight tokens; 0 = 4 * workers.
   std::size_t max_tokens = 0;
-  /// Hyperqueue backend: explicit placement; null = environment-driven
-  /// (HQ_PLACEMENT / HQ_TOPOLOGY via the scheduler's default ctor).
-  const scheduler::placement_config* placement = nullptr;
   /// Admission control at the pipeline boundary (every backend): gate each
   /// source emission against the in-flight window per the policy. The
   /// window counts source emissions not yet retired by the sink, so it is
@@ -83,9 +75,6 @@ struct exec_result {
   /// and the peak live segment count (zero-steady-state-alloc probes).
   seg_pool_stats pool;
   std::size_t peak_segments = 0;
-  /// Hyperqueue backend only: each edge queue's arena home node, in chain
-  /// order (-1 = default heap; >= 0 under a placement policy).
-  std::vector<int> queue_nodes;
   /// Admission accounting (exec_options::admission; zero when the policy is
   /// none): tokens admitted at the source, tokens shed, and the total time
   /// sources spent blocked on a full window. Queue-level backpressure lives

@@ -20,17 +20,8 @@
 //    worker, consumer finishes on another) recirculate a bounded working
 //    set with zero mallocs.
 //
-// Topology awareness: each magazine has a home NUMA node (the node its
-// worker is pinned to). The magazine record itself and all of its slabs
-// are mmap-backed and bound to that node (core/numa.hpp; first-touch
-// fallback when binding is unavailable), so a worker's frames, shards and
-// attachments live in node-local memory. Slabs are fixed-size and aligned
-// to their own size, with the home node stamped in a header line — any
-// block finds its memory's node with one mask + load, which is how the
-// node_local_allocs / remote_allocs counters attribute every pool-served
-// allocation. Remote allocs appear only when the bounded-return overflow
-// path migrates a block across nodes: under single-node pinning the remote
-// count is exactly zero, and tests gate on that.
+// Slabs are 64 KiB anonymous mappings, not heap memory, so they stay out
+// of the allocator's arenas.
 //
 // Total pool memory is bounded by the peak number of simultaneously live
 // blocks (slabs never shrink before the pool dies); the cap only bounds the
@@ -43,14 +34,16 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "conc/cache.hpp"
 #include "conc/spinlock.hpp"
 #include "core/fault.hpp"
-#include "core/numa.hpp"
 
 namespace hq::detail {
 
@@ -72,14 +65,6 @@ class obj_pool {
     /// served purely from magazines between samples can exceed it.
     std::uint64_t high_water = 0;
     std::uint64_t live = 0;        ///< blocks currently in use
-    /// Locality attribution of every magazine-served allocation: the block's
-    /// memory (slab home node) matched / did not match the allocating
-    /// worker's home node. Remote blocks exist only via cross-node return-
-    /// stack overflow migration; node_local + remote equals the magazine-
-    /// served share of allocated + recycled (external-thread heap blocks
-    /// are not attributed).
-    std::uint64_t node_local_allocs = 0;
-    std::uint64_t remote_allocs = 0;
   };
 
   obj_pool() = default;
@@ -87,38 +72,24 @@ class obj_pool {
   obj_pool& operator=(const obj_pool&) = delete;
 
   /// One-time setup (the worker count is only known in the scheduler ctor
-  /// body). `cap` bounds each magazine's cross-worker return stack;
-  /// `home_nodes`, when non-empty, gives each worker magazine's NUMA node
-  /// (size must then equal num_workers; -1 entries mean "unplaced", which
-  /// keeps all accounting node-0-like and never binds memory).
-  void init(unsigned num_workers, std::size_t block_bytes, std::size_t cap,
-            const std::vector<int>& home_nodes = {}) {
+  /// body). `cap` bounds each magazine's cross-worker return stack.
+  void init(unsigned num_workers, std::size_t block_bytes, std::size_t cap) {
     assert(mags_.empty() && "obj_pool::init called twice");
-    assert(home_nodes.empty() || home_nodes.size() == num_workers);
     block_bytes_ = (block_bytes + kCacheLine - 1) / kCacheLine * kCacheLine;
-    assert(block_bytes_ <= kSlabBytes - kCacheLine && "block exceeds slab size");
+    assert(block_bytes_ <= kSlabBytes && "block exceeds slab size");
     cap_ = cap;
     mags_.reserve(num_workers);
-    for (unsigned w = 0; w < num_workers; ++w) {
-      const int node = home_nodes.empty() ? -1 : home_nodes[w];
-      // The magazine record itself is node-homed and page-isolated: the
-      // cross-worker return-stack heads of different workers must never
-      // share an allocation, let alone a node (they are written remotely
-      // under contention).
-      void* mem = numa::alloc(sizeof(magazine), alignof(magazine), node);
-      auto* m = ::new (mem) magazine();
-      m->home_node = node;
-      mags_.push_back(m);
-    }
+    // One allocation per magazine: the cross-worker return-stack heads of
+    // different workers are written remotely under contention, so they
+    // never share a cache line (magazine is line-aligned and line-padded).
+    for (unsigned w = 0; w < num_workers; ++w)
+      mags_.push_back(std::make_unique<magazine>());
   }
 
   ~obj_pool() {
     assert(stats().live == 0 && "obj_pool destroyed with blocks still in use");
-    for (magazine* m : mags_) {
-      for (void* s : m->slabs) numa::free(s, kSlabBytes, kSlabBytes);
-      m->~magazine();
-      numa::free(m, sizeof(magazine), alignof(magazine));
-    }
+    for (const auto& m : mags_)
+      for (void* s : m->slabs) ::munmap(s, kSlabBytes);
     while (ext_free_ != nullptr) {
       free_block* n = ext_free_->next;
       ::operator delete(static_cast<void*>(ext_free_), std::align_val_t{kCacheLine});
@@ -132,22 +103,12 @@ class obj_pool {
     if (worker == kPoolExternal) return external_alloc();
     magazine& m = *mags_[worker];
     if (m.local == nullptr) adopt_returns(m);
-    void* p;
     if (free_block* b = m.local) {
       m.local = b->next;
       m.recycled.fetch_add(1, std::memory_order_relaxed);
-      p = b;
-    } else {
-      p = carve(m);
+      return b;
     }
-    // Locality attribution: one mask + one read-only load on the slab
-    // header line. The counters are owner-written, stats()-read.
-    if (slab_node(p) == m.home_node) {
-      m.node_local.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      m.remote.fetch_add(1, std::memory_order_relaxed);
-    }
-    return p;
+    return carve(m);
   }
 
   /// Return a block to the pool. `owner` is the magazine recorded at alloc
@@ -167,8 +128,7 @@ class obj_pool {
           mags_[owner]->return_count.load(std::memory_order_relaxed) >= cap_) {
         // Same-worker free, or the owner's return stack is full: keep the
         // block here. Blocks are interchangeable, so ownership migrates to
-        // this magazine the next time the block is handed out — across
-        // nodes this is the one path that creates remote_allocs.
+        // this magazine the next time the block is handed out.
         b->next = f.local;
         f.local = b;
         return;
@@ -196,11 +156,9 @@ class obj_pool {
   [[nodiscard]] stats_t stats() const {
     stats_t s;
     std::uint64_t freed = 0;
-    for (const magazine* m : mags_) {
+    for (const auto& m : mags_) {
       s.allocated += m->carved.load(std::memory_order_relaxed);
       s.recycled += m->recycled.load(std::memory_order_relaxed);
-      s.node_local_allocs += m->node_local.load(std::memory_order_relaxed);
-      s.remote_allocs += m->remote.load(std::memory_order_relaxed);
       freed += m->freed.load(std::memory_order_relaxed);
     }
     s.allocated += ext_fresh_.load(std::memory_order_relaxed);
@@ -226,40 +184,23 @@ class obj_pool {
     free_block* next;
   };
 
-  /// First cache line of every slab; blocks start at the next line. A block
-  /// pointer masked down to the slab boundary lands here, making the memory
-  /// node of any pool block a one-load lookup.
-  struct slab_header {
-    int node;
-  };
-
   struct magazine {
     // Owner-worker lines: freelist, slab cursor and counters are only ever
     // written by the owning worker (counters are read by stats()).
     free_block* local = nullptr;
     char* slab_pos = nullptr;
     char* slab_end = nullptr;
-    int home_node = -1;
     std::vector<void*> slabs;
     std::atomic<std::uint64_t> carved{0};    // fresh blocks cut from slabs
     std::atomic<std::uint64_t> recycled{0};  // allocs served from freelists
     std::atomic<std::uint64_t> freed{0};     // frees executed by this worker
-    std::atomic<std::uint64_t> node_local{0};
-    std::atomic<std::uint64_t> remote{0};
     // Shared line: cross-worker returns land here (MPSC Treiber stack; the
     // owner pops everything at once, so there is no ABA window).
     alignas(kCacheLine) std::atomic<free_block*> returns{nullptr};
     std::atomic<std::size_t> return_count{0};
   };
 
-  /// Slabs are fixed-size and self-aligned so the header lookup is a mask.
   static constexpr std::size_t kSlabBytes = std::size_t{1} << 16;  // 64 KiB
-
-  static int slab_node(const void* p) noexcept {
-    const auto* h = reinterpret_cast<const slab_header*>(
-        reinterpret_cast<std::uintptr_t>(p) & ~(kSlabBytes - 1));
-    return h->node;
-  }
 
   /// Adopt the entire return stack into the local freelist. The acquire
   /// exchange synchronizes with every pusher's release-CAS (they form one
@@ -279,16 +220,16 @@ class obj_pool {
   }
 
   /// Slow path: cut a fresh cache-aligned block out of the worker's slab,
-  /// mapping a fresh node-bound slab when exhausted.
+  /// mapping a fresh (page-aligned) slab when exhausted.
   void* carve(magazine& m) {
     if (m.slab_pos == m.slab_end) {
       if (fault::failpoint("pool.slab")) throw std::bad_alloc();
-      void* slab = numa::alloc(kSlabBytes, kSlabBytes, m.home_node);
-      static_cast<slab_header*>(slab)->node = m.home_node;
+      void* slab = ::mmap(nullptr, kSlabBytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (slab == MAP_FAILED) throw std::bad_alloc();
       m.slabs.push_back(slab);
-      m.slab_pos = static_cast<char*>(slab) + kCacheLine;
-      const std::size_t usable = kSlabBytes - kCacheLine;
-      m.slab_end = m.slab_pos + usable / block_bytes_ * block_bytes_;
+      m.slab_pos = static_cast<char*>(slab);
+      m.slab_end = m.slab_pos + kSlabBytes / block_bytes_ * block_bytes_;
     }
     void* p = m.slab_pos;
     m.slab_pos += block_bytes_;
@@ -299,8 +240,7 @@ class obj_pool {
 
   /// External threads (no magazine) recycle through a tiny spinlock-guarded
   /// freelist — cold path, one root frame per scheduler::run(). These blocks
-  /// are plain heap memory (never slab-carved), so they carry no node tag
-  /// and stay out of the locality counters.
+  /// are plain heap memory, never slab-carved.
   void* external_alloc() {
     {
       std::lock_guard<spinlock> lk(ext_mu_);
@@ -330,7 +270,7 @@ class obj_pool {
 
   std::size_t block_bytes_ = 0;
   std::size_t cap_ = 0;
-  std::vector<magazine*> mags_;
+  std::vector<std::unique_ptr<magazine>> mags_;
   // External-thread blocks and the high-water mark: slow paths only, never
   // touched by the recycling fast path.
   spinlock ext_mu_;

@@ -7,11 +7,6 @@
 #include <optional>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "core/queue_cb.hpp"  // qattach, for nesting safety + the attach pool
 #include "sched/watchdog.hpp"
 
@@ -60,102 +55,30 @@ unsigned watchdog_ms_from_env() {
 
 }  // namespace
 
-scheduler::scheduler(unsigned num_workers)
-    : scheduler(num_workers, placement_config{placement_policy_from_env(),
-                                              nullptr,
-                                              {}}) {}
-
-scheduler::scheduler(unsigned num_workers, placement_config cfg) {
+scheduler::scheduler(unsigned num_workers) {
   if (num_workers == 0) {
     num_workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  topo_ = cfg.topo != nullptr ? *cfg.topo : topology::detect();
-  policy_ = cfg.policy;
-
-  // Worker -> CPU assignment: explicit list (benches building exact
-  // pairings) or the deterministic policy plan; empty means unplaced.
-  std::vector<unsigned> cpus = cfg.explicit_cpus.empty()
-                                   ? plan_placement(topo_, policy_, num_workers)
-                                   : std::move(cfg.explicit_cpus);
-
   workers_.reserve(num_workers);
-  std::vector<int> home_nodes(num_workers, -1);
   for (unsigned i = 0; i < num_workers; ++i) {
     auto w = std::make_unique<worker_ctx>();
     w->sched = this;
     w->index = i;
-    if (!cpus.empty()) {
-      const unsigned cpu = cpus[i % cpus.size()];
-      if (const cpu_desc* d = topo_.find(cpu)) {
-        w->cpu = static_cast<int>(d->cpu);
-        w->node = static_cast<int>(d->node);
-        w->llc = static_cast<int>(d->llc);
-        w->core = static_cast<int>(d->core);
-        home_nodes[i] = w->node;
-      }
-    }
     workers_.push_back(std::move(w));
   }
 
-  // Victim order: placed workers sweep nearest-first (topology distance,
-  // ties broken by rotation offset so same-distance victims differ between
-  // thieves); unplaced workers use the plain rotation. Either way a pure
-  // function of (worker id, policy, topology).
-  for (unsigned i = 0; i < num_workers; ++i) {
-    worker_ctx& w = *workers_[i];
-    w.victims.reserve(num_workers - 1);
-    for (unsigned j = 1; j < num_workers; ++j) {
-      w.victims.push_back((i + j) % num_workers);
-    }
-    if (w.cpu >= 0) {
-      const cpu_desc* self = topo_.find(static_cast<unsigned>(w.cpu));
-      std::stable_sort(w.victims.begin(), w.victims.end(),
-                       [&](unsigned a, unsigned b) {
-                         const worker_ctx& wa = *workers_[a];
-                         const worker_ctx& wb = *workers_[b];
-                         const unsigned da =
-                             wa.cpu >= 0 ? topology::distance(
-                                               *self, *topo_.find(static_cast<
-                                                                  unsigned>(
-                                                   wa.cpu)))
-                                         : topology::kDistRemote;
-                         const unsigned db =
-                             wb.cpu >= 0 ? topology::distance(
-                                               *self, *topo_.find(static_cast<
-                                                                  unsigned>(
-                                                   wb.cpu)))
-                                         : topology::kDistRemote;
-                         return da < db;
-                       });
-    }
-  }
-
   const std::size_t cap = pool_cap_from_env();
-  frame_pool_.init(num_workers, sizeof(task_frame), cap, home_nodes);
+  frame_pool_.init(num_workers, sizeof(task_frame), cap);
   // The attach pool serves both per-(task, queue) attachments and producer
   // shard records (core/view.hpp): one block size covering the larger of
   // the two keeps every spawn-path allocation on the per-worker magazines.
   attach_pool_.init(num_workers,
                     std::max(sizeof(detail::qattach), sizeof(detail::pshard)),
-                    cap, home_nodes);
+                    cap);
 
   threads_.reserve(num_workers);
   for (unsigned i = 0; i < num_workers; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
-#if defined(__linux__)
-    // Best-effort pinning from the ctor (the handle works before the thread
-    // runs). Failure — e.g. a synthetic topology naming CPUs this machine
-    // lacks — leaves the placement logical: arenas, steal order and the
-    // locality counters still follow the assigned node ids.
-    worker_ctx& w = *workers_[i];
-    if (w.cpu >= 0) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<unsigned>(w.cpu), &set);
-      w.pinned = pthread_setaffinity_np(threads_.back().native_handle(),
-                                        sizeof(set), &set) == 0;
-    }
-#endif
   }
 }
 
@@ -252,16 +175,16 @@ void scheduler::wake_idle() {
 }
 
 task_frame* scheduler::try_steal(worker_ctx& w) {
-  if (workers_.size() <= 1) return nullptr;
+  const unsigned n = num_workers();
+  if (n <= 1) return nullptr;
   std::uint64_t attempts = 0;
   task_frame* found = nullptr;
-  // Two sweeps over the precomputed victim order — nearest victims first
-  // under a placement policy, plain rotation otherwise (scheduler ctor). A
-  // stolen frame is about to have its deque line and task state pulled into
-  // this worker's cache; preferring an SMT sibling or LLC peer makes that
-  // transfer a cache hit instead of a node hop.
+  // Two sweeps over every other worker in index rotation, starting after
+  // this one, so thieves spread over different victims.
   for (unsigned round = 0; round < 2 && found == nullptr; ++round) {
-    for (unsigned victim : w.victims) {
+    unsigned victim = w.index;
+    for (unsigned j = 1; j < n; ++j) {
+      if (++victim == n) victim = 0;
       ++attempts;
       if (task_frame* t = workers_[victim]->deque.steal()) {
         w.counters.steals.fetch_add(1, std::memory_order_relaxed);
@@ -585,10 +508,6 @@ std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
   for (const auto& w : workers_) {
     worker_stats_t s;
     s.worker = w->index;
-    s.cpu = w->cpu;
-    s.node = w->node;
-    s.llc = w->llc;
-    s.pinned = w->pinned;
     s.spawns = w->counters.spawns.load(std::memory_order_relaxed);
     s.executed = w->counters.executed.load(std::memory_order_relaxed);
     s.steals = w->counters.steals.load(std::memory_order_relaxed);
@@ -601,11 +520,6 @@ std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
     out.push_back(s);
   }
   return out;
-}
-
-int scheduler::current_worker_node() noexcept {
-  const worker_ctx* w = detail::t_worker;
-  return w != nullptr ? w->node : -1;
 }
 
 void scheduler::reset_stats() {

@@ -39,16 +39,8 @@
 //  * enqueue() touches the shared work_epoch_/idle_cv_ lines only when a
 //    worker is actually parked.
 //
-// Topology awareness (core/topology.hpp): under a placement policy each
-// worker is assigned a CPU (deterministically, from the topology model and
-// policy alone), pinned to it when the machine allows, and given a home
-// NUMA node that its frame/attachment magazines allocate on. The steal
-// sweep walks a precomputed per-worker victim list ordered by topology
-// distance — SMT sibling, then LLC peer, then node peer, then remote — so
-// stolen frames and their queue records stay as close as the machine
-// permits. With no policy the victim order is a plain index rotation;
-// either way it is a pure function of (worker id, policy, topology), which
-// keeps scheduling decisions reproducible.
+// Workers are not pinned; the OS places them. A thief sweeps the other
+// workers in index rotation starting after itself.
 #pragma once
 
 #include <atomic>
@@ -65,7 +57,6 @@
 #include "conc/backoff.hpp"
 #include "conc/cache.hpp"
 #include "conc/chase_lev_deque.hpp"
-#include "core/topology.hpp"
 #include "sched/obj_pool.hpp"
 #include "sched/task.hpp"
 #include "sched/task_fn.hpp"
@@ -79,21 +70,6 @@ struct worker_ctx {
   unsigned index = 0;
   chase_lev_deque<task_frame> deque;
   task_frame* current = nullptr;
-
-  // Placement (scheduler ctor, immutable afterwards). cpu is the assigned
-  // logical CPU (-1 under policy none); node/llc/core are its dense domain
-  // ids in the scheduler's topology model. With a synthetic model the
-  // assignment is logical: pinning to a CPU the machine lacks fails and
-  // leaves pinned false, but arenas and steal order still follow the ids.
-  int cpu = -1;
-  int node = -1;
-  int llc = -1;
-  int core = -1;
-  bool pinned = false;
-  /// Steal sweep order: every other worker index, nearest first (see
-  /// scheduler class comment). Precomputed once — the sweep is branch-light
-  /// and identical run over run.
-  std::vector<unsigned> victims;
 
   /// Monotonic event counters on the worker's own cache line: written
   /// relaxed by the owning worker only, read by scheduler::stats() from any
@@ -122,26 +98,9 @@ struct worker_ctx {
 /// once, call run() any number of times (serially) — workers park in between.
 class scheduler {
  public:
-  /// Worker placement request. Default-constructed = policy none on the
-  /// detected topology, i.e. the pre-topology behavior.
-  struct placement_config {
-    placement_policy policy = placement_policy::none;
-    /// Topology model to place against; null = topology::detect() (which
-    /// honors HQ_TOPOLOGY). Copied — the pointee need not outlive the call.
-    const topology* topo = nullptr;
-    /// Explicit worker->CPU assignment, overriding plan_placement. Workers
-    /// beyond the list wrap modulo. Used by benches to build exact pairings
-    /// (same-LLC vs cross-node).
-    std::vector<unsigned> explicit_cpus;
-  };
-
   /// @param num_workers worker thread count (>=1); this is the paper's "core
-  /// count" knob. Defaults to hardware concurrency. Placement comes from the
-  /// environment (HQ_PLACEMENT / HQ_TOPOLOGY).
+  /// count" knob. Defaults to hardware concurrency.
   explicit scheduler(unsigned num_workers = 0);
-  /// Explicit placement (tests/benches); the env knobs are ignored except
-  /// through topology::detect() when cfg.topo is null.
-  scheduler(unsigned num_workers, placement_config cfg);
   ~scheduler();
 
   scheduler(const scheduler&) = delete;
@@ -186,17 +145,9 @@ class scheduler {
   [[nodiscard]] stats_t stats() const;
   void reset_stats();
 
-  /// Per-worker counters plus where the worker actually sits: the CPU it
-  /// was bound to (-1 under policy none), the dense node/llc ids of that
-  /// CPU in topo(), and whether the OS accepted the pin (false when the
-  /// placement is logical-only, e.g. a synthetic topology wider than the
-  /// machine).
+  /// Per-worker counters and run state (the watchdog's dump).
   struct worker_stats_t {
     unsigned worker = 0;
-    int cpu = -1;
-    int node = -1;
-    int llc = -1;
-    bool pinned = false;
     std::uint64_t spawns = 0;
     std::uint64_t executed = 0;
     std::uint64_t steals = 0;
@@ -209,10 +160,6 @@ class scheduler {
     const void* blocked_on_budget = nullptr;
   };
   [[nodiscard]] std::vector<worker_stats_t> per_worker_stats() const;
-
-  /// The topology model this scheduler placed against.
-  [[nodiscard]] const topology& topo() const noexcept { return topo_; }
-  [[nodiscard]] placement_policy policy() const noexcept { return policy_; }
 
   // ------------- failure propagation / cooperative cancellation -----------
 
@@ -268,11 +215,6 @@ class scheduler {
   [[nodiscard]] std::uint64_t throttle_ns() const noexcept {
     return throttle_ns_.load(std::memory_order_relaxed);
   }
-
-  /// Home NUMA node of the calling worker thread (-1 on external threads or
-  /// under policy none). Memory arenas default to this node so allocations
-  /// land where the allocating worker runs.
-  static int current_worker_node() noexcept;
 
   /// Task-frame pool counters, mirroring hyperqueue<T>::pool_stats(): in a
   /// steady-state pipeline `allocated` plateaus while `recycled` grows —
@@ -388,10 +330,6 @@ class scheduler {
 
   std::vector<std::unique_ptr<detail::worker_ctx>> workers_;
   std::vector<std::thread> threads_;
-
-  // Placement state (ctor-initialized, immutable afterwards).
-  topology topo_;
-  placement_policy policy_ = placement_policy::none;
 
   // Frame / attachment recycling (see sched/obj_pool.hpp).
   detail::obj_pool frame_pool_;

@@ -5,8 +5,8 @@
 // interval where that sum does not move means every worker is either parked
 // or spinning in a wait that will never be satisfied. On the first such
 // interval the watchdog records a hq::stall_error (carrying the per-worker
-// dump: cpu/node/pinned, counter deltas, deque depths, injector depth,
-// parked count) into the scheduler's failure slot — flipping the
+// dump: counter deltas, deque depths, injector depth, parked count) into
+// the scheduler's failure slot — flipping the
 // cancellation epoch, which unwinds every cancellable wait and lets run()
 // rethrow the diagnostic on the calling thread. If cancellation itself makes
 // no progress for `grace_intervals` further intervals (a wait that does not

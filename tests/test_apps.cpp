@@ -39,7 +39,7 @@ std::uint64_t ferret_checksum(const hq::apps::ferret::config& cfg, backend b) {
   std::uint64_t checksum = 0;
   pipe::graph g;
   hq::apps::ferret::describe_pipeline(cfg, db, &checksum, g);
-  pipe::execute(g, b, {.workers = cfg.threads, .seed = cfg.seed});
+  pipe::execute(g, b, {.workers = cfg.threads});
   return checksum;
 }
 
@@ -127,7 +127,7 @@ hq::apps::dedup::result dedup_run(const hq::apps::dedup::config& cfg,
   hq::apps::dedup::dedup_table table;
   pipe::graph g;
   hq::apps::dedup::describe_pipeline(cfg, input, &table, &r, g);
-  pipe::execute(g, b, {.workers = cfg.threads, .seed = cfg.seed});
+  pipe::execute(g, b, {.workers = cfg.threads});
   r.unique_chunks = table.unique_chunks();
   return r;
 }
@@ -211,7 +211,7 @@ std::vector<std::uint8_t> bzip_output(const hq::apps::bzip2::config& cfg,
   hq::apps::bzip2::result r;
   pipe::graph g;
   hq::apps::bzip2::describe_pipeline(cfg, input, &r, g);
-  pipe::execute(g, b, {.workers = cfg.threads, .seed = cfg.seed});
+  pipe::execute(g, b, {.workers = cfg.threads});
   return r.output;
 }
 

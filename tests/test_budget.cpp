@@ -90,7 +90,7 @@ TEST(LatencyHistogram, MergeMatchesUnion) {
 TEST(Budget, KnobTranslation) {
   hq::scheduler sched(1);
   sched.run([] {
-    hq::hyperqueue<int> q(64, -1, 1u << 20);
+    hq::hyperqueue<int> q(64, 1u << 20);
     EXPECT_EQ(q.memory_budget(), 1u << 20);
     EXPECT_GT(q.segment_bytes(), 64 * sizeof(int) - 1);
     EXPECT_EQ(q.pool_stats().budget_bytes, 1u << 20);
@@ -111,7 +111,7 @@ TEST(Budget, EnvDefaultApplies) {
 TEST(Budget, LiveBytesTrackSegments) {
   hq::scheduler sched(1);
   sched.run([&] {
-    hq::hyperqueue<int> q(16, -1, 1u << 20);
+    hq::hyperqueue<int> q(16, 1u << 20);
     for (int i = 0; i < 200; ++i) q.push(i);  // ~13 segments in flight
     auto ps = q.pool_stats();
     auto ds = q.data_stats();
@@ -158,7 +158,7 @@ budget_run run_budgeted(unsigned workers, std::uint64_t budget_segs,
   budget_run r;
   hq::scheduler sched(workers);
   sched.run([&] {
-    hq::hyperqueue<int> q(16, -1, 1);  // floor: budget raised below
+    hq::hyperqueue<int> q(16, 1);  // floor: budget raised below
     q.set_memory_budget(budget_segs * q.segment_bytes());
     hq::spawn(range_producer, (hq::pushdep<int>)q, 0, items);
     hq::spawn(slow_consumer, (hq::popdep<int>)q, &r.got, consumer_spin);
@@ -247,7 +247,7 @@ TEST(Budget, WatchdogTreatsThrottleAsProgress) {
   hq::scheduler sched(2);
   sched.set_watchdog(/*interval_ms=*/25, /*grace_intervals=*/8);
   sched.run([&] {
-    hq::hyperqueue<int> q(16, -1, 1);
+    hq::hyperqueue<int> q(16, 1);
     q.set_memory_budget(2 * q.segment_bytes());
     hq::spawn(range_producer, (hq::pushdep<int>)q, 0, items);
     hq::spawn(slow_consumer, (hq::popdep<int>)q, &got, 3000u);

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <algorithm>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -245,43 +246,35 @@ TEST(FailurePropagation, CancellationUnblocksHyperqueueWaits) {
 
 // ---- allocation faults -----------------------------------------------------
 
-/// Execution options whose run leases a scheduler no earlier run in the
-/// process has leased. pool.slab and numa.map fire only while the
-/// scheduler's frame and attachment pools carve memory, which a warmed
-/// resident scheduler no longer does. Leases are keyed on the worker count
-/// and the placement, so a topology model of the instance's own (under
-/// policy none it places nothing) yields fresh pools whatever ran before.
-class fresh_scheduler_opts {
- public:
-  explicit fresh_scheduler_opts(unsigned workers)
-      : topo_(hq::topology::flat(kFirstCpus + next_++)) {
-    placement_.topo = &topo_;
-    opt_.workers = workers;
-    opt_.placement = &placement_;
-  }
-  fresh_scheduler_opts(const fresh_scheduler_opts&) = delete;
-  fresh_scheduler_opts& operator=(const fresh_scheduler_opts&) = delete;
-
-  [[nodiscard]] const hq::pipe::exec_options* get() const { return &opt_; }
-
- private:
-  /// Above any CPU count another test models.
-  static constexpr unsigned kFirstCpus = 256;
-  static inline unsigned next_ = 0;
-  hq::topology topo_;
-  hq::scheduler::placement_config placement_;
-  hq::pipe::exec_options opt_;
-};
+/// Push 0..n-1 through one hyperqueue from a spawned producer to a spawned
+/// consumer on `sched`, and return the consumer's sum.
+long long queue_sum(hq::scheduler& sched, int n) {
+  long long sum = 0;
+  sched.run([&] {
+    hq::hyperqueue<int> q;
+    hq::spawn(
+        [n](hq::pushdep<int> out) {
+          for (int i = 0; i < n; ++i) out.push(i);
+        },
+        (hq::pushdep<int>)q);
+    hq::spawn(
+        [&sum](hq::popdep<int> in) {
+          while (!in.empty()) sum += in.pop();
+        },
+        (hq::popdep<int>)q);
+    hq::sync();
+  });
+  return sum;
+}
 
 class AllocFault : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AllocFault, SurfacesAsBadAllocAndRunStaysReusable) {
-  app_params p;
-  p.workers = 4;
-  prewarm_reference("bzip2", p);
-  // Both runs lease the same scheduler: the one whose pools the fault hits
-  // serves the clean run after it.
-  const fresh_scheduler_opts fresh(p.workers);
+  // A scheduler of the test's own: pool.slab fires only while the frame and
+  // attachment pools carve memory, which a warmed resident scheduler (the
+  // ones pipe::execute leases) no longer does.
+  hq::scheduler sched(4);
+  constexpr int kN = 10000;
 
   hq::fault::plan pl;
   pl.seed = 7;
@@ -293,21 +286,14 @@ TEST_P(AllocFault, SurfacesAsBadAllocAndRunStaysReusable) {
   plan_guard guard;
   hq::fault::install(std::move(pl));
 
-  const auto failed =
-      hq::pipe::run_app("bzip2", backend::hyperqueue, p, fresh.get());
-  EXPECT_EQ(failed.exec.outcome, run_outcome::failed) << GetParam();
-  EXPECT_NE(failed.exec.error.find("bad_alloc"), std::string::npos)
-      << "error was: " << failed.exec.error;
-
-  const auto clean =
-      hq::pipe::run_app("bzip2", backend::hyperqueue, p, fresh.get());
-  EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
-  EXPECT_TRUE(clean.ok);
+  EXPECT_THROW((void)queue_sum(sched, kN), std::bad_alloc) << GetParam();
+  // The same scheduler serves the clean run after the failure.
+  EXPECT_EQ(queue_sum(sched, kN), 1LL * kN * (kN - 1) / 2) << GetParam();
+  EXPECT_EQ(sched.frame_pool_stats().live, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sites, AllocFault,
-                         ::testing::Values("pool.slab", "segment.alloc",
-                                           "numa.map"),
+                         ::testing::Values("pool.slab", "segment.alloc"),
                          [](const auto& info) {
                            std::string s = info.param;
                            for (auto& c : s)
@@ -315,26 +301,32 @@ INSTANTIATE_TEST_SUITE_P(Sites, AllocFault,
                            return s;
                          });
 
-TEST(AllocFault, NumaBindFailureFallsBackToFirstTouch) {
-  // numa.bind failures skip the mbind: the mapping stays valid on the
-  // first-touch policy, so the run completes *correctly* — degraded
-  // placement, not an error.
+TEST(AllocFault, SegmentFailureFailsPipelineRunThenDigestMatches) {
+  // Through the pipeline runner: segments are allocated per run, so the
+  // site fires on a leased (warm) scheduler too. The runner reports the
+  // bad_alloc as a failed outcome, and the next run matches the elision.
   app_params p;
   p.workers = 4;
   prewarm_reference("bzip2", p);
 
   hq::fault::plan pl;
+  pl.seed = 7;
   hq::fault::rule r;
-  r.site = "numa.bind";
+  r.site = "segment.alloc";
   r.act = hq::fault::action::alloc_fail;
-  r.every = 1;  // every bind attempt fails
+  r.nth = 1;
   pl.rules.push_back(std::move(r));
   plan_guard guard;
   hq::fault::install(std::move(pl));
 
-  const auto run = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
-  EXPECT_EQ(run.exec.outcome, run_outcome::ok) << run.exec.error;
-  EXPECT_TRUE(run.ok);
+  const auto failed = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+  EXPECT_EQ(failed.exec.outcome, run_outcome::failed);
+  EXPECT_NE(failed.exec.error.find("bad_alloc"), std::string::npos)
+      << "error was: " << failed.exec.error;
+
+  const auto clean = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+  EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
+  EXPECT_TRUE(clean.ok);
 }
 
 // ---- deterministic replay --------------------------------------------------

@@ -170,43 +170,6 @@ TEST(FramePool, CallUsesCallerStackFlag) {
   });
 }
 
-TEST(FramePool, SingleNodePlacementHasNoRemoteAllocs) {
-  // Under compact placement on a single-node topology every worker's home
-  // node is 0, every slab is carved node-0, and the cross-worker overflow
-  // migration path — the only producer of remote blocks — cannot cross
-  // nodes. The locality counters must therefore attribute every magazine-
-  // served allocation as node-local; this also pins the accounting
-  // identity node_local + remote == magazine-served allocations.
-  const hq::topology topo = hq::topology::synthetic("1x4");
-  hq::scheduler sched(4, {hq::placement_policy::compact, &topo, {}});
-  for (int i = 0; i < 5; ++i) spawn_rounds(sched, 20, 64);
-  for (const auto& pool :
-       {sched.frame_pool_stats(), sched.attach_pool_stats()}) {
-    EXPECT_EQ(pool.remote_allocs, 0u);
-    EXPECT_LE(pool.node_local_allocs + pool.remote_allocs,
-              pool.allocated + pool.recycled);
-  }
-  const auto fp = sched.frame_pool_stats();
-  EXPECT_GT(fp.node_local_allocs, 0u);
-  for (const auto& w : sched.per_worker_stats()) EXPECT_EQ(w.node, 0);
-}
-
-TEST(FramePool, TwoNodeTopologyCountsLocality) {
-  // Synthetic 2-node model, workers split across the two logical nodes.
-  // Locality is attributed from the logical node ids, so the counters are
-  // meaningful even when the real machine can't honor the pins: every
-  // alloc must be attributed, and remote allocs may only come from the
-  // bounded-return migration path (a small fraction of the volume, but
-  // timing-dependent — only the accounting identity is asserted).
-  const hq::topology topo = hq::topology::synthetic("2x2");
-  hq::scheduler sched(4, {hq::placement_policy::compact, &topo, {}});
-  for (int i = 0; i < 5; ++i) spawn_rounds(sched, 20, 64);
-  const auto fp = sched.frame_pool_stats();
-  EXPECT_GT(fp.node_local_allocs, 0u);
-  EXPECT_LE(fp.node_local_allocs + fp.remote_allocs,
-            fp.allocated + fp.recycled);
-}
-
 TEST(FramePool, PoolCapEnvKnobStillRecycles) {
   // A tiny return-stack cap must not break correctness — blocks migrate to
   // the freeing worker instead of piling up at the owner.

@@ -1,9 +1,7 @@
 // Stage-graph builder and runner tests: declaration-time misuse diagnostics,
-// knob propagation into the execution plan and the auto-built queue graph,
-// serial-elision-order recovery on every backend (including the multi-level
-// reorder behind expand stages with irregular and zero fan-out), and
-// runtime-fed queue placement (exec_result.queue_nodes must equal what
-// plan_queue_placement derives from the graph's own attachment topology).
+// knob propagation into the execution plan, and serial-elision-order
+// recovery on every backend (including the multi-level reorder behind
+// expand stages with irregular and zero fan-out).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,9 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/topology.hpp"
 #include "pipeline/runner.hpp"
-#include "sched/partition.hpp"
 
 namespace {
 
@@ -105,8 +101,6 @@ TEST(PipelineBuilder, CompileRejectsParallelSink) {
 TEST(PipelineBuilder, KnobsTravelOnEdges) {
   graph g;
   auto src = g.source<int>("src", [](emit<int> out) { out(1); });
-  // Serial, so both edges carry a queue for the attachment graph below (an
-  // edge into a parallel stage has none).
   auto mid = g.expand<int, int>("mid", stage_kind::serial,
                                 [](int&& v, emit<int> out) { out(std::move(v)); });
   auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
@@ -114,10 +108,8 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   a.capacity = 5;
   a.slice_batch = 3;
   a.segment_length = 32;
-  a.traffic = 2.5;
   edge_opts b;
   b.capacity = 9;
-  b.traffic = 7.0;
   g.connect(src, mid, a);
   g.connect(mid, snk, b);
 
@@ -135,18 +127,6 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   ASSERT_EQ(plan.edge_depth.size(), 2u);
   EXPECT_EQ(plan.edge_depth[0], 1u);  // source seq only
   EXPECT_EQ(plan.edge_depth[1], 2u);  // + expand sub-seq
-
-  // The attachment graph the placement partitioner consumes is derived from
-  // the same declaration: chain positions as stage ids, declared traffic.
-  const hq::queue_graph qg = g.build_queue_graph();
-  EXPECT_EQ(qg.num_stages, 3u);
-  ASSERT_EQ(qg.queues.size(), 2u);
-  ASSERT_EQ(qg.queues[0].producers.size(), 1u);
-  EXPECT_EQ(qg.queues[0].producers[0], 0u);
-  EXPECT_EQ(qg.queues[0].consumer, 1u);
-  EXPECT_DOUBLE_EQ(qg.queues[0].traffic, 2.5);
-  EXPECT_EQ(qg.queues[1].consumer, 2u);
-  EXPECT_DOUBLE_EQ(qg.queues[1].traffic, 7.0);
 }
 
 // ------------------------------------------------ in-order delivery recovery
@@ -256,71 +236,6 @@ TEST(PipelineRunner, SerialSinkSeesAllTokens) {
     EXPECT_EQ(count.load(), kN) << hq::pipe::to_string(b);
     EXPECT_EQ(sum.load(), kN * (kN - 1) / 2) << hq::pipe::to_string(b);
   }
-}
-
-// ------------------------------------------------------ runtime-fed placement
-
-// With a placement policy on a multi-node (synthetic) topology, the runner
-// must feed plan_queue_placement from the graph's own attachment topology
-// and home each edge queue where the plan says — no caller wiring.
-TEST(PipelinePlacement, QueueHomesFollowPartitionPlan) {
-  const hq::topology topo = hq::topology::synthetic("2x4");
-  ASSERT_EQ(topo.num_nodes(), 2u);
-  hq::scheduler::placement_config pc;
-  pc.policy = hq::placement_policy::compact;
-  pc.topo = &topo;
-
-  constexpr std::uint64_t kSeed = 11;
-  graph g;
-  auto src = g.source<std::uint64_t>("src", [](emit<std::uint64_t> out) {
-    for (std::uint64_t i = 0; i < 64; ++i) out(std::uint64_t{i});
-  });
-  // A serial middle stage, so both edges carry a real queue (an edge into a
-  // parallel stage has none).
-  auto mid = g.stage<std::uint64_t, std::uint64_t>(
-      "id", stage_kind::serial,
-      [](std::uint64_t&& v, emit<std::uint64_t> out) { out(std::move(v)); });
-  auto snk = g.sink<std::uint64_t>("snk", stage_kind::serial_in_order,
-                                   [](std::uint64_t&&) {});
-  edge_opts heavy;
-  heavy.traffic = 4.0;
-  g.connect(src, mid);
-  g.connect(mid, snk, heavy);
-
-  hq::pipe::exec_options opt;
-  opt.workers = 4;
-  opt.seed = kSeed;
-  opt.placement = &pc;
-  const auto ex = hq::pipe::execute(g, backend::hyperqueue, opt);
-
-  const hq::queue_plan plan =
-      hq::plan_queue_placement(g.build_queue_graph(), topo.num_nodes(), kSeed);
-  ASSERT_EQ(plan.queue_node.size(), 2u);
-  ASSERT_EQ(ex.queue_nodes.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(ex.queue_nodes[i], plan.queue_node[i]) << "queue " << i;
-    EXPECT_GE(ex.queue_nodes[i], 0);
-    EXPECT_LT(ex.queue_nodes[i], 2);
-  }
-}
-
-// Without a placement policy, queues stay on the default heap (-1): the
-// partitioner must not run and must not perturb single-node behavior.
-TEST(PipelinePlacement, NoPolicyMeansDefaultHeap) {
-  hq::scheduler::placement_config pc;  // policy none
-  graph g;
-  auto src = g.source<int>("src", [](emit<int> out) {
-    for (int i = 0; i < 16; ++i) out(int{i});
-  });
-  auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
-  g.connect(src, snk);
-
-  hq::pipe::exec_options opt;
-  opt.workers = 2;
-  opt.placement = &pc;
-  const auto ex = hq::pipe::execute(g, backend::hyperqueue, opt);
-  ASSERT_EQ(ex.queue_nodes.size(), 1u);
-  EXPECT_EQ(ex.queue_nodes[0], -1);
 }
 
 }  // namespace

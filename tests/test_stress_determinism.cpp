@@ -47,10 +47,9 @@ void serializing_consumer(hq::popdep<int> q, std::vector<std::uint8_t>* out) {
   out->push_back(static_cast<std::uint8_t>(acc >> 24));
 }
 
-std::vector<std::uint8_t> run_pipeline(
-    unsigned workers, std::size_t segment_len,
-    hq::scheduler::placement_config cfg = {}) {
-  hq::scheduler sched(workers, std::move(cfg));
+std::vector<std::uint8_t> run_pipeline(unsigned workers,
+                                       std::size_t segment_len) {
+  hq::scheduler sched(workers);
   std::vector<std::uint8_t> bytes;
   sched.run([&] {
     hq::hyperqueue<int> queue(segment_len);
@@ -111,9 +110,8 @@ void fanout_producer(hq::pushdep<int> q, int producer, int per_producer,
 
 std::vector<std::uint8_t> run_fanout(unsigned workers, int producers,
                                      int per_producer, std::uint32_t seed,
-                                     std::size_t segment_len,
-                                     hq::scheduler::placement_config cfg = {}) {
-  hq::scheduler sched(workers, std::move(cfg));
+                                     std::size_t segment_len) {
+  hq::scheduler sched(workers);
   std::vector<std::uint8_t> bytes;
   sched.run([&] {
     hq::hyperqueue<int> queue(segment_len);
@@ -181,54 +179,26 @@ TEST(StressDeterminism, FlatFanOutByteIdenticalAcrossSeedsAndWorkers) {
   }
 }
 
-TEST(StressDeterminism, PlacementAndTopologyInvariance) {
-  // The central determinism claim must be placement-blind: pinned workers,
-  // distance-ordered stealing, NUMA arenas and synthetic multi-node models
-  // reorder *execution*, never *output*. Every placement policy crossed
-  // with single- and two-node topologies must reproduce the serial
-  // elision byte for byte, for both pipeline shapes, at every worker
-  // count. Tiny segments keep the chaining/recycling paths hot.
-  constexpr int kInvarianceIterations = 3;
+TEST(StressDeterminism, Figure2ByteIdenticalWithTinySegments) {
+  // Segment length 8 forces constant segment chaining and recycling, the
+  // paths where nondeterminism would most plausibly leak in. The fan-out
+  // shape (8 sibling producers) runs alongside, so stitching many short
+  // per-producer chains back together is gated at the same length.
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 64;
   constexpr std::uint32_t kSeed = 7u;
-  const std::vector<std::uint8_t> expected_pipeline = serial_elision();
+  const std::vector<std::uint8_t> expected = serial_elision();
   const std::vector<std::uint8_t> expected_fanout =
       fanout_serial_elision(kProducers, kPerProducer, kSeed);
-  const hq::placement_policy policies[] = {hq::placement_policy::none,
-                                           hq::placement_policy::compact,
-                                           hq::placement_policy::scatter};
-  for (const char* spec : {"flat", "2x8"}) {
-    const hq::topology topo = hq::topology::synthetic(spec);
-    for (hq::placement_policy policy : policies) {
-      for (unsigned workers : kWorkerCounts) {
-        for (int iter = 0; iter < kInvarianceIterations; ++iter) {
-          ASSERT_EQ(run_pipeline(workers, 8, {policy, &topo, {}}),
-                    expected_pipeline)
-              << "pipeline diverged at topology=" << spec
-              << " policy=" << hq::to_string(policy) << " workers=" << workers
-              << " iteration=" << iter;
-          ASSERT_EQ(run_fanout(workers, kProducers, kPerProducer, kSeed, 8,
-                               {policy, &topo, {}}),
-                    expected_fanout)
-              << "fan-out diverged at topology=" << spec
-              << " policy=" << hq::to_string(policy) << " workers=" << workers
-              << " iteration=" << iter;
-        }
-      }
-    }
-  }
-}
-
-TEST(StressDeterminism, Figure2ByteIdenticalWithTinySegments) {
-  // Segment length 8 forces constant segment chaining and recycling, the
-  // paths where nondeterminism would most plausibly leak in.
-  const std::vector<std::uint8_t> expected = serial_elision();
   for (unsigned workers : kWorkerCounts) {
     for (int iter = 0; iter < kIterations; ++iter) {
       const std::vector<std::uint8_t> got = run_pipeline(workers, 8);
       ASSERT_EQ(got, expected)
           << "output diverged from the serial elision at workers=" << workers
+          << " iteration=" << iter << " (segment length 8)";
+      ASSERT_EQ(run_fanout(workers, kProducers, kPerProducer, kSeed, 8),
+                expected_fanout)
+          << "fan-out diverged from the serial elision at workers=" << workers
           << " iteration=" << iter << " (segment length 8)";
     }
   }
