@@ -98,42 +98,6 @@ void BM_Slices(benchmark::State& state) {
 }
 BENCHMARK(BM_Slices);
 
-// Trivial-type batched transfer: write slices in, pop_bulk out (one memcpy
-// per contiguous run on both sides).
-void BM_PopBulk(benchmark::State& state) {
-  hq::scheduler sched(1);
-  for (auto _ : state) {
-    long sum = 0;
-    sched.run([&] {
-      hq::hyperqueue<int> q(1024);
-      hq::spawn(
-          [](hq::pushdep<int> qq) {
-            int v = 0;
-            while (v < 20000) {
-              auto ws = qq.get_write_slice(256);
-              for (std::size_t i = 0; i < ws.size(); ++i) ws.emplace(i, v++);
-              ws.commit();
-            }
-          },
-          (hq::pushdep<int>)q);
-      hq::spawn(
-          [&sum](hq::popdep<int> qq) {
-            int buf[256];
-            for (;;) {
-              const std::size_t n = qq.pop_bulk(buf, 256);
-              if (n == 0) break;
-              for (std::size_t i = 0; i < n; ++i) sum += buf[i];
-            }
-          },
-          (hq::popdep<int>)q);
-      hq::sync();
-    });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-}
-BENCHMARK(BM_PopBulk);
-
 // Parallel producers: the paper's scale-free claim (Section 4). A fixed
 // 64k-element stream is split across 1/8/64 producer tasks pushing into one
 // queue; with constant total work, ns_per_op across the arms measures the

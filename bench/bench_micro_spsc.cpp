@@ -146,11 +146,12 @@ void BM_HyperqueueSegment(benchmark::State& state) {
 }
 BENCHMARK(BM_HyperqueueSegment);
 
-/// Batched trivial-type transfer: write slices in, pop_n out, 64 at a time.
+/// Batched trivial-type transfer: a write slice in, read slices out
+/// (consumed in place), 64 at a time.
 void BM_HyperqueueSegment_Bulk64(benchmark::State& state) {
   const hq::detail::element_ops ops = hq::detail::make_element_ops<int>();
   auto* seg = hq::detail::segment::create(1024, &ops);
-  int buf[64];
+  long sum = 0;
   int v = 0;
   for (auto _ : state) {
     std::uint64_t n = 0;
@@ -159,8 +160,14 @@ void BM_HyperqueueSegment_Bulk64(benchmark::State& state) {
     for (std::uint64_t i = 0; i < n; ++i) slots[i] = v++;
     seg->publish_write(n);
     std::uint64_t got = 0;
-    while (got < n) got += seg->pop_n_into(buf + got, n - got);
-    benchmark::DoNotOptimize(buf[0]);
+    while (got < n) {
+      std::uint64_t k = 0;
+      const auto* r = static_cast<const int*>(seg->acquire_read(n - got, &k));
+      for (std::uint64_t i = 0; i < k; ++i) sum += r[i];
+      seg->retire_read(k);
+      got += k;
+    }
+    benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * 64);
   seg->destroy_remaining();

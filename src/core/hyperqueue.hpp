@@ -20,6 +20,10 @@
 //   hq::spawn(consumer, (hq::popdep<data>)queue);
 //   hq::sync();
 //
+// Values leave one at a time (empty/pop, Section 4) or as contiguous read
+// slices consumed in place (get_read_slice, Section 5.2); they enter by push
+// or through write slices.
+//
 // Access modes: pushdep (push only), popdep (empty/pop only), pushpopdep
 // (both); pushdep_any hands push privilege on to children without naming
 // the element type. Tasks may pass a subset of their own privileges to
@@ -77,11 +81,6 @@ element_ops make_element_ops() {
     ::new (dst) T(std::move(*static_cast<T*>(src)));
   };
   ops.destroy = [](void* p) noexcept { static_cast<T*>(p)->~T(); };
-  ops.move_construct_n = [](void* dst, void* src, std::size_t n) noexcept {
-    T* d = static_cast<T*>(dst);
-    T* s = static_cast<T*>(src);
-    for (std::size_t i = 0; i < n; ++i) ::new (d + i) T(std::move(s[i]));
-  };
   ops.destroy_n = [](void* p, std::size_t n) noexcept {
     T* e = static_cast<T*>(p);
     for (std::size_t i = 0; i < n; ++i) e[i].~T();
@@ -319,15 +318,6 @@ class popdep : public detail::dep_base {
     return read_slice<T>(cb_, static_cast<T*>(p), static_cast<std::size_t>(n));
   }
 
-  /// Batched pop for trivially-relocatable element types: relocates up to
-  /// `max` ready elements into `out` (one memcpy per contiguous run).
-  /// Returns the count transferred; 0 only at definitive end-of-queue.
-  std::size_t pop_bulk(T* out, std::size_t max) {
-    static_assert(detail::is_trivially_relocatable_v<T>,
-                  "pop_bulk is the trivial-type bulk path; use pop()/read_slice");
-    return static_cast<std::size_t>(cb_->pop_n(out, max));
-  }
-
   popdep hq_dep_resolve(detail::task_frame* fr) const {
     cb_->attach_spawn(fr, detail::kPrivPop);
     return *this;
@@ -353,11 +343,6 @@ class pushpopdep : public detail::dep_base {
     std::uint64_t n = 0;
     void* p = cb_->read_slice(want, &n);
     return read_slice<T>(cb_, static_cast<T*>(p), static_cast<std::size_t>(n));
-  }
-  std::size_t pop_bulk(T* out, std::size_t max) {
-    static_assert(detail::is_trivially_relocatable_v<T>,
-                  "pop_bulk is the trivial-type bulk path; use pop()/read_slice");
-    return static_cast<std::size_t>(cb_->pop_n(out, max));
   }
 
   pushpopdep hq_dep_resolve(detail::task_frame* fr) const {
@@ -432,11 +417,6 @@ class hyperqueue {
     std::uint64_t n = 0;
     void* p = cb_->read_slice(want, &n);
     return read_slice<T>(cb_, static_cast<T*>(p), static_cast<std::size_t>(n));
-  }
-  std::size_t pop_bulk(T* out, std::size_t max) {
-    static_assert(detail::is_trivially_relocatable_v<T>,
-                  "pop_bulk is the trivial-type bulk path; use pop()/read_slice");
-    return static_cast<std::size_t>(cb_->pop_n(out, max));
   }
 
   // Access-mode casts used at spawn sites, as in the paper.

@@ -716,16 +716,6 @@ void queue_cb::pop(void* dst) {
   s->pop_into(dst);
 }
 
-std::uint64_t queue_cb::pop_n(void* dst, std::uint64_t max) {
-  if (max == 0) return 0;
-  qattach* a = my_attachment(kPrivPop);
-  segment* s = consumer_ready(a);
-  if (s == nullptr) return 0;
-  const std::uint64_t n = s->pop_n_into(dst, max);
-  assert(n > 0);
-  return n;
-}
-
 void* queue_cb::read_slice(std::uint64_t want, std::uint64_t* count) {
   qattach* a = my_attachment(kPrivPop);
   if (want < 1) want = 1;

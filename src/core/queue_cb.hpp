@@ -235,11 +235,6 @@ struct queue_cb {
   /// empty — popping from an empty hyperqueue is a program error.
   void pop(void* dst);
 
-  /// Batched pop: relocate up to `max` elements into the contiguous
-  /// uninitialized array at `dst`. Returns the number transferred; 0 only
-  /// when the queue is definitively empty. Blocks like pop.
-  std::uint64_t pop_n(void* dst, std::uint64_t max);
-
   /// Contiguous write window (Section 5.2). Returns the slot pointer and
   /// sets *count to the granted length (>=1; may be less than wanted).
   /// Elements must be move-constructed into the slots, then committed.

@@ -16,7 +16,9 @@
 // index, so "cache says space/data available" is always safe; the remote
 // line is re-read only when the segment *looks* full (producer) or empty
 // (consumer). Steady-state push/pop therefore touches the caller's own
-// line plus the data slots — zero remote-cache-line loads.
+// line plus the data slots — zero remote-cache-line loads. The consumer
+// takes elements one at a time (try_pop_into / pop_into) or as contiguous
+// read windows it consumes in place (acquire_read / retire_read).
 //
 // The endpoint *roles* may migrate between tasks (and threads) over the
 // queue's lifetime; every hand-off point (spawn view transfer, completion
@@ -36,9 +38,10 @@ namespace hq::detail {
 
 /// How to move and destroy elements of the queue's value type; lets the
 /// entire view/segment machinery be non-templated. The trivial_* flags and
-/// batched hooks (filled in by make_element_ops<T>) let the hot path replace
-/// per-element indirect calls with inline memcpy / no-ops; hand-rolled
-/// instances that leave them defaulted keep the per-element behavior.
+/// the batched destroy hook (filled in by make_element_ops<T>) let the hot
+/// path replace per-element indirect calls with inline memcpy / no-ops;
+/// hand-rolled instances that leave them defaulted keep the per-element
+/// behavior.
 struct element_ops {
   std::size_t size = 0;
   std::size_t align = 0;
@@ -50,9 +53,8 @@ struct element_ops {
   /// Move-construct *dst from *src. Does NOT destroy src.
   void (*move_construct)(void* dst, void* src) noexcept = nullptr;
   void (*destroy)(void* p) noexcept = nullptr;
-  /// Batched forms over `n` contiguous elements (optional; null falls back
-  /// to per-element loops). move_construct_n does NOT destroy the sources.
-  void (*move_construct_n)(void* dst, void* src, std::size_t n) noexcept = nullptr;
+  /// Batched destroy over `n` contiguous elements (optional; null falls
+  /// back to a per-element loop).
   void (*destroy_n)(void* p, std::size_t n) noexcept = nullptr;
 
   /// memcpy with the common small element sizes peeled so the compiler emits
@@ -78,22 +80,6 @@ struct element_ops {
       move_construct(dst, src);
       if (!trivial_destroy) destroy(src);
     }
-  }
-
-  /// Relocate `n` contiguous elements (dst and src must not overlap).
-  void relocate_range(void* dst, void* src, std::size_t n) const noexcept {
-    if (trivial_copy) {
-      std::memcpy(dst, src, n * size);
-      return;
-    }
-    if (move_construct_n != nullptr) {
-      move_construct_n(dst, src, n);
-    } else {
-      auto* d = static_cast<std::byte*>(dst);
-      auto* s = static_cast<std::byte*>(src);
-      for (std::size_t i = 0; i < n; ++i) move_construct(d + i * size, s + i * size);
-    }
-    destroy_range(src, n);
   }
 
   /// End the lifetime of `n` contiguous elements.
@@ -229,26 +215,6 @@ class segment {
       ops->relocate_one(dst, s);
     }
     head.store(h + 1, std::memory_order_release);
-  }
-
-  /// Consumer: relocate up to `max` elements into the contiguous array at
-  /// `dst` (uninitialized storage). Returns the number transferred (0 when
-  /// the segment is empty).
-  std::uint64_t pop_n_into(void* dst, std::uint64_t max) noexcept {
-    const std::uint64_t h = head.load(std::memory_order_relaxed);
-    if (h == tail_cache && !reload_tail(h)) return 0;
-    std::uint64_t n = tail_cache - h;
-    if (max < n) n = max;
-    auto* out = static_cast<std::byte*>(dst);
-    std::uint64_t done = 0;
-    while (done < n) {  // at most two contiguous runs (ring wrap)
-      const std::uint64_t contig = capacity() - ((h + done) & mask);
-      const std::uint64_t run = contig < n - done ? contig : n - done;
-      ops->relocate_range(out + done * esize_, slot(h + done), run);
-      done += run;
-    }
-    head.store(h + n, std::memory_order_release);
-    return n;
   }
 
   /// Consumer: contiguous run of up to `want` ready elements at the head

@@ -16,12 +16,11 @@
 //   g.connect(cmp, snk, opts);
 //
 // and the runner (pipeline/runner.hpp) lowers the same description onto the
-// serial elision, hyperqueues (slice or element data path), the pthreads
-// baseline, or the TBB baseline. Stage kinds:
+// serial elision, hyperqueues, the pthreads baseline, or the TBB baseline.
+// Stage kinds:
 //
 //   serial_in_order — one in-flight activation, tokens in serial-elision
-//                     order (sources and ordered sinks);
-//   serial          — one in-flight activation, arrival order;
+//                     order (sources, serial middle stages, sinks);
 //   parallel        — any number of concurrent activations.
 //
 // `expand` stages may emit any number of tokens per input (dedup's
@@ -73,7 +72,7 @@
 
 namespace hq::pipe {
 
-enum class stage_kind { serial_in_order, serial, parallel };
+enum class stage_kind { serial_in_order, parallel };
 
 [[nodiscard]] const char* to_string(stage_kind k) noexcept;
 
@@ -84,8 +83,7 @@ struct edge_opts {
   /// hand-wired `bounded_queue<item> q(64)` numbers, now declarative).
   std::size_t capacity = 64;
   /// Tokens moved per slice grant (Section 5.2). On an edge into a
-  /// parallel stage: tokens per spawned run task (hyperqueue_element
-  /// spawns one token per task).
+  /// parallel stage: tokens per spawned run task.
   std::size_t slice_batch = 16;
   /// Hyperqueue segment length (Section 5.1); 0 = 2 * slice_batch so a
   /// batch normally fits one contiguous grant. Ignored on an edge into a
@@ -301,7 +299,6 @@ struct hq_run {
   hq_chan_base* out = nullptr;
   std::size_t batch = 16;      ///< tokens per run task (spawn batch)
   std::size_t out_batch = 16;  ///< slice size of the pushes into `out`
-  bool out_bulk = true;
 };
 
 /// Deliver one token through every body of `run`, handing the last body's
@@ -312,8 +309,6 @@ void run_through(const hq_run& run, void* token, const erased_emit& last);
 struct hq_knobs {
   std::size_t in_batch = 16;
   std::size_t out_batch = 16;
-  bool in_bulk = true;
-  bool out_bulk = true;
   /// The parallel run this stage's output feeds (null: the output queue is
   /// in front of the next stage itself).
   const hq_run* run = nullptr;
@@ -334,15 +329,15 @@ struct hq_stage_ctx {
 };
 
 /// Buffers a stage body's emissions and moves them onto the output queue
-/// through write slices (bulk path) or per-value pushes (element path).
+/// through write slices.
 template <typename Out>
 class hq_emitter {
  public:
-  hq_emitter(pushdep<Out>& out, std::size_t batch, bool bulk,
+  hq_emitter(pushdep<Out>& out, std::size_t batch,
              admission_ctl* admit = nullptr)
-      : out_(out), batch_(batch ? batch : 1), bulk_(bulk), admit_(admit) {}
+      : out_(out), batch_(batch ? batch : 1), admit_(admit) {}
   hq_emitter(pushdep<Out>& out, const hq_knobs& k)
-      : hq_emitter(out, k.out_batch, k.out_bulk, k.admit) {}
+      : hq_emitter(out, k.out_batch, k.admit) {}
   hq_emitter(const hq_emitter&) = delete;
   hq_emitter& operator=(const hq_emitter&) = delete;
   ~hq_emitter() {
@@ -371,10 +366,6 @@ class hq_emitter {
       if (admit_->would_wait()) flush();
       if (!admit_->admit()) return;
     }
-    if (!bulk_) {
-      out_.push(std::move(v));
-      return;
-    }
     buf_.push_back(std::move(v));
     if (buf_.size() >= batch_) flush();
   }
@@ -390,7 +381,6 @@ class hq_emitter {
   pushdep<Out>& out_;
   std::vector<Out> buf_;
   std::size_t batch_;
-  bool bulk_;
   admission_ctl* admit_;
 };
 
@@ -491,45 +481,30 @@ void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,
   body(em.handle());
 }
 
-/// Serial stage (ordered or not): one task draining the input inline. Pop
-/// order is serial-elision order, so serial_in_order needs nothing extra.
+/// Serial stage: one task draining the input inline through read slices.
+/// Pop order is serial-elision order, so in-order needs nothing extra.
 template <typename In, typename Out, typename Dep>
 void hq_serial_stage(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
                      popdep<In> in, Dep out) {
   hq_output_t<Out, Dep> em(out, k);
-  if (k.in_bulk) {
-    for (;;) {
-      auto rs = in.get_read_slice(k.in_batch);
-      if (rs.empty()) break;
-      for (auto& v : rs) body(std::move(v), em.handle());
-      rs.release();
-    }
-  } else {
-    while (!in.empty()) {
-      In v = in.pop();
-      body(std::move(v), em.handle());
-    }
+  for (;;) {
+    auto rs = in.get_read_slice(k.in_batch);
+    if (rs.empty()) break;
+    for (auto& v : rs) body(std::move(v), em.handle());
+    rs.release();
   }
 }
 
 template <typename In>
 void hq_sink_task(std::function<void(In&&)> body, hq_knobs k, popdep<In> in) {
-  if (k.in_bulk) {
-    for (;;) {
-      auto rs = in.get_read_slice(k.in_batch);
-      if (rs.empty()) break;
-      for (auto& v : rs) {
-        body(std::move(v));
-        if (k.complete != nullptr) k.complete->complete();
-      }
-      rs.release();
-    }
-  } else {
-    while (!in.empty()) {
-      In v = in.pop();
+  for (;;) {
+    auto rs = in.get_read_slice(k.in_batch);
+    if (rs.empty()) break;
+    for (auto& v : rs) {
       body(std::move(v));
       if (k.complete != nullptr) k.complete->complete();
     }
+    rs.release();
   }
 }
 
@@ -537,7 +512,7 @@ void hq_sink_task(std::function<void(In&&)> body, hq_knobs k, popdep<In> in) {
 template <typename T>
 void hq_run_task(std::unique_ptr<token_batch> work, const hq_run* run,
                  pushdep<T> out) {
-  hq_emitter<T> em(out, run->out_batch, run->out_bulk);
+  hq_emitter<T> em(out, run->out_batch);
   const erased_emit last{&em, [](void* c, void* tok) {
                            static_cast<hq_emitter<T>*>(c)->put(
                                std::move(*static_cast<T*>(tok)));
@@ -672,9 +647,9 @@ class graph {
                                std::forward<F>(body), /*multi_out=*/true);
   }
 
-  /// Declare the (single) sink; `body` is void(In&&). serial_in_order sinks
-  /// observe tokens in serial-elision order on every backend; serial sinks
-  /// observe arrival order. Parallel sinks are rejected at compile().
+  /// Declare the (single) sink; `body` is void(In&&) and observes tokens in
+  /// serial-elision order on every backend. The sink must be
+  /// serial_in_order: parallel sinks are rejected at compile().
   template <typename In, typename F>
   stage_id sink(std::string name, stage_kind kind, F&& body) {
     std::function<void(In&&)> fn =

@@ -24,8 +24,6 @@ const char* to_string(backend b) noexcept {
       return "serial";
     case backend::hyperqueue:
       return "hyperqueue";
-    case backend::hyperqueue_element:
-      return "hyperqueue_element";
     case backend::pthreads:
       return "pthreads";
     case backend::tbb:
@@ -47,9 +45,8 @@ const char* to_string(run_outcome o) noexcept {
 }
 
 const std::vector<backend>& parallel_backends() {
-  static const std::vector<backend> v = {
-      backend::hyperqueue, backend::hyperqueue_element, backend::pthreads,
-      backend::tbb};
+  static const std::vector<backend> v = {backend::hyperqueue,
+                                         backend::pthreads, backend::tbb};
   return v;
 }
 
@@ -109,12 +106,9 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
 // builder.hpp). Stage tasks are spawned in chain order — the serial-elision
 // order the queues' visibility rules assume — joined oldest first (as every
 // join is, scheduler.hpp), so the source starts at top level and never
-// nests above its consumers. The element
-// backend is the same lowering with one token per run task and the bulk
-// path forced off on every queue.
+// nests above its consumers.
 
 exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
-                                   bool force_element,
                                    detail::admission_ctl* ctl) {
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
@@ -163,7 +157,6 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       if (k > 0) {
         ctx.in = chans[k - 1].get();
         ctx.knobs.in_batch = batch_of(edge(i - 1));
-        ctx.knobs.in_bulk = !force_element;
       }
       if (k < heads.size()) {
         const std::size_t next = heads[k];
@@ -173,13 +166,11 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
           for (std::size_t j = i + 1; j < next; ++j)
             r.stages.push_back(&stage(j));
           r.out = ctx.out;
-          r.batch = force_element ? 1 : batch_of(edge(i));
+          r.batch = batch_of(edge(i));
           r.out_batch = batch_of(edge(next - 1));
-          r.out_bulk = !force_element;
           ctx.knobs.run = &r;
         } else {
           ctx.knobs.out_batch = batch_of(edge(i));
-          ctx.knobs.out_bulk = !force_element;
         }
       }
       // Admission boundary: gate at the source's emitter, retire at the
@@ -354,8 +345,8 @@ std::vector<void*> run_collect(const stage_rec& s, void* payload) {
   return outs;
 }
 
-/// Push `outs` tagged relative to input record `r` (parallel / unordered
-/// stages: output order is derived from the input's path). Returns false —
+/// Push `outs` tagged relative to input record `r` (parallel stages:
+/// output order is derived from the input's path). Returns false —
 /// with the unsent tokens destroyed — when the output queue closed under
 /// us, i.e. the run was cancelled.
 [[nodiscard]] bool push_tagged(bounded_queue<prec>& out, const stage_rec& s,
@@ -449,30 +440,22 @@ void pth_sink_stage(const stage_rec& s, unsigned in_depth,
     s.run_heap(payload, none);
     if (ctl != nullptr) ctl->complete();
   };
-  if (s.kind == stage_kind::serial_in_order) {
-    reorderer ro(in_depth);
-    auto drop_pending = [&] {
-      if (s.destroy_in) ro.for_each_pending([&](void* p) { s.destroy_in(p); });
-    };
-    try {
-      for (;;) {
-        auto v = in.pop();
-        if (!v) break;
-        ro.feed(*v, retire);
-        if (ro.done()) break;
-      }
-    } catch (...) {
-      drop_pending();
-      throw;
-    }
-    drop_pending();
-  } else {
+  reorderer ro(in_depth);
+  auto drop_pending = [&] {
+    if (s.destroy_in) ro.for_each_pending([&](void* p) { s.destroy_in(p); });
+  };
+  try {
     for (;;) {
       auto v = in.pop();
       if (!v) break;
-      if (!v->is_count) retire(v->payload);
+      ro.feed(*v, retire);
+      if (ro.done()) break;
     }
+  } catch (...) {
+    drop_pending();
+    throw;
   }
+  drop_pending();
 }
 
 exec_result run_pthreads_backend(graph& g, const exec_options& opt,
@@ -518,9 +501,7 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt,
           }
         });
       } else {
-        const unsigned nthreads =
-            s.kind == stage_kind::parallel ? workers : 1;
-        for (unsigned t = 0; t < nthreads; ++t)
+        for (unsigned t = 0; t < workers; ++t)
           stage_threads[i].emplace_back([&fl, &s, in, out] {
             try {
               pth_worker_stage(s, *in, *out);
@@ -727,7 +708,7 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
   util::stopwatch sw;
   std::exception_ptr run_err;
   try {
-    pl.run(opt.max_tokens ? opt.max_tokens : 4 * std::size_t{workers}, workers);
+    pl.run(4 * std::size_t{workers}, workers);
   } catch (...) {
     run_err = std::current_exception();
   }
@@ -762,11 +743,7 @@ exec_result execute(graph& g, backend b, const exec_options& opt) {
       case backend::serial:
         return run_serial_elision(g, ctl.get());
       case backend::hyperqueue:
-        return run_hyperqueue_backend(g, opt, /*force_element=*/false,
-                                      ctl.get());
-      case backend::hyperqueue_element:
-        return run_hyperqueue_backend(g, opt, /*force_element=*/true,
-                                      ctl.get());
+        return run_hyperqueue_backend(g, opt, ctl.get());
       case backend::pthreads:
         return run_pthreads_backend(g, opt, ctl.get());
       case backend::tbb:

@@ -2,24 +2,20 @@
 //
 // Executes one pipe::graph description on any backend:
 //
-//   serial              — the serial elision: stages invoked depth-first on
-//                         one thread, emissions passed as stack references.
-//                         The correctness reference every other backend is
-//                         gated against.
-//   hyperqueue          — hyperqueues with the slice (bulk) data path, one
-//                         in front of each serial stage and the sink; the
-//                         stage feeding a run of parallel stages spawns one
-//                         task per slice_batch tokens through the run
-//                         (builder.hpp).
-//   hyperqueue_element  — same lowering, one token per spawned task and
-//                         element-at-a-time pushes/pops on every queue
-//                         (Section 4 baseline data path).
-//   pthreads            — explicit-thread baseline over bounded_queue, with
-//                         multi-level reorder buffers recovering
-//                         serial-elision order behind expand stages.
-//   tbb                 — the TBB-style token pipeline baseline
-//                         (pipeline/tbb_pipeline.hpp), gathered-list tokens
-//                         for expand stages (paper Figure 10a).
+//   serial      — the serial elision: stages invoked depth-first on one
+//                 thread, emissions passed as stack references. The
+//                 correctness reference every other backend is gated
+//                 against.
+//   hyperqueue  — hyperqueues moved through read and write slices, one in
+//                 front of each serial stage and the sink; the stage feeding
+//                 a run of parallel stages spawns one task per slice_batch
+//                 tokens through the run (builder.hpp).
+//   pthreads    — explicit-thread baseline over bounded_queue, with
+//                 multi-level reorder buffers recovering serial-elision
+//                 order behind expand stages.
+//   tbb         — the TBB-style token pipeline baseline
+//                 (pipeline/tbb_pipeline.hpp), gathered-list tokens for
+//                 expand stages (paper Figure 10a).
 //
 // Apps register a factory under a name (register_app / REGISTER_HQ_APP via
 // registry.cpp); run_app(name, backend, params) builds a fresh instance,
@@ -38,7 +34,7 @@
 
 namespace hq::pipe {
 
-enum class backend { serial, hyperqueue, hyperqueue_element, pthreads, tbb };
+enum class backend { serial, hyperqueue, pthreads, tbb };
 
 [[nodiscard]] const char* to_string(backend b) noexcept;
 
@@ -48,8 +44,6 @@ enum class backend { serial, hyperqueue, hyperqueue_element, pthreads, tbb };
 
 struct exec_options {
   unsigned workers = 1;
-  /// TBB backend: max in-flight tokens; 0 = 4 * workers.
-  std::size_t max_tokens = 0;
   /// Admission control at the pipeline boundary (every backend): gate each
   /// source emission against the in-flight window per the policy. The
   /// window counts source emissions not yet retired by the sink, so it is

@@ -12,9 +12,9 @@
 //    that worker (no synchronization on the alloc fast path), refilled by
 //    carving cache-aligned blocks out of per-worker slabs;
 //  * a block freed by a *different* worker is pushed onto the allocating
-//    magazine's MPSC return stack (one release-CAS), bounded by `cap` —
-//    beyond it the block migrates to the freeing worker's own freelist
-//    instead of piling up at one owner;
+//    magazine's MPSC return stack (one release-CAS), bounded by `cap` (a
+//    constant 4096 in the scheduler's pools) — beyond it the block migrates
+//    to the freeing worker's own freelist instead of piling up at one owner;
 //  * the owner adopts its whole return stack in one exchange when its local
 //    list runs dry, so steady-state pipelines (producer spawns on one
 //    worker, consumer finishes on another) recirculate a bounded working

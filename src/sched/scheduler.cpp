@@ -34,14 +34,8 @@ namespace {
 /// Cross-worker return-stack bound for the frame/attachment pools (see
 /// sched/obj_pool.hpp: beyond this many parked returns a freed block
 /// migrates to the freeing worker's own magazine instead). Pool memory
-/// itself is bounded by the peak in-flight record count, not by this knob.
-std::size_t pool_cap_from_env() {
-  if (const char* env = std::getenv("HQ_FRAME_POOL_CAP")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 4096;
-}
+/// itself is bounded by the peak in-flight record count, not by this bound.
+constexpr std::size_t kPoolReturnCap = 4096;
 
 /// HQ_WATCHDOG_MS: no-progress interval (milliseconds) after which a run is
 /// cancelled with a stall diagnostic. 0 / unset = disabled.
@@ -67,14 +61,13 @@ scheduler::scheduler(unsigned num_workers) {
     workers_.push_back(std::move(w));
   }
 
-  const std::size_t cap = pool_cap_from_env();
-  frame_pool_.init(num_workers, sizeof(task_frame), cap);
+  frame_pool_.init(num_workers, sizeof(task_frame), kPoolReturnCap);
   // The attach pool serves both per-(task, queue) attachments and producer
   // shard records (core/view.hpp): one block size covering the larger of
   // the two keeps every spawn-path allocation on the per-worker magazines.
   attach_pool_.init(num_workers,
                     std::max(sizeof(detail::qattach), sizeof(detail::pshard)),
-                    cap);
+                    kPoolReturnCap);
 
   threads_.reserve(num_workers);
   for (unsigned i = 0; i < num_workers; ++i) {

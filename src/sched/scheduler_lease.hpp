@@ -18,7 +18,7 @@
 // their own scheduler and the extras are destroyed on return. Idle workers
 // park on the scheduler's condition variable (10 ms safety-net poll); the
 // retained schedulers are destroyed, and their workers joined, at process
-// exit. (HQ_FRAME_POOL_CAP is read only when a scheduler is built.)
+// exit.
 //
 // A scheduler is reusable after a failed or cancelled run (scheduler.hpp),
 // so a lease returns it either way.

@@ -1,6 +1,6 @@
 // The element hot path after the padded-segment / cached-index /
 // trivial-batching rework: trivial vs. non-trivial element types through
-// push/pop/slices/pop_bulk, segment wrap and cross-segment reads with index
+// push/pop/slices, segment wrap and cross-segment reads with index
 // caching active, the lock-free definitive-empty gate (including its
 // liveness on adversarial spawn orders), and the data-path slow-event
 // counters that pin the "zero mu, zero remote loads on the fast path"
@@ -75,24 +75,19 @@ TEST(ElementPath, TrivialElementsThroughAllApis) {
         (hq::pushdep<int>)q);
     hq::spawn(
         [&got](hq::popdep<int> qq) {
-          // Alternate all three consumption modes to cross-check them.
-          int mode = 0;
+          // Alternate both consumption modes to cross-check them.
+          bool slice = false;
           for (;;) {
-            if (mode == 0) {
+            if (!slice) {
               if (qq.empty()) break;
               got.push_back(qq.pop());
-            } else if (mode == 1) {
+            } else {
               auto rs = qq.get_read_slice(100);
               if (rs.empty()) break;
               for (int x : rs) got.push_back(x);
               rs.release();
-            } else {
-              int buf[100];
-              const std::size_t n = qq.pop_bulk(buf, 100);
-              if (n == 0) break;
-              got.insert(got.end(), buf, buf + n);
             }
-            mode = (mode + 1) % 3;
+            slice = !slice;
           }
         },
         (hq::popdep<int>)q);
@@ -191,27 +186,6 @@ TEST(ElementPath, ReadSliceAcrossWrapAndSegments) {
       rs.release();
     }
     for (int i = 0; i < 40; ++i) ASSERT_EQ(got[i], 100 + i);
-  });
-}
-
-TEST(ElementPath, PopBulkAcrossWrapAndSegments) {
-  hq::scheduler sched(1);
-  sched.run([&] {
-    hq::hyperqueue<int> q(16);
-    for (int i = 0; i < 5; ++i) q.push(i);
-    int drop[5];
-    ASSERT_EQ(q.pop_bulk(drop, 5), 5u);
-    for (int i = 0; i < 40; ++i) q.push(i);
-    std::vector<int> got;
-    int buf[64];
-    while (static_cast<int>(got.size()) < 40) {
-      ASSERT_FALSE(q.empty());
-      const std::size_t n = q.pop_bulk(buf, 64);
-      ASSERT_GT(n, 0u);
-      got.insert(got.end(), buf, buf + n);
-    }
-    ASSERT_EQ(got.size(), 40u);
-    for (int i = 0; i < 40; ++i) ASSERT_EQ(got[i], i);
   });
 }
 

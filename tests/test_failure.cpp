@@ -40,7 +40,6 @@ using hq::pipe::run_outcome;
 std::string backend_label(backend b) {
   switch (b) {
     case backend::hyperqueue: return "Hyperqueue";
-    case backend::hyperqueue_element: return "HyperqueueElement";
     case backend::pthreads: return "Pthreads";
     case backend::tbb: return "Tbb";
     case backend::serial: break;
@@ -131,8 +130,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(std::string("bzip2"), std::string("dedup"),
                           std::string("ferret")),
-        ::testing::Values(backend::hyperqueue, backend::hyperqueue_element,
-                          backend::pthreads, backend::tbb),
+        ::testing::Values(backend::hyperqueue, backend::pthreads,
+                          backend::tbb),
         ::testing::Values(1u, 2u, 4u, 8u)),
     [](const auto& info) {
       return app_label(std::get<0>(info.param)) +

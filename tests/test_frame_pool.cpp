@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "hq.hpp"
@@ -170,17 +172,45 @@ TEST(FramePool, CallUsesCallerStackFlag) {
   });
 }
 
-TEST(FramePool, PoolCapEnvKnobStillRecycles) {
-  // A tiny return-stack cap must not break correctness — blocks migrate to
-  // the freeing worker instead of piling up at the owner.
-  ::setenv("HQ_FRAME_POOL_CAP", "4", 1);
-  {
-    hq::scheduler sched(4);
-    spawn_rounds(sched, 10, 128);
-    const auto fp = sched.frame_pool_stats();
-    EXPECT_GT(fp.allocated + fp.recycled, 0u);
+TEST(FramePool, ReturnCapOverflowRecyclesOnFreeingMagazine) {
+  // Single-threaded obj_pool, two magazines, return-stack cap 4. Magazine 0
+  // carves ten blocks; magazine 1 frees them all. The first four park on
+  // magazine 0's return stack; the six beyond the cap land on magazine 1's
+  // own freelist, so its next six allocations are recycled, not carved.
+  using pool_t = hq::detail::obj_pool;
+  constexpr unsigned kOwner = 0, kFreeing = 1;
+  constexpr std::size_t kCap = 4, kBlocks = 10;
+  pool_t pool;
+  pool.init(2, 64, kCap);
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i < kBlocks; ++i) blocks.push_back(pool.alloc(kOwner));
+  ASSERT_EQ(pool.stats().allocated, kBlocks);
+  for (void* b : blocks) pool.free(b, kOwner, kFreeing);
+  const std::set<void*> parked(blocks.begin(), blocks.begin() + kCap);
+  const std::set<void*> migrated(blocks.begin() + kCap, blocks.end());
+
+  std::vector<std::pair<void*, unsigned>> held;
+  for (std::size_t i = kCap; i < kBlocks; ++i) {
+    void* b = pool.alloc(kFreeing);
+    EXPECT_EQ(migrated.count(b), 1u) << "block " << i << " not recycled";
+    held.emplace_back(b, kFreeing);
   }
-  ::unsetenv("HQ_FRAME_POOL_CAP");
+  auto st = pool.stats();
+  EXPECT_EQ(st.allocated, kBlocks) << "the freeing magazine carved";
+  EXPECT_EQ(st.recycled, kBlocks - kCap);
+  // The freeing magazine is dry now; the owner adopts its four returns.
+  held.emplace_back(pool.alloc(kFreeing), kFreeing);
+  EXPECT_EQ(pool.stats().allocated, kBlocks + 1);
+  for (std::size_t i = 0; i < kCap; ++i) {
+    void* b = pool.alloc(kOwner);
+    EXPECT_EQ(parked.count(b), 1u) << "return " << i << " not adopted";
+    held.emplace_back(b, kOwner);
+  }
+  st = pool.stats();
+  EXPECT_EQ(st.allocated, kBlocks + 1);
+  EXPECT_EQ(st.recycled, kBlocks);
+  for (const auto& [b, owner] : held) pool.free(b, owner, owner);
+  EXPECT_EQ(pool.stats().live, 0u);
 }
 
 }  // namespace

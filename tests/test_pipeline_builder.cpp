@@ -4,7 +4,6 @@
 // expand stages with irregular and zero fan-out).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <numeric>
@@ -41,7 +40,7 @@ TEST(PipelineBuilder, ConnectRejectsTypeMismatch) {
 TEST(PipelineBuilder, ConnectRejectsDoubleUse) {
   graph g;
   auto src = g.source<int>("src", [](emit<int> out) { out(1); });
-  auto mid = g.stage<int, int>("mid", stage_kind::serial,
+  auto mid = g.stage<int, int>("mid", stage_kind::serial_in_order,
                                [](int&& v, emit<int> out) { out(std::move(v)); });
   auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
   g.connect(src, mid);
@@ -101,7 +100,7 @@ TEST(PipelineBuilder, CompileRejectsParallelSink) {
 TEST(PipelineBuilder, KnobsTravelOnEdges) {
   graph g;
   auto src = g.source<int>("src", [](emit<int> out) { out(1); });
-  auto mid = g.expand<int, int>("mid", stage_kind::serial,
+  auto mid = g.expand<int, int>("mid", stage_kind::serial_in_order,
                                 [](int&& v, emit<int> out) { out(std::move(v)); });
   auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
   edge_opts a;
@@ -207,35 +206,8 @@ TEST_P(PipelineOrder, ExpandInOrderAcrossWorkers) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, PipelineOrder,
-    ::testing::Values(backend::serial, backend::hyperqueue,
-                      backend::hyperqueue_element, backend::pthreads,
+    ::testing::Values(backend::serial, backend::hyperqueue, backend::pthreads,
                       backend::tbb),
     [](const auto& info) { return hq::pipe::to_string(info.param); });
-
-// An unordered serial sink still sees every token exactly once.
-TEST(PipelineRunner, SerialSinkSeesAllTokens) {
-  constexpr std::uint64_t kN = 128;
-  for (backend b : hq::pipe::parallel_backends()) {
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> count{0};
-    graph g;
-    auto src = g.source<std::uint64_t>("src", [](emit<std::uint64_t> out) {
-      for (std::uint64_t i = 0; i < kN; ++i) out(std::uint64_t{i});
-    });
-    auto mid = g.stage<std::uint64_t, std::uint64_t>(
-        "id", stage_kind::parallel,
-        [](std::uint64_t&& v, emit<std::uint64_t> out) { out(std::move(v)); });
-    auto snk = g.sink<std::uint64_t>("sum", stage_kind::serial,
-                                     [&](std::uint64_t&& v) {
-                                       sum += v;
-                                       ++count;
-                                     });
-    g.connect(src, mid);
-    g.connect(mid, snk);
-    (void)hq::pipe::execute(g, b, {.workers = 4});
-    EXPECT_EQ(count.load(), kN) << hq::pipe::to_string(b);
-    EXPECT_EQ(sum.load(), kN * (kN - 1) / 2) << hq::pipe::to_string(b);
-  }
-}
 
 }  // namespace

@@ -180,43 +180,42 @@ TEST(ResidentRuntime, PoolFootprintStopsGrowingAfterWarmUp) {
 TEST(ResidentRuntimeShared, InjectedFaultThenCleanRunOnTheSameScheduler) {
   app_params p;
   p.workers = 2;
-  for (backend b : {backend::hyperqueue, backend::hyperqueue_element}) {
-    prewarm_reference("dedup", p);
-    ASSERT_TRUE(hq::pipe::run_app("dedup", b, p).ok);  // make it resident
-    hq::scheduler* before = nullptr;
-    std::uint64_t executed = 0;
-    {
-      hq::scheduler_lease lease(2);
-      before = &*lease;
-      executed = lease->stats().executed;
-    }
-
-    hq::fault::plan pl;
-    hq::fault::rule r;
-    r.site = "stage.dedup_compress";
-    r.act = hq::fault::action::throw_exc;
-    r.nth = 3;
-    pl.rules.push_back(std::move(r));
-    hq::fault::install(std::move(pl));
-    const auto failed = hq::pipe::run_app("dedup", b, p);
-    hq::fault::clear();
-    EXPECT_EQ(failed.exec.outcome, run_outcome::failed)
-        << hq::pipe::to_string(b);
-    EXPECT_FALSE(failed.ok);
-
-    {
-      hq::scheduler_lease lease(2);
-      EXPECT_EQ(&*lease, before);
-      EXPECT_GT(lease->stats().executed, executed)
-          << "the failed run did not run on, or return, the resident scheduler";
-      EXPECT_FALSE(lease->cancelled());
-      EXPECT_EQ(lease->frame_pool_stats().live, 0u);
-    }
-    const auto clean = hq::pipe::run_app("dedup", b, p);
-    EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
-    EXPECT_EQ(clean.digest, clean.reference) << hq::pipe::to_string(b);
-    EXPECT_TRUE(clean.ok);
+  const backend b = backend::hyperqueue;
+  prewarm_reference("dedup", p);
+  ASSERT_TRUE(hq::pipe::run_app("dedup", b, p).ok);  // make it resident
+  hq::scheduler* before = nullptr;
+  std::uint64_t executed = 0;
+  {
+    hq::scheduler_lease lease(2);
+    before = &*lease;
+    executed = lease->stats().executed;
   }
+
+  hq::fault::plan pl;
+  hq::fault::rule r;
+  r.site = "stage.dedup_compress";
+  r.act = hq::fault::action::throw_exc;
+  r.nth = 3;
+  pl.rules.push_back(std::move(r));
+  hq::fault::install(std::move(pl));
+  const auto failed = hq::pipe::run_app("dedup", b, p);
+  hq::fault::clear();
+  EXPECT_EQ(failed.exec.outcome, run_outcome::failed)
+      << hq::pipe::to_string(b);
+  EXPECT_FALSE(failed.ok);
+
+  {
+    hq::scheduler_lease lease(2);
+    EXPECT_EQ(&*lease, before);
+    EXPECT_GT(lease->stats().executed, executed)
+        << "the failed run did not run on, or return, the resident scheduler";
+    EXPECT_FALSE(lease->cancelled());
+    EXPECT_EQ(lease->frame_pool_stats().live, 0u);
+  }
+  const auto clean = hq::pipe::run_app("dedup", b, p);
+  EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
+  EXPECT_EQ(clean.digest, clean.reference) << hq::pipe::to_string(b);
+  EXPECT_TRUE(clean.ok);
 }
 
 TEST(ResidentRuntimeShared, NoConsumerNestsAboveAnUpstreamStage) {
@@ -265,8 +264,8 @@ TEST(ResidentRuntimeShared, NoConsumerNestsAboveAnUpstreamStage) {
 }
 
 TEST(ResidentRuntimeShared, ConcurrentCallersAllMatchTheElision) {
-  // 4 caller threads x 20 executes at 2 workers, alternating the slice and
-  // element backends: leases on one key race to hit, miss and return.
+  // 4 caller threads x 20 executes at 2 workers: leases on one key race to
+  // hit, miss and return.
   const std::vector<std::string> apps = {"dedup", "ferret", "bzip2"};
   app_params p;
   p.workers = 2;
@@ -282,8 +281,7 @@ TEST(ResidentRuntimeShared, ConcurrentCallersAllMatchTheElision) {
     callers.emplace_back([&, c] {
       for (int i = 0; i < kRuns; ++i) {
         const std::string& app = apps[(c + i) % apps.size()];
-        const backend b =
-            (c + i) % 2 == 0 ? backend::hyperqueue : backend::hyperqueue_element;
+        const backend b = backend::hyperqueue;
         const auto r = hq::pipe::run_app(app, b, p);
         if (!r.ok) {
           mismatches.fetch_add(1);

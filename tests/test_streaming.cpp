@@ -9,11 +9,12 @@
 //    that buries the sink fails instead of hanging);
 //  * a shape matrix — parallel runs behind the source, behind an expand
 //    stage, and between serial stages — matches the serial elision at 1, 2
-//    and 4 workers on both hyperqueue backends, under admission control and
-//    with an injected stage fault;
+//    and 4 workers, at the graph's own slice batches and at one token per
+//    slice, under admission control and with an injected stage fault;
 //  * the stage feeding a parallel run stays less than 2·P batches ahead of
-//    the run at any stream length, and at one worker runs its batches in
-//    spawn order, claiming all but the last back off its own deque;
+//    the run at any stream length, for batches of 16 tokens and of one, and
+//    at one worker runs its batches in spawn order, claiming all but the
+//    last back off its own deque;
 //  * a fault inside a claimed batch fails the run cleanly, a source that
 //    throws runs no claimed batch while it unwinds, and every
 //    admission policy claims, shed dropping offers while the source is late
@@ -75,6 +76,22 @@ struct plan_guard {
   ~plan_guard() { hq::fault::clear(); }
 };
 
+/// Every parameterised suite here runs backend::hyperqueue at one of two
+/// grains. `slices` keeps each graph's own slice batches; `element` puts
+/// slice_batch 1 on every edge, so each token is its own slice and, into a
+/// parallel run, its own task.
+enum class grain { slices, element };
+
+std::string grain_label(grain gr) {
+  return gr == grain::slices ? "Hyperqueue" : "HyperqueueElement";
+}
+
+/// Edge options at grain `gr`: `base` unchanged, or slice_batch 1.
+edge_opts at(grain gr, edge_opts base = {}) {
+  if (gr == grain::element) base.slice_batch = 1;
+  return base;
+}
+
 std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 31;
   x *= 0x9e3779b97f4a7c15ull;
@@ -95,7 +112,7 @@ struct retire_probe {
   std::uint64_t digest = 0;
   graph g;
 
-  retire_probe() {
+  explicit retire_probe(grain gr = grain::slices) {
     auto src = g.source<std::uint64_t>("src", [this](emit<std::uint64_t> out) {
       for (std::uint64_t i = 0; i + 1 < kN; ++i) out(std::uint64_t{i});
       if (hq::workers() > 1) {
@@ -116,44 +133,39 @@ struct retire_probe {
           digest = digest * 31 + v;
           retired.fetch_add(1, std::memory_order_release);
         });
-    g.connect(src, mid);
-    g.connect(mid, snk);
+    g.connect(src, mid, at(gr));
+    g.connect(mid, snk, at(gr));
   }
 };
 
-class StreamingRetire : public ::testing::TestWithParam<backend> {};
+class StreamingRetire : public ::testing::TestWithParam<grain> {};
 
 TEST_P(StreamingRetire, SinkRetiresBeforeSourcesLastEmission) {
   retire_probe ref;
   (void)hq::pipe::execute(ref.g, backend::serial);
 
-  retire_probe two;
+  retire_probe two(GetParam());
   {
     watchdog_scope dog(2);
     exec_options opt;
     opt.workers = 2;
-    (void)hq::pipe::execute(two.g, GetParam(), opt);
+    (void)hq::pipe::execute(two.g, backend::hyperqueue, opt);
   }
   EXPECT_TRUE(two.saw_retire)
       << "the sink retired nothing while the source was emitting";
   EXPECT_EQ(two.retired.load(), retire_probe::kN);
   EXPECT_EQ(two.digest, ref.digest);
 
-  retire_probe one;
+  retire_probe one(GetParam());
   exec_options opt;
   opt.workers = 1;
-  (void)hq::pipe::execute(one.g, GetParam(), opt);
+  (void)hq::pipe::execute(one.g, backend::hyperqueue, opt);
   EXPECT_EQ(one.digest, ref.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StreamingRetire,
-                         ::testing::Values(backend::hyperqueue,
-                                           backend::hyperqueue_element),
-                         [](const auto& info) {
-                           return info.param == backend::hyperqueue
-                                      ? std::string("Hyperqueue")
-                                      : std::string("HyperqueueElement");
-                         });
+                         ::testing::Values(grain::slices, grain::element),
+                         [](const auto& info) { return grain_label(info.param); });
 
 // --------------------------------------------------- admission window flush
 
@@ -228,13 +240,10 @@ TEST_P(StreamingWindow, BlockWindowBelowSliceBatchHolds) {
 INSTANTIATE_TEST_SUITE_P(
     Window, StreamingWindow,
     ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(backend::hyperqueue,
-                                         backend::hyperqueue_element)),
+                       ::testing::Values(backend::hyperqueue)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) ? "SrcParSink" : "SrcSink") +
-             (std::get<1>(info.param) == backend::hyperqueue
-                  ? "_Hyperqueue"
-                  : "_HyperqueueElement");
+             "_Hyperqueue";
     });
 
 // ------------------------------------------------------------- shape matrix
@@ -261,9 +270,11 @@ tok step(tok t, std::uint64_t salt) {
   return t;
 }
 
-/// Build `s` into `g`; the in-order sink appends to `out`. Every shape's
-/// first parallel stage is "par_a", the fault-injection target.
-void describe(shape s, graph& g, std::vector<tok>* out) {
+/// Build `s` into `g` at grain `gr`; the in-order sink appends to `out`.
+/// Every shape's first parallel stage is "par_a", the fault-injection
+/// target.
+void describe(shape s, graph& g, std::vector<tok>* out,
+              grain gr = grain::slices) {
   constexpr std::uint64_t kN = 300;
   auto src = g.source<tok>("src", [](emit<tok> e) {
     for (std::uint64_t i = 0; i < kN; ++i) e(tok{i, i});
@@ -276,11 +287,13 @@ void describe(shape s, graph& g, std::vector<tok>* out) {
   };
   edge_opts small;
   small.slice_batch = 4;
+  small = at(gr, small);
+  const edge_opts plain = at(gr);
   switch (s) {
     case shape::par: {
       auto a = par("par_a", 1);
       g.connect(src, a, small);
-      g.connect(a, snk);
+      g.connect(a, snk, plain);
       break;
     }
     case shape::par_expand: {
@@ -292,23 +305,23 @@ void describe(shape s, graph& g, std::vector<tok>* out) {
               e(step(t, 100 + k));
           });
       g.connect(src, a, small);
-      g.connect(a, x);
+      g.connect(a, x, plain);
       g.connect(x, snk, small);
       break;
     }
     case shape::serial_sandwich: {
       auto s1 = g.stage<tok, tok>(
-          "ser", stage_kind::serial,
+          "ser", stage_kind::serial_in_order,
           [](tok&& t, emit<tok> e) { e(step(t, 7)); });
       auto a = par("par_a", 1);
       auto s2 = g.stage<tok, tok>(
           "ordered", stage_kind::serial_in_order,
           [](tok&& t, emit<tok> e) { e(step(t, 9)); });
       auto b = par("par_b", 2);
-      g.connect(src, s1);
+      g.connect(src, s1, plain);
       g.connect(s1, a, small);
-      g.connect(a, s2);
-      g.connect(s2, b);
+      g.connect(a, s2, plain);
+      g.connect(s2, b, plain);
       g.connect(b, snk, small);
       break;
     }
@@ -332,15 +345,15 @@ void expect_same(const std::vector<tok>& got, const std::vector<tok>& want,
   }
 }
 
-using matrix_param = std::tuple<shape, backend, unsigned, mode>;
+using matrix_param = std::tuple<shape, grain, unsigned, mode>;
 
 class StreamingShapes : public ::testing::TestWithParam<matrix_param> {};
 
 TEST_P(StreamingShapes, MatchesElision) {
-  const auto [s, b, workers, m] = GetParam();
+  const auto [s, gr, workers, m] = GetParam();
+  const backend b = backend::hyperqueue;
   const std::vector<tok> want = reference(s);
-  const std::string what = std::string(hq::pipe::to_string(b)) + " @" +
-                           std::to_string(workers);
+  const std::string what = grain_label(gr) + " @" + std::to_string(workers);
 
   exec_options opt;
   opt.workers = workers;
@@ -354,7 +367,7 @@ TEST_P(StreamingShapes, MatchesElision) {
   if (m == mode::fault) {
     graph g;
     std::vector<tok> got;
-    describe(s, g, &got);
+    describe(s, g, &got, gr);
     const std::string site = "stage.par_a";
     plan_guard guard;
     hq::fault::plan pl;
@@ -374,7 +387,7 @@ TEST_P(StreamingShapes, MatchesElision) {
 
   graph g;
   std::vector<tok> got;
-  describe(s, g, &got);
+  describe(s, g, &got, gr);
   const auto res = hq::pipe::execute(g, b, opt);
   if (m != mode::shed) {
     EXPECT_EQ(res.shed, 0u) << what;
@@ -416,16 +429,13 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, StreamingShapes,
     ::testing::Combine(::testing::Values(shape::par, shape::par_expand,
                                          shape::serial_sandwich),
-                       ::testing::Values(backend::hyperqueue,
-                                         backend::hyperqueue_element),
+                       ::testing::Values(grain::slices, grain::element),
                        ::testing::Values(1u, 2u, 4u),
                        ::testing::Values(mode::plain, mode::block, mode::shed,
                                          mode::fault)),
     [](const auto& info) {
       const auto& p = info.param;
-      return shape_label(std::get<0>(p)) +
-             (std::get<1>(p) == backend::hyperqueue ? "_Hyperqueue"
-                                                    : "_HyperqueueElement") +
+      return shape_label(std::get<0>(p)) + "_" + grain_label(std::get<1>(p)) +
              "_P" + std::to_string(std::get<2>(p)) + "_" +
              mode_label(std::get<3>(p));
     });
@@ -433,9 +443,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------------- bounded run-ahead
 
 /// src -> parallel -> sink, or src -> serial -> parallel -> sink: N = 4096
-/// tokens, batch 16 on the edge into the parallel stage. The emitter — the
-/// stage feeding the parallel run: the source, or the serial stage —
-/// records before each emission how many of its tokens the parallel body
+/// tokens, batch B on the edge into the parallel stage: 16, or 1 at the
+/// element grain. The emitter — the stage feeding the parallel run: the
+/// source, or the serial stage — records before each emission how many of its tokens the parallel body
 /// has not finished yet. (In the serial shape the source itself is not
 /// bounded: the queue in front of the serial stage absorbs whatever it runs
 /// ahead.) At one worker the parallel body also records the first token of
@@ -444,6 +454,7 @@ struct runahead_probe {
   static constexpr std::uint64_t kN = 4096;
   static constexpr std::size_t kBatch = 16;
 
+  const std::size_t batch;
   std::atomic<std::uint64_t> finished{0};
   std::uint64_t emitted = 0;
   std::uint64_t max_ahead = 0;
@@ -458,7 +469,8 @@ struct runahead_probe {
     ++emitted;
   }
 
-  explicit runahead_probe(bool serial_first) {
+  explicit runahead_probe(bool serial_first, std::size_t b = kBatch)
+      : batch(b) {
     auto src = g.source<std::uint64_t>(
         "src", [this, serial_first](emit<std::uint64_t> out) {
           for (std::uint64_t i = 0; i < kN; ++i) {
@@ -469,7 +481,7 @@ struct runahead_probe {
     auto par = g.stage<std::uint64_t, std::uint64_t>(
         "par", stage_kind::parallel,
         [this](std::uint64_t&& v, emit<std::uint64_t> out) {
-          if (hq::workers() == 1 && v % kBatch == 0) starts.push_back(v);
+          if (hq::workers() == 1 && v % batch == 0) starts.push_back(v);
           jitter(v);
           out(mix(v));
           finished.fetch_add(1, std::memory_order_release);
@@ -478,10 +490,10 @@ struct runahead_probe {
         "snk", stage_kind::serial_in_order,
         [this](std::uint64_t&& v) { digest = digest * 31 + v; });
     edge_opts into_run;
-    into_run.slice_batch = kBatch;
+    into_run.slice_batch = batch;
     if (serial_first) {
       auto ser = g.stage<std::uint64_t, std::uint64_t>(
-          "ser", stage_kind::serial,
+          "ser", stage_kind::serial_in_order,
           [this](std::uint64_t&& v, emit<std::uint64_t> out) {
             note_emission();
             out(std::move(v));
@@ -500,26 +512,24 @@ std::uint64_t inline_runs(unsigned workers) {
   return lease->stats().inline_runs;
 }
 
-using runahead_param = std::tuple<backend, unsigned, bool>;
+using runahead_param = std::tuple<grain, unsigned, bool>;
 
 class StreamingRunAhead : public ::testing::TestWithParam<runahead_param> {};
 
 TEST_P(StreamingRunAhead, EmitterStaysWithinTwoPBatches) {
-  const auto [b, workers, serial_first] = GetParam();
-  // hyperqueue_element spawns one token per run task.
-  const std::uint64_t batch =
-      b == backend::hyperqueue ? runahead_probe::kBatch : 1;
+  const auto [gr, workers, serial_first] = GetParam();
+  const std::size_t batch = gr == grain::slices ? runahead_probe::kBatch : 1;
 
-  runahead_probe ref(serial_first);
+  runahead_probe ref(serial_first, batch);
   (void)hq::pipe::execute(ref.g, backend::serial);
 
-  runahead_probe run(serial_first);
+  runahead_probe run(serial_first, batch);
   exec_options opt;
   opt.workers = workers;
   const std::uint64_t claims_before = inline_runs(workers);
   {
     watchdog_scope dog(workers);
-    (void)hq::pipe::execute(run.g, b, opt);
+    (void)hq::pipe::execute(run.g, backend::hyperqueue, opt);
   }
   const std::uint64_t claims = inline_runs(workers) - claims_before;
 
@@ -534,7 +544,7 @@ TEST_P(StreamingRunAhead, EmitterStaysWithinTwoPBatches) {
   // start in spawn order.
   EXPECT_EQ(claims, runahead_probe::kN / batch - 1);
   std::vector<std::uint64_t> in_order;
-  for (std::uint64_t v = 0; v < runahead_probe::kN; v += runahead_probe::kBatch)
+  for (std::uint64_t v = 0; v < runahead_probe::kN; v += batch)
     in_order.push_back(v);
   ASSERT_EQ(run.starts.size(), in_order.size());
   EXPECT_EQ(run.starts, in_order)
@@ -544,15 +554,13 @@ TEST_P(StreamingRunAhead, EmitterStaysWithinTwoPBatches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, StreamingRunAhead,
-    ::testing::Combine(::testing::Values(backend::hyperqueue,
-                                         backend::hyperqueue_element),
+    ::testing::Combine(::testing::Values(grain::slices, grain::element),
                        ::testing::Values(1u, 2u, 4u), ::testing::Bool()),
     [](const auto& info) {
       const auto& p = info.param;
       return std::string(std::get<2>(p) ? "SrcSerParSink" : "SrcParSink") +
-             (std::get<0>(p) == backend::hyperqueue ? "_Hyperqueue"
-                                                    : "_HyperqueueElement") +
-             "_P" + std::to_string(std::get<1>(p));
+             "_" + grain_label(std::get<0>(p)) + "_P" +
+             std::to_string(std::get<1>(p));
     });
 
 /// The run-ahead probe as a registered app, so a faulted run reports its
@@ -721,7 +729,7 @@ TEST(StreamingQueues, QueueGraphListsOnlyRealQueues) {
                                 out(int{v});
                                 out(v * 2);
                               });
-  auto s = g.stage<int, int>("s", stage_kind::serial,
+  auto s = g.stage<int, int>("s", stage_kind::serial_in_order,
                              [](int&& v, emit<int> out) { out(std::move(v)); });
   std::vector<int> got;
   auto snk = g.sink<int>("snk", stage_kind::serial_in_order,
