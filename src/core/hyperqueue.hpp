@@ -289,6 +289,11 @@ class pushdep : public detail::dep_base {
     return write_slice<T>(cb_, static_cast<T*>(p), static_cast<std::size_t>(n));
   }
 
+  /// This task's producer shard: whether the consumer's scan has reached
+  /// it, and how many of its values were taken (the bounds of drained
+  /// queues, sched/drain.hpp).
+  const detail::pshard& shard() { return cb_->my_shard(); }
+
   /// Spawn-argument resolution: attach the child task with push privileges.
   pushdep hq_dep_resolve(detail::task_frame* fr) const {
     cb_->attach_spawn(fr, detail::kPrivPush);
@@ -315,6 +320,15 @@ class popdep : public detail::dep_base {
   read_slice<T> get_read_slice(std::size_t want) {
     std::uint64_t n = 0;
     void* p = cb_->read_slice(want, &n);
+    return read_slice<T>(cb_, static_cast<T*>(p), static_cast<std::size_t>(n));
+  }
+
+  /// As get_read_slice, but never waits: an empty slice when nothing is
+  /// readable now, with *ended telling whether that is definitive. The read
+  /// side of a drain (sched/drain.hpp).
+  read_slice<T> poll_read_slice(std::size_t want, bool* ended) {
+    std::uint64_t n = 0;
+    void* p = cb_->poll_slice(want, &n, ended);
     return read_slice<T>(cb_, static_cast<T*>(p), static_cast<std::size_t>(n));
   }
 
@@ -424,6 +438,11 @@ class hyperqueue {
   operator popdep<T>() const { return popdep<T>(cb_); }            // NOLINT
   operator pushpopdep<T>() const { return pushpopdep<T>(cb_); }    // NOLINT
   operator pushdep_any() const { return pushdep_any(cb_); }        // NOLINT
+
+  /// Name the drain that consumes this queue (sched/drain.hpp): producer
+  /// shard closes kick it, and budget waits run it instead of escaping.
+  /// Call before any producer runs.
+  void set_drain(detail::drain* d) noexcept { cb_->consumer_drain = d; }
 
   /// Number of segments currently allocated (tests/benches).
   [[nodiscard]] std::size_t segments() const { return cb_->segments_allocated(); }

@@ -14,10 +14,12 @@ namespace {
 
 /// One step of a blocking wait: run a ready task if possible, else back off.
 /// Keeping the worker executing tasks while "blocked" is what makes the
-/// paper's block-the-worker policy live-lock free even on one worker.
-void wait_step(backoff& bo) {
+/// paper's block-the-worker policy live-lock free even on one worker. Data
+/// waits (a consumer waiting for values or for the scan position) are
+/// counted apart: declared pipelines consume through drains and make none.
+void wait_step(backoff& bo, bool data_wait = false) {
   scheduler* s = scheduler::current();
-  if (s != nullptr && s->help_one()) {
+  if (s != nullptr && (data_wait ? s->help_data_wait() : s->help_one())) {
     bo.reset();
   } else {
     bo.pause();
@@ -420,6 +422,9 @@ void queue_cb::on_task_complete(qattach* a) {
     // was linked at spawn time, so the consumer advances right past.
     a->my_shard->closed.store(true, std::memory_order_release);
     pa->live_push_children.fetch_sub(1, std::memory_order_release);
+    // The close can make later shards' values reachable: let a drained
+    // consumer look (after this task's execute() returns, drain.hpp).
+    if (consumer_drain != nullptr) consumer_drain->kick_deferred();
   }
 
   if ((a->priv & kPrivPop) != 0) {
@@ -486,11 +491,19 @@ void queue_cb::budget_wait(qattach* a, pshard* sh) {
   // Cancellable (a failed run unwinds the wait) and watchdog-visible
   // (throttle_begin marks the worker, throttle_tick keeps the progress
   // counter moving so backpressure is never misread as a stall).
+  //
+  // A drained queue (a declared pipeline's, sched/drain.hpp) needs no
+  // patience: the producer runs the drain itself whenever it is idle, and
+  // otherwise pauses while an activation runs on another worker (which
+  // never waits) or the producer the scan waits on is between batches. It
+  // escapes only when every worker is held so, which a producer reached
+  // through claims on one worker never is: the cap then holds there too.
   scheduler* sc = scheduler::current();
   if (sc != nullptr) sc->throttle_begin(this);
   throttle_waits_.fetch_add(1, std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   backoff bo;
+  drain::hold_state hold;
   std::uint64_t last_recycled = seg_recycled.load(std::memory_order_relaxed);
   std::uint32_t stalled_iters = 0;
   try {
@@ -501,6 +514,18 @@ void queue_cb::budget_wait(qattach* a, pshard* sh) {
         break;
       }
       throw_if_run_cancelled();
+      if (consumer_drain != nullptr && sc != nullptr) {
+        const bool scanned = sh->scanned.load(std::memory_order_relaxed);
+        if (!scanned) consumer_drain->hold_begin(*sc);
+        const bool held = consumer_drain->hold(*sc, hold, scanned);
+        if (!scanned) consumer_drain->hold_end(*sc);
+        if (!held) {
+          throw_if_run_cancelled();
+          budget_overruns_.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+        continue;
+      }
       const std::uint64_t rec = seg_recycled.load(std::memory_order_relaxed);
       if (rec != last_recycled) {
         last_recycled = rec;
@@ -593,47 +618,43 @@ void queue_cb::commit_write(std::uint64_t produced) {
 
 // ---------------------------------------------------------------- consumer
 
-void queue_cb::ensure_pos(qattach* a) {
+bool queue_cb::try_pos(qattach* a) {
   assert((a->priv & kPrivPop) != 0);
-  // Lock-free fast path: no live pop children (acquire — see qattach) and
-  // the scan position already in hand. This is the Section 5.2 "as fast as
-  // array accesses" precondition: a consumer streaming through ready data
-  // never touches mu.
-  if (a->live_pop_children.load(std::memory_order_acquire) == 0 && a->has_pos) {
-    return;
-  }
-  backoff bo;
-  for (;;) {
-    // Program order: our own pops resume only after our pop children are
-    // done (they are earlier in the serial elision). While any is live the
-    // position cannot be ours, so do not touch mu; the acquire pairs with
-    // the completion-time release so the hand-back below is visible.
-    if (a->live_pop_children.load(std::memory_order_acquire) == 0) {
-      if (a->has_pos) return;
-      std::lock_guard<std::mutex> lk(mu);
-      dp_.mu_data.fetch_add(1, std::memory_order_relaxed);
-      if (a->has_pos) return;
-      // Claim the scan position from an ancestor: after the previous
-      // consumer completed, it travels back up the spawn tree.
-      for (qattach* anc = a->parent; anc != nullptr; anc = anc->parent) {
-        if (anc->has_pos) {
-          a->has_pos = true;
-          a->pos_shard = anc->pos_shard;
-          a->pos_seg = anc->pos_seg;
-          anc->has_pos = false;
-          return;
-        }
-      }
+  // Program order: our own pops resume only after our pop children are
+  // done (they are earlier in the serial elision). While any is live the
+  // position cannot be ours, so do not touch mu; the acquire pairs with the
+  // completion-time release so the hand-back below is visible.
+  if (a->live_pop_children.load(std::memory_order_acquire) != 0) return false;
+  // Lock-free fast path: the scan position already in hand. This is the
+  // Section 5.2 "as fast as array accesses" precondition: a consumer
+  // streaming through ready data never touches mu.
+  if (a->has_pos) return true;
+  std::lock_guard<std::mutex> lk(mu);
+  dp_.mu_data.fetch_add(1, std::memory_order_relaxed);
+  if (a->has_pos) return true;
+  // Claim the scan position from an ancestor: after the previous consumer
+  // completed, it travels back up the spawn tree.
+  for (qattach* anc = a->parent; anc != nullptr; anc = anc->parent) {
+    if (anc->has_pos) {
+      a->has_pos = true;
+      a->pos_shard = anc->pos_shard;
+      a->pos_seg = anc->pos_seg;
+      anc->has_pos = false;
+      return true;
     }
+  }
+  return false;
+}
+
+void queue_cb::ensure_pos(qattach* a) {
+  backoff bo;
+  while (!try_pos(a)) {
     throw_if_run_cancelled();
-    wait_step(bo);
+    wait_step(bo, /*data_wait=*/true);
   }
 }
 
-segment* queue_cb::wait_data(qattach* a) {
-  fault::delaypoint("queue.pop");
-  ensure_pos(a);
-  backoff bo;
+segment* queue_cb::scan(qattach* a, bool* ended) {
   for (;;) {
     pshard* sh = a->pos_shard;
     segment* s = a->pos_seg;
@@ -665,12 +686,13 @@ segment* queue_cb::wait_data(qattach* a) {
       }
       break;  // chain end (or headless shard) with nothing readable
     }
+    a->ready_seg = nullptr;
     if (sh == scan_end(a)) {
       // End of this task's visible range. For a push-capable task this is
       // its own open shard — only it can append. For a pop-only task the
       // end shard was closed at its spawn. Either way the failed poll above
       // was conclusive: no older-in-program-order producer can still push.
-      a->ready_seg = nullptr;
+      *ended = true;
       return nullptr;
     }
     if (sh->closed.load(std::memory_order_acquire)) {
@@ -694,14 +716,29 @@ segment* queue_cb::wait_data(qattach* a) {
       if (s != nullptr) recycle_segment(s);
       a->pos_shard = nx;
       a->pos_seg = nullptr;
+      nx->scanned.store(true, std::memory_order_relaxed);
       free_shard(sh);
       continue;
     }
-    // Open shard of a live producer older in program order: block (helping)
-    // until it pushes or closes — or the run cancels (the producer may then
-    // never push again: its remaining frames skip their bodies).
+    // Open shard of a live producer older in program order.
+    *ended = false;
+    return nullptr;
+  }
+}
+
+segment* queue_cb::wait_data(qattach* a) {
+  fault::delaypoint("queue.pop");
+  ensure_pos(a);
+  backoff bo;
+  for (;;) {
+    bool ended = false;
+    if (segment* s = scan(a, &ended)) return s;
+    if (ended) return nullptr;
+    // Block (helping) until the producer pushes or closes — or the run
+    // cancels (the producer may then never push again: its remaining
+    // frames skip their bodies).
     throw_if_run_cancelled();
-    wait_step(bo);
+    wait_step(bo, /*data_wait=*/true);
   }
 }
 
@@ -727,10 +764,35 @@ void* queue_cb::read_slice(std::uint64_t want, std::uint64_t* count) {
   return s->acquire_read(want, count);
 }
 
+void* queue_cb::poll_slice(std::uint64_t want, std::uint64_t* count,
+                           bool* ended) {
+  qattach* a = my_attachment(kPrivPop);
+  if (want < 1) want = 1;
+  *ended = false;
+  segment* s = a->ready_seg;
+  if (s == nullptr || a->live_pop_children.load(std::memory_order_acquire) != 0 ||
+      !a->has_pos || s != a->pos_seg || !s->readable()) {
+    fault::delaypoint("queue.pop");
+    s = try_pos(a) ? scan(a, ended) : nullptr;
+  }
+  if (s == nullptr) {
+    *count = 0;
+    return nullptr;
+  }
+  return s->acquire_read(want, count);
+}
+
 void queue_cb::commit_read(std::uint64_t consumed) {
   qattach* a = my_attachment(kPrivPop);
   assert(a->has_pos && a->pos_seg != nullptr);
   a->pos_seg->retire_read(consumed);
+  std::atomic<std::uint64_t>& t = a->pos_shard->taken;
+  t.store(t.load(std::memory_order_relaxed) + consumed,
+          std::memory_order_relaxed);
+}
+
+const pshard& queue_cb::my_shard() {
+  return *my_attachment(kPrivPush)->my_shard;
 }
 
 // ----------------------------------------------------------- selective sync

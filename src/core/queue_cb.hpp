@@ -33,6 +33,7 @@
 #include "conc/spinlock.hpp"
 #include "core/segment.hpp"
 #include "core/view.hpp"
+#include "sched/drain.hpp"
 #include "sched/task.hpp"
 
 namespace hq::detail {
@@ -245,7 +246,13 @@ struct queue_cb {
   /// the granted length; returns null with *count==0 when the queue is
   /// definitively empty. Blocks until data or definitive emptiness.
   void* read_slice(std::uint64_t want, std::uint64_t* count);
+  /// As read_slice, but never waits: null with *count == 0 when nothing is
+  /// readable now, and then *ended tells whether that is definitive. The
+  /// read side of a drain (sched/drain.hpp).
+  void* poll_slice(std::uint64_t want, std::uint64_t* count, bool* ended);
   void commit_read(std::uint64_t consumed);
+  /// The calling producer's current shard (its scanned / taken state).
+  const pshard& my_shard();
 
   // ---- selective sync (Section 5.5) --------------------------------------
   void sync_children(std::uint8_t priv_filter);
@@ -282,6 +289,11 @@ struct queue_cb {
     return st;
   }
   [[nodiscard]] qattach* owner_attachment() { return owner; }
+
+  /// The drain that consumes this queue (declared pipelines; null for
+  /// hand-written programs, whose consumers pop). Set before any producer
+  /// runs; a closing producer shard kicks it, and budget waits run it.
+  drain* consumer_drain = nullptr;
   /// Attachment of the calling task (current frame), requiring `need` privs.
   qattach* my_attachment(std::uint8_t need);
 
@@ -341,10 +353,17 @@ struct queue_cb {
 
   /// Make sure `a` holds the scan position, claiming it from ancestors (it
   /// is in flight back to an ancestor after an older consumer completed).
+  /// try_pos makes one attempt; ensure_pos waits (helping) until it holds.
+  bool try_pos(qattach* a);
   void ensure_pos(qattach* a);
 
+  /// Advance `a`'s scan as far as it can go now: the first readable segment,
+  /// or null — with *ended set when emptiness is definitive, clear when an
+  /// older producer's open shard holds the scan. Caches a->ready_seg.
+  segment* scan(qattach* a, bool* ended);
+
   /// Block (helping) until data is readable (returns segment) or emptiness
-  /// is definitive (returns null). Caches the result in a->ready_seg.
+  /// is definitive (returns null).
   segment* wait_data(qattach* a);
 
   /// Consumer entry point shared by empty/pop/read_slice: the lock-free
@@ -400,7 +419,7 @@ struct queue_cb {
   std::atomic<std::uint64_t> shards_live_{0};
   std::atomic<std::uint64_t> shards_peak_{0};
   /// Yield-phase iterations without any recycle progress before a budget
-  /// wait escapes over budget instead of risking a wedged schedule (only
+  /// wait escapes over budget instead of risking a deadlocked schedule (only
   /// reached when no worker can run the consumer; see budget_wait).
   static constexpr std::uint32_t kBudgetPatience = 1024;
 

@@ -67,6 +67,16 @@ struct pshard {
   /// throttling, and the wait loop re-reads.
   std::atomic<std::uint32_t> live_segs{0};
 
+  /// Set once the consumer's scan has reached this shard: every value
+  /// pushed here is visible from now on, none waits behind an older
+  /// producer. The bounds of drained queues (sched/drain.hpp) treat such a
+  /// producer apart.
+  std::atomic<bool> scanned{false};
+  /// Values the consumer has taken from this shard (written by the
+  /// consumer only): a scanned producer's own backlog is what it pushed
+  /// minus this.
+  std::atomic<std::uint64_t> taken{0};
+
   /// Recycling bookkeeping, mirroring qattach: shards come from the
   /// scheduler's per-worker attach pool and are freed by whichever worker
   /// retires them (the consumer, usually).

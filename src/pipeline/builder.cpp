@@ -39,37 +39,18 @@ bool admission_ctl::admit() {
     shed.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (wedged.load(std::memory_order_relaxed)) {
-    // A previous wait proved the sink cannot currently run; don't re-pay
-    // the patience wait per token. Re-arm enforcement once it completes
-    // something again.
-    if (completed.load(std::memory_order_acquire) ==
-        wedge_done.load(std::memory_order_relaxed)) {
-      admitted.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    wedged.store(false, std::memory_order_relaxed);
-  }
-  // block / bounded_wait: park the source until the sink opens the window.
-  // Pause-only, never help-first: helping from the blocked source can nest
-  // the sink on this very stack, where it blocks forever on the source's
-  // open shard (the same producer-side hazard queue_cb::budget_wait
-  // documents). When sink completions stop arriving entirely — a schedule
-  // that cannot interleave the sink at all — the wait escapes by admitting
-  // over the window rather than wedging; a block window degrades to a soft
-  // one only where a hard one is impossible. "Stopped" takes both many
-  // yielding iterations and a stall longer than an OS time slice: a sink
-  // whose worker is merely preempted must not open the window. cancel() and
-  // scheduler cancellation both unblock as a shed so failure teardown never
-  // hangs.
+  // block / bounded_wait: hold the source until the sink opens the window.
+  // The wait runs ready tasks meanwhile: the source's own exposed batches,
+  // and through them the drains their pushes kick, so on one worker the
+  // sink retires the tokens the window waits for on this very stack. No
+  // consumer in a declared pipeline waits for data (sched/drain.hpp), so
+  // nothing this nests can wait on the source. Off the scheduler (the
+  // pthreads and TBB feeders) it is a plain backoff. cancel() and scheduler
+  // cancellation both unblock as a shed so failure teardown never hangs.
+  // The window is soft only where it can never open (see below).
   scheduler* sc = scheduler::current();
   const auto t0 = std::chrono::steady_clock::now();
   backoff bo;
-  std::uint64_t last_done = completed.load(std::memory_order_acquire);
-  auto last_progress = t0;
-  std::uint32_t stalled_iters = 0;
-  constexpr std::uint32_t kPatience = 1024;
-  constexpr auto kPatienceTime = std::chrono::milliseconds(20);
   bool ok;
   for (;;) {
     if (in_flight() < opts.window) {
@@ -83,32 +64,31 @@ bool admission_ctl::admit() {
       ok = false;
       break;
     }
-    const auto now = std::chrono::steady_clock::now();
-    const auto waited = now - t0;
     if (opts.policy == admission_policy::bounded_wait &&
         static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
                 .count()) >= opts.max_wait_ns) {
       shed.fetch_add(1, std::memory_order_relaxed);
       ok = false;
       break;
     }
-    const std::uint64_t done = completed.load(std::memory_order_acquire);
-    if (done != last_done) {
-      last_done = done;
-      last_progress = now;
-      stalled_iters = 0;
+    if (sc != nullptr && sc->help_or_search()) {
       bo.reset();
-    } else if (bo.is_yielding() && ++stalled_iters > kPatience &&
-               now - last_progress >= kPatienceTime) {
-      wedge_done.store(done, std::memory_order_relaxed);
-      wedged.store(true, std::memory_order_relaxed);
+      continue;
+    }
+    if (sc != nullptr && sc->all_searching()) {
+      // No task runs or waits anywhere: no retirement can come, so the
+      // window cannot open. That happens when an expand stage drops a
+      // token's whole subtree (no sink retirement ever matches its
+      // admission). Admit over the window rather than stop the pipeline.
       admitted.fetch_add(1, std::memory_order_relaxed);
       ok = true;
       break;
     }
     bo.pause();
   }
+  if (sc != nullptr) sc->stop_searching();
   wait_ns.fetch_add(
       static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -118,7 +98,11 @@ bool admission_ctl::admit() {
   return ok;
 }
 
-void admission_ctl::held(std::int64_t start_ns, std::int64_t end_ns) noexcept {
+void admission_ctl::held(std::int64_t start_ns, std::int64_t end_ns,
+                         bool waiting) noexcept {
+  if (waiting)
+    wait_ns.fetch_add(static_cast<std::uint64_t>(end_ns - start_ns),
+                      std::memory_order_relaxed);
   if (opts.policy != admission_policy::shed &&
       opts.policy != admission_policy::bounded_wait)
     return;
@@ -130,11 +114,8 @@ bool admission_ctl::would_wait() const noexcept {
   if (opts.policy == admission_policy::none ||
       opts.policy == admission_policy::shed)
     return false;
-  if (in_flight() < opts.window || cancelled.load(std::memory_order_acquire))
-    return false;
-  return !wedged.load(std::memory_order_relaxed) ||
-         completed.load(std::memory_order_acquire) !=
-             wedge_done.load(std::memory_order_relaxed);
+  return in_flight() >= opts.window &&
+         !cancelled.load(std::memory_order_acquire);
 }
 
 namespace {

@@ -35,9 +35,17 @@
 // stage feeding the run (the source or a serial stage) collects
 // `slice_batch` tokens and spawns one task per batch, which carries each
 // token through the run's bodies and pushes the results into the queue in
-// front of the next serial stage or the sink. No task ever waits for a
-// parallel stage's input, so with two or more workers the sink retires
-// while the source still emits.
+// front of the next serial stage or the sink.
+//
+// Each serial stage and the sink is a drain (sched/drain.hpp): no task
+// waits for its input. A producer that pushed a batch runs the consumer's
+// activation inline if it is idle (a closing producer shard starts one
+// too); the activation takes only what the queue shows, runs the stage
+// body on it and returns, one at a time. So the sink retires while the
+// source still emits, on one worker too. A producer may leave at most
+// 2·P·B of its tokens untaken in a drain's queue (B = the edge's
+// slice_batch): over that it runs the drain itself, or pauses while the
+// drain runs on another worker.
 //
 // Run-ahead is bounded: at each batch the emitter claims its own newest
 // run task back off its worker's deque if no thief took it, spawns the new
@@ -165,35 +173,31 @@ struct admission_ctl {
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> wait_ns{0};
   std::atomic<bool> cancelled{false};
-  /// Latched when a block-policy wait escaped because sink completions
-  /// stopped entirely (schedule cannot interleave the sink — see admit()).
-  /// While latched, window enforcement is suspended so each further token
-  /// does not re-pay the patience wait; cleared as soon as completions
-  /// advance again.
-  std::atomic<bool> wedged{false};
-  std::atomic<std::uint64_t> wedge_done{0};
 
   /// Gate one offered token. True: admitted (counted). False: shed (counted)
   /// — the caller must drop the token without emitting it. Blocks per the
-  /// policy, helping the scheduler when called from a worker, plain backoff
+  /// policy, running ready tasks when called from a worker, plain backoff
   /// on external driver threads. cancel() unblocks every waiter (they shed).
   bool admit();
 
   /// True when admit() would park the caller right now: a full window under
-  /// block or bounded_wait, not cancelled, no wedge escape latched. The
-  /// emitters flush their partial batch first, so the tokens the sink must
-  /// retire to open the window are not held back behind the wait.
+  /// block or bounded_wait, not cancelled. The emitters flush their partial
+  /// batch first, so the tokens the sink must retire to open the window are
+  /// not held back behind the wait.
   [[nodiscard]] bool would_wait() const noexcept;
 
   /// Bounded run-ahead holds the source back too: its emitter runs a
-  /// batch it claimed back inline (hq_spawner), and the run stays too short
-  /// for the window ever to fill. held() books such a run as the source's
-  /// lateness; the time the source then spends in its own body, between
-  /// offers, pays it back. Under shed an offer is dropped while any
-  /// lateness is owed, under bounded_wait once it exceeds max_wait_ns:
-  /// the hold is the wait those policies bound. block and none owe
-  /// nothing. Source task only: no other thread reads these.
-  void held(std::int64_t start_ns, std::int64_t end_ns) noexcept;
+  /// batch it claimed back inline (hq_spawner), or the consumer's drain
+  /// (hq_emitter), and the run stays too short for the window ever to
+  /// fill. held() books such a run as the source's lateness; the time the
+  /// source then spends in its own body, between offers, pays it back.
+  /// Under shed an offer is dropped while any lateness is owed, under
+  /// bounded_wait once it exceeds max_wait_ns: the hold is the wait those
+  /// policies bound. block and none owe nothing. `waiting`: the run was
+  /// made because the window was full, and counts as admission wait. Source
+  /// task only: no other thread reads late_ns / paced_at_ns.
+  void held(std::int64_t start_ns, std::int64_t end_ns,
+            bool waiting = false) noexcept;
   static std::int64_t clock_ns() noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -277,6 +281,8 @@ struct hq_run;
 class hq_chan_base {
  public:
   virtual ~hq_chan_base() = default;
+  /// The drain consuming this queue: the next serial stage or the sink.
+  hq::detail::drain drain;
   [[nodiscard]] virtual seg_pool_stats pool() const = 0;
   [[nodiscard]] virtual std::size_t segments() const = 0;
   /// Push privilege for a producer that only spawns this queue's pushers.
@@ -305,10 +311,16 @@ struct hq_run {
 /// emissions to `last`.
 void run_through(const hq_run& run, void* token, const erased_emit& last);
 
-/// Resolved data-path knobs of one stage task's input/output.
+/// Resolved data-path knobs of one stage's input/output.
 struct hq_knobs {
   std::size_t in_batch = 16;
   std::size_t out_batch = 16;
+  /// Drains: this stage's own (input side; null for the source), and the
+  /// one consuming its output queue directly (null when a run is between).
+  hq::detail::drain* self = nullptr;
+  hq::detail::drain* out_drain = nullptr;
+  /// The backlog bound of `self`, in tokens: 2·P·in_batch.
+  std::uint64_t backlog = 0;
   /// The parallel run this stage's output feeds (null: the output queue is
   /// in front of the next stage itself).
   const hq_run* run = nullptr;
@@ -329,21 +341,26 @@ struct hq_stage_ctx {
 };
 
 /// Buffers a stage body's emissions and moves them onto the output queue
-/// through write slices.
+/// through write slices. Each flush first reserves room under the
+/// consuming drain's backlog bound, then kicks the drain (sched/drain.hpp):
+/// the consumer runs as soon as a batch is visible, inline if it is idle.
 template <typename Out>
 class hq_emitter {
  public:
-  hq_emitter(pushdep<Out>& out, std::size_t batch,
-             admission_ctl* admit = nullptr)
-      : out_(out), batch_(batch ? batch : 1), admit_(admit) {}
+  hq_emitter(pushdep<Out>& out, std::size_t batch, admission_ctl* admit,
+             hq::detail::drain* d)
+      : out_(out), batch_(batch ? batch : 1), admit_(admit), drain_(d),
+        uncaught_(std::uncaught_exceptions()) {}
   hq_emitter(pushdep<Out>& out, const hq_knobs& k)
-      : hq_emitter(out, k.out_batch, k.admit) {}
+      : hq_emitter(out, k.out_batch, k.admit, k.out_drain) {}
   hq_emitter(const hq_emitter&) = delete;
   hq_emitter& operator=(const hq_emitter&) = delete;
   ~hq_emitter() {
-    // The dtor also runs while a stage body unwinds; flush() can allocate a
-    // segment, so under allocation-fault injection it may itself throw.
-    // Route that failure into the scheduler slot instead of terminating.
+    // A body that is unwinding fails the run: its buffered tokens go with
+    // it. Otherwise flush() can allocate a segment, so under allocation-
+    // fault injection it may itself throw; route that failure into the
+    // scheduler slot instead of terminating.
+    if (std::uncaught_exceptions() != uncaught_) return;
     try {
       flush();
     } catch (...) {
@@ -363,18 +380,32 @@ class hq_emitter {
     // Admission gate (source stage only): a shed token dies here, before it
     // touches the queue — bounded memory is the point.
     if (admit_ != nullptr) {
-      if (admit_->would_wait()) flush();
+      if (admit_->would_wait()) flush(/*waiting=*/true);
       if (!admit_->admit()) return;
     }
     buf_.push_back(std::move(v));
     if (buf_.size() >= batch_) flush();
   }
 
-  void flush() {
-    if (!buf_.empty()) {
+  /// Push the buffered tokens. The kick may run the consumer on this
+  /// stack; in a source under admission control that time holds the source
+  /// back (admission_ctl::held), and a flush made because the window is
+  /// full is how the source waits for it.
+  void flush(bool waiting = false) {
+    if (buf_.empty()) return;
+    const std::int64_t t0 = admit_ != nullptr ? admission_ctl::clock_ns() : 0;
+    if (drain_ == nullptr) {
       push_slices(out_, buf_.begin(), buf_.end(), batch_);
       buf_.clear();
+    } else {
+      const hq::detail::pshard& mine = out_.shard();
+      drain_->reserve(buf_.size(), pushed_, mine);
+      push_slices(out_, buf_.begin(), buf_.end(), batch_);
+      pushed_ += buf_.size();
+      buf_.clear();
+      drain_->kick();
     }
+    if (admit_ != nullptr) admit_->held(t0, admission_ctl::clock_ns(), waiting);
   }
 
  private:
@@ -382,6 +413,9 @@ class hq_emitter {
   std::vector<Out> buf_;
   std::size_t batch_;
   admission_ctl* admit_;
+  hq::detail::drain* drain_;
+  std::uint64_t pushed_ = 0;  ///< tokens this emitter put on the queue
+  const int uncaught_;  ///< std::uncaught_exceptions() at construction
 };
 
 /// The emitter of a stage feeding a parallel run: collects run.batch
@@ -468,11 +502,13 @@ template <typename Out, typename Dep>
 using hq_output_t = std::conditional_t<std::is_same_v<Dep, pushdep_any>,
                                        hq_spawner<Out>, hq_emitter<Out>>;
 
-// ---- hyperqueue stage tasks ------------------------------------------------
-// Every non-parallel stage is one task, spawned by the runner's root in
-// declaration order — the serial-elision order the queues' definitive-empty
-// gate relies on. Parallel stages have no task of their own: they run
-// inside the run tasks their producer's hq_spawner spawns.
+// ---- hyperqueue stage lowering ----------------------------------------------
+// The source is one task, spawned by the runner's root first. Every serial
+// stage and the sink is a drain (sched/drain.hpp) whose frame the root
+// creates after it, in declaration order — the serial-elision order the
+// queues' definitive-empty gate relies on. Parallel stages have no frame of
+// their own: they run inside the run tasks their producer's hq_spawner
+// spawns.
 
 template <typename Out, typename Dep>
 void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,
@@ -481,38 +517,79 @@ void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,
   body(em.handle());
 }
 
-/// Serial stage: one task draining the input inline through read slices.
-/// Pop order is serial-elision order, so in-order needs nothing extra.
+/// Serial stage, one activation per call: consumes what its queue shows
+/// now through read slices, in serial-elision order (so in-order needs
+/// nothing extra), then hands on its partial output batch. At the end of
+/// the stream it flushes for good and ends its drain.
 template <typename In, typename Out, typename Dep>
-void hq_serial_stage(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
-                     popdep<In> in, Dep out) {
-  hq_output_t<Out, Dep> em(out, k);
-  for (;;) {
-    auto rs = in.get_read_slice(k.in_batch);
-    if (rs.empty()) break;
-    for (auto& v : rs) body(std::move(v), em.handle());
-    rs.release();
-  }
-}
+class hq_serial_drain {
+ public:
+  hq_serial_drain(std::function<void(In&&, emit<Out>)> body, hq_knobs k)
+      : body_(std::move(body)), k_(k) {}
 
-template <typename In>
-void hq_sink_task(std::function<void(In&&)> body, hq_knobs k, popdep<In> in) {
-  for (;;) {
-    auto rs = in.get_read_slice(k.in_batch);
-    if (rs.empty()) break;
-    for (auto& v : rs) {
-      body(std::move(v));
-      if (k.complete != nullptr) k.complete->complete();
+  void operator()(popdep<In>& in, Dep& out) {
+    if (!em_) em_ = std::make_unique<hq_output_t<Out, Dep>>(out, k_);
+    for (;;) {
+      bool ended = false;
+      auto rs = in.poll_read_slice(k_.in_batch, &ended);
+      if (rs.empty()) {
+        if (ended) {
+          em_.reset();
+          k_.self->end();
+        } else {
+          em_->flush();
+        }
+        return;
+      }
+      for (auto& v : rs) body_(std::move(v), em_->handle());
+      const std::size_t n = rs.size();
+      rs.release();
+      k_.self->retired(n);
     }
-    rs.release();
   }
-}
+
+ private:
+  std::function<void(In&&, emit<Out>)> body_;
+  hq_knobs k_;
+  std::unique_ptr<hq_output_t<Out, Dep>> em_;
+};
+
+/// The sink, one activation per call; retires each token at the admission
+/// boundary.
+template <typename In>
+class hq_sink_drain {
+ public:
+  hq_sink_drain(std::function<void(In&&)> body, hq_knobs k)
+      : body_(std::move(body)), k_(k) {}
+
+  void operator()(popdep<In>& in) {
+    for (;;) {
+      bool ended = false;
+      auto rs = in.poll_read_slice(k_.in_batch, &ended);
+      if (rs.empty()) {
+        if (ended) k_.self->end();
+        return;
+      }
+      for (auto& v : rs) {
+        body_(std::move(v));
+        if (k_.complete != nullptr) k_.complete->complete();
+      }
+      const std::size_t n = rs.size();
+      rs.release();
+      k_.self->retired(n);
+    }
+  }
+
+ private:
+  std::function<void(In&&)> body_;
+  hq_knobs k_;
+};
 
 /// One batch through a parallel run, pushed into the run's output queue.
 template <typename T>
 void hq_run_task(std::unique_ptr<token_batch> work, const hq_run* run,
                  pushdep<T> out) {
-  hq_emitter<T> em(out, run->out_batch);
+  hq_emitter<T> em(out, run->out_batch, nullptr, &run->out->drain);
   const erased_emit last{&em, [](void* c, void* tok) {
                            static_cast<hq_emitter<T>*>(c)->put(
                                std::move(*static_cast<T*>(tok)));
@@ -525,7 +602,9 @@ template <typename T>
 class hq_chan final : public hq_chan_base {
  public:
   hq_chan(std::size_t seglen, std::uint64_t budget_bytes)
-      : q(seglen, budget_bytes) {}
+      : q(seglen, budget_bytes) {
+    q.set_drain(&drain);
+  }
   [[nodiscard]] seg_pool_stats pool() const override { return q.pool_stats(); }
   [[nodiscard]] std::size_t segments() const override { return q.segments(); }
   [[nodiscard]] pushdep_any push_any() const override { return q; }
@@ -558,9 +637,11 @@ struct stage_rec {
   /// Heap-mode runner (pthreads/TBB backends): `token` is an owned heap In*
   /// (consumed); emissions are owned heap Out*.
   std::function<void(void* token, const erased_emit& next)> run_heap;
-  /// Hyperqueue lowering: spawn this stage's task over the typed channels
-  /// (empty for parallel stages, which run inside their producer's runs).
-  std::function<void(const hq_stage_ctx&)> hq_spawn;
+  /// Hyperqueue lowering over the typed channels: the source returns its
+  /// task, made but not yet launched; a serial stage or the sink creates
+  /// its drain's frame and returns null. Empty for parallel stages, which
+  /// run inside their producer's runs.
+  std::function<hq::detail::task_frame*(const hq_stage_ctx&)> hq_spawn;
   /// Factory for this stage's *output* channel (typed on Out).
   std::function<std::unique_ptr<hq_chan_base>(std::size_t seglen,
                                               std::uint64_t budget_bytes)>
@@ -618,14 +699,12 @@ class graph {
       fn(detail::heap_emit<Out>(next));
     };
     s.hq_spawn = [fn](const detail::hq_stage_ctx& c) {
-      if (c.knobs.run != nullptr) {
-        hq::spawn(detail::hq_source_task<Out, pushdep_any>, fn, c.knobs,
-                  c.out->push_any());
-      } else {
-        auto& q = static_cast<detail::hq_chan<Out>*>(c.out)->q;
-        hq::spawn(detail::hq_source_task<Out, pushdep<Out>>, fn, c.knobs,
-                  (pushdep<Out>)q);
-      }
+      if (c.knobs.run != nullptr)
+        return hq::detail::make_task(detail::hq_source_task<Out, pushdep_any>,
+                                     fn, c.knobs, c.out->push_any());
+      auto& q = static_cast<detail::hq_chan<Out>*>(c.out)->q;
+      return hq::detail::make_task(detail::hq_source_task<Out, pushdep<Out>>,
+                                   fn, c.knobs, (pushdep<Out>)q);
     };
     stages_.push_back(std::move(s));
     return stages_.size() - 1;
@@ -670,9 +749,12 @@ class graph {
       std::unique_ptr<In> own(static_cast<In*>(t));
       fn(std::move(*own));
     };
-    s.hq_spawn = [fn](const detail::hq_stage_ctx& c) {
+    s.hq_spawn = [fn](const detail::hq_stage_ctx& c) -> hq::detail::task_frame* {
       auto& q = static_cast<detail::hq_chan<In>*>(c.in)->q;
-      hq::spawn(detail::hq_sink_task<In>, fn, c.knobs, (popdep<In>)q);
+      hq::detail::make_drain_frame(*c.knobs.self, c.knobs.backlog,
+                                   detail::hq_sink_drain<In>(fn, c.knobs),
+                                   (popdep<In>)q);
+      return nullptr;
     };
     stages_.push_back(std::move(s));
     return stages_.size() - 1;
@@ -730,18 +812,23 @@ class graph {
       std::unique_ptr<In> own(static_cast<In*>(t));
       fn(std::move(*own), detail::heap_emit<Out>(next));
     };
-    // Parallel stages get no task of their own (see hq_run).
+    // Parallel stages get no frame of their own (see hq_run).
     if (kind != stage_kind::parallel) {
-      s.hq_spawn = [fn](const detail::hq_stage_ctx& c) {
+      s.hq_spawn = [fn](const detail::hq_stage_ctx& c) -> hq::detail::task_frame* {
         auto& inq = static_cast<detail::hq_chan<In>*>(c.in)->q;
         if (c.knobs.run != nullptr) {
-          hq::spawn(detail::hq_serial_stage<In, Out, pushdep_any>, fn, c.knobs,
-                    (popdep<In>)inq, c.out->push_any());
+          hq::detail::make_drain_frame(
+              *c.knobs.self, c.knobs.backlog,
+              detail::hq_serial_drain<In, Out, pushdep_any>(fn, c.knobs),
+              (popdep<In>)inq, c.out->push_any());
         } else {
           auto& outq = static_cast<detail::hq_chan<Out>*>(c.out)->q;
-          hq::spawn(detail::hq_serial_stage<In, Out, pushdep<Out>>, fn,
-                    c.knobs, (popdep<In>)inq, (pushdep<Out>)outq);
+          hq::detail::make_drain_frame(
+              *c.knobs.self, c.knobs.backlog,
+              detail::hq_serial_drain<In, Out, pushdep<Out>>(fn, c.knobs),
+              (popdep<In>)inq, (pushdep<Out>)outq);
         }
+        return nullptr;
       };
     }
     stages_.push_back(std::move(s));

@@ -100,13 +100,13 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
 
 // ---- hyperqueue backend ----------------------------------------------------
 // One hyperqueue in front of every serial stage and the sink, created by the
-// root task (which thereby owns them, per the attachment model). Runs of
-// parallel stages have no queue: the stage feeding a run spawns one task per
-// batch that carries the batch through the run's bodies (hq_run,
-// builder.hpp). Stage tasks are spawned in chain order — the serial-elision
-// order the queues' visibility rules assume — joined oldest first (as every
-// join is, scheduler.hpp), so the source starts at top level and never
-// nests above its consumers.
+// root task (which thereby owns them, per the attachment model), each
+// consumed by a drain (sched/drain.hpp). Runs of parallel stages have no
+// queue: the stage feeding a run spawns one task per batch that carries the
+// batch through the run's bodies (hq_run, builder.hpp). The source task and
+// the drains' frames are made in chain order — the serial-elision order the
+// queues' visibility rules assume. The root's join runs the source at top
+// level; every consumer runs when its producers kick it.
 
 exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
                                    detail::admission_ctl* ctl) {
@@ -151,12 +151,18 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
     }
     // Producer k is the source (k = 0) or the stage behind queue k - 1; it
     // pushes into queue k, directly or through the parallel run between.
+    // The drains are all bound before the source is launched: until then
+    // no producer can kick one.
+    hq::detail::task_frame* source = nullptr;
     for (std::size_t k = 0; k <= heads.size(); ++k) {
       const std::size_t i = k == 0 ? 0 : heads[k - 1];
       detail::hq_stage_ctx ctx;
       if (k > 0) {
         ctx.in = chans[k - 1].get();
         ctx.knobs.in_batch = batch_of(edge(i - 1));
+        ctx.knobs.self = &ctx.in->drain;
+        ctx.knobs.backlog = 2 * std::uint64_t{sched.num_workers()} *
+                            ctx.knobs.in_batch;
       }
       if (k < heads.size()) {
         const std::size_t next = heads[k];
@@ -171,14 +177,16 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
           ctx.knobs.run = &r;
         } else {
           ctx.knobs.out_batch = batch_of(edge(i));
+          ctx.knobs.out_drain = &ctx.out->drain;
         }
       }
-      // Admission boundary: gate at the source's emitter, retire at the
-      // sink's pop loop.
+      // Admission boundary: gate at the source's emitter, retire in the
+      // sink's drain.
       if (k == 0) ctx.knobs.admit = ctl;
       if (k == heads.size()) ctx.knobs.complete = ctl;
-      stage(i).hq_spawn(ctx);
+      if (hq::detail::task_frame* f = stage(i).hq_spawn(ctx)) source = f;
     }
+    hq::detail::launch(source);
     hq::sync();
     for (auto& ch : chans) {
       res.pool = res.pool + ch->pool();
@@ -245,7 +253,12 @@ struct src_abort {};
 
 class reorderer {
  public:
-  explicit reorderer(unsigned leaf_depth) : cursor_(leaf_depth, 0) {
+  /// `ctl`, when given, retires a top-level token whose whole subtree an
+  /// expand stage dropped: no leaf of it reaches a retirement, and the
+  /// admission window would otherwise never open for it.
+  explicit reorderer(unsigned leaf_depth,
+                     detail::admission_ctl* ctl = nullptr)
+      : cursor_(leaf_depth, 0), ctl_(ctl) {
     assert(leaf_depth >= 1);
   }
   [[nodiscard]] bool done() const noexcept { return done_; }
@@ -286,6 +299,7 @@ class reorderer {
         pending_.erase(it);
         deliver(payload);
         ++cursor_[L - 1];
+        ++leaves_;
         continue;
       }
       // The cursor's leaf hasn't arrived. Either it is genuinely pending,
@@ -306,6 +320,10 @@ class reorderer {
           } else {
             cursor_[d] = 0;
             ++cursor_[d - 1];
+            if (d == 1) {
+              if (leaves_ == 0 && ctl_ != nullptr) ctl_->complete();
+              leaves_ = 0;
+            }
           }
           break;  // re-check pending at the carried cursor
         }
@@ -323,6 +341,8 @@ class reorderer {
   std::map<std::vector<std::uint32_t>, void*> pending_;
   std::map<std::vector<std::uint32_t>, std::uint32_t> counts_;
   bool done_ = false;
+  detail::admission_ctl* ctl_;
+  std::uint64_t leaves_ = 0;  ///< delivered under the current top-level token
 };
 
 /// Run one heap-mode stage body, collecting its emitted heap tokens. The
@@ -397,8 +417,9 @@ void pth_worker_stage(const stage_rec& s, bounded_queue<prec>& in,
 /// serial_in_order middle stage: reorder the input to elision order, run
 /// the body inline, and restart sequence numbering on the output stream.
 void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
-                       bounded_queue<prec>& in, bounded_queue<prec>& out) {
-  reorderer ro(in_depth);
+                       bounded_queue<prec>& in, bounded_queue<prec>& out,
+                       detail::admission_ctl* ctl) {
+  reorderer ro(in_depth, ctl);
   std::uint32_t in_seq = 0;
   // The reorder buffer owns out-of-order payloads; destroy them on any exit
   // that leaves it non-empty (body throw, cancellation via closed queues).
@@ -440,7 +461,7 @@ void pth_sink_stage(const stage_rec& s, unsigned in_depth,
     s.run_heap(payload, none);
     if (ctl != nullptr) ctl->complete();
   };
-  reorderer ro(in_depth);
+  reorderer ro(in_depth, ctl);
   auto drop_pending = [&] {
     if (s.destroy_in) ro.for_each_pending([&](void* p) { s.destroy_in(p); });
   };
@@ -493,9 +514,9 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt,
     } else {
       auto* out = qs[i].get();
       if (s.kind == stage_kind::serial_in_order) {
-        stage_threads[i].emplace_back([&fl, &s, in_depth, in, out] {
+        stage_threads[i].emplace_back([&fl, &s, in_depth, in, out, ctl] {
           try {
-            pth_inorder_stage(s, in_depth, *in, *out);
+            pth_inorder_stage(s, in_depth, *in, *out, ctl);
           } catch (...) {
             fl.fail(std::current_exception());
           }
@@ -685,6 +706,9 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
         tbbpipe::filter_mode::serial_in_order,
         [&snk, ctl](void* t) -> void* {
           std::unique_ptr<toklist> list(static_cast<toklist*>(t));
+          // An expand stage dropped this source token's whole subtree:
+          // retire it, or the admission window never opens for it.
+          if (list->empty() && ctl != nullptr) ctl->complete();
           erased_emit none;
           std::size_t done = 0;
           try {

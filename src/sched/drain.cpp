@@ -1,0 +1,199 @@
+#include "sched/drain.hpp"
+
+#include <cassert>
+
+#include "conc/backoff.hpp"
+#include "core/view.hpp"
+#include "sched/scheduler.hpp"
+
+namespace hq::detail {
+
+void drain::kick() {
+  if (frame_ == nullptr) return;
+  int st = state_.load(std::memory_order_acquire);
+  for (;;) {
+    if (st == kIdle) {
+      // A producer held at the bound runs it: its own values wait behind
+      // this producer's, which goes on producing instead.
+      if (runners_.load(std::memory_order_relaxed) != 0) {
+        kicks_.fetch_add(1, std::memory_order_release);
+        return;
+      }
+      if (state_.compare_exchange_weak(st, kRunning, std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        run_owned();
+        sched_->run_pending_drains();
+        return;
+      }
+    } else if (st == kRunning) {
+      if (state_.compare_exchange_weak(st, kDirty, std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+        return;
+    } else {
+      return;  // dirty already, or finished
+    }
+  }
+}
+
+void drain::kick_deferred() {
+  if (frame_ == nullptr) return;
+  int st = state_.load(std::memory_order_acquire);
+  for (;;) {
+    if (st == kIdle) {
+      if (state_.compare_exchange_weak(st, kRunning, std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        sched_->defer_drain(this);
+        return;
+      }
+    } else if (st == kRunning) {
+      if (state_.compare_exchange_weak(st, kDirty, std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+        return;
+    } else {
+      return;
+    }
+  }
+}
+
+bool drain::try_run(bool* progressed) {
+  if (frame_ == nullptr) return false;
+  int st = kIdle;
+  if (!state_.compare_exchange_strong(st, kRunning, std::memory_order_acq_rel,
+                                      std::memory_order_acquire))
+    return false;
+  const bool took = run_owned();
+  if (progressed != nullptr) *progressed = took;
+  sched_->run_pending_drains();
+  return true;
+}
+
+bool drain::run_owned() {
+  bool took = false;
+  for (;;) {
+    consumed_ = false;
+    sched_->run_activation(frame_);
+    took = took || consumed_;
+    if (ended_ || sched_->cancelled()) {
+      finalize();  // may free the frame and release the runner: touch nothing after
+      return took;
+    }
+    int st = kRunning;
+    if (state_.compare_exchange_strong(st, kIdle, std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+      return took;
+    // A kick arrived while running (kDirty): look again.
+    state_.store(kRunning, std::memory_order_relaxed);
+  }
+}
+
+void drain::finalize() {
+  state_.store(kDone, std::memory_order_release);
+  // The closure (stage state, emitter, queue privileges) dies with the
+  // frame current: an emitter still holding tokens flushes them into the
+  // frame's own shard.
+  sched_->end_activations(frame_);
+}
+
+void drain::hold_begin(scheduler& s) noexcept {
+  runners_.fetch_add(1, std::memory_order_relaxed);
+  s.hold_begin();
+}
+
+void drain::hold_end(scheduler& s) noexcept {
+  s.hold_end();
+  runners_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
+  // A scanned producer leaves the drain to the held producers behind it
+  // when there are any: they have nothing else to do, it has. It is held
+  // because its own values wait in the queue (a budget wait can come in
+  // the middle of a flush, before its kick): it kicks them for those
+  // holders, each of which runs the drain again only after a kick once an
+  // activation of its own found nothing.
+  if (scanned && runners_.load(std::memory_order_relaxed) != 0)
+    kicks_.fetch_add(1, std::memory_order_release);
+  if (!scanned || runners_.load(std::memory_order_relaxed) == 0) {
+    const std::uint64_t k = kicks_.load(std::memory_order_acquire);
+    if (k != h.seen) {
+      bool progressed = false;
+      if (try_run(&progressed)) {
+        if (progressed) {
+          h.bo.reset();
+          return true;
+        }
+        h.seen = k;
+      }
+    }
+  }
+  if (state_.load(std::memory_order_acquire) == kDone || s.cancelled())
+    return false;
+  // Nothing to take now: an activation runs elsewhere, or the producer the
+  // scan waits on is between batches. Both end on their own, so a scanned
+  // producer just pauses. Any other may be waiting for a producer still
+  // unstarted on a deque: it gives way once every worker is held so.
+  if (!scanned && s.all_held()) {
+    s.count_give_way();
+    return false;
+  }
+  // The stall watchdog counts the hold as progress only while the drain
+  // takes values: a hold behind a producer that stopped is a stall.
+  const std::uint64_t r = retired_.load(std::memory_order_relaxed);
+  if (r != h.retired) {
+    h.retired = r;
+    s.throttle_tick();
+  }
+  h.bo.pause();
+  return true;
+}
+
+void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
+  // Two halves of the bound: the producer the scan has reached may leave
+  // limit/2 of its own values untaken; every other one pushes only while
+  // the whole backlog stays within limit/2. So the values behind the
+  // scanned producer never hold it back, and the queue stays within limit.
+  const std::uint64_t half = limit_ / 2 > 0 ? limit_ / 2 : 1;
+  auto fits = [&](bool scanned) {
+    if (scanned) {
+      if (pushed - mine.taken.load(std::memory_order_relaxed) + n > half)
+        return false;
+      reserved_.fetch_add(n, std::memory_order_relaxed);
+      return true;
+    }
+    // retired_ is read first: it never passes reserved_, so the difference
+    // cannot wrap.
+    const std::uint64_t done = retired_.load(std::memory_order_relaxed);
+    std::uint64_t cur = reserved_.load(std::memory_order_relaxed);
+    while (cur - done + n <= half) {
+      if (reserved_.compare_exchange_weak(cur, cur + n,
+                                          std::memory_order_relaxed))
+        return true;
+    }
+    return false;
+  };
+  if (frame_ == nullptr || state_.load(std::memory_order_acquire) == kDone) {
+    reserved_.fetch_add(n, std::memory_order_relaxed);
+    return;
+  }
+  if (fits(mine.scanned.load(std::memory_order_relaxed))) return;
+  scheduler& s = *sched_;
+  bool counted = false;
+  bool reserved = false;
+  hold_state h;
+  for (;;) {
+    const bool scanned = mine.scanned.load(std::memory_order_relaxed);
+    if (!scanned && !counted) hold_begin(s);
+    if (scanned && counted) hold_end(s);
+    counted = !scanned;
+    if (!hold(s, h, scanned)) break;
+    if (fits(scanned)) {
+      reserved = true;
+      break;
+    }
+  }
+  if (counted) hold_end(s);
+  // Given way (or cancelled): go on over the bound.
+  if (!reserved) reserved_.fetch_add(n, std::memory_order_relaxed);
+}
+
+}  // namespace hq::detail

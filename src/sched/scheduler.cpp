@@ -328,13 +328,29 @@ task_frame* scheduler::claim_child() {
   const std::int64_t keep =
       std::max<std::int64_t>(1, static_cast<std::int64_t>(num_workers()) - 1);
   if (w->deque.count_from(cur->deque_floor) < keep) return nullptr;
-  task_frame* t = w->deque.pop_bottom_from(cur->deque_floor);
-  if (t == nullptr) return nullptr;
-  if (t->parent != cur || !safe_to_nest(cur, t)) {
-    w->deque.push_bottom(t);  // already advertised when it was enqueued
-    return nullptr;
+  // The newest child may sit under a batch another emitter left exposed (a
+  // later drain's, spawned while one of ours ran inline): look a few frames
+  // deep, then put back what is not ours, in order. Every frame popped here
+  // was already advertised when it was enqueued.
+  constexpr int kDepth = 8;
+  task_frame* skipped[kDepth];
+  int n = 0;
+  task_frame* found = nullptr;
+  while (n < kDepth) {
+    task_frame* t = w->deque.pop_bottom_from(cur->deque_floor);
+    if (t == nullptr) break;
+    if (t->parent == cur) {
+      found = t;
+      break;
+    }
+    skipped[n++] = t;
   }
-  return t;
+  if (found != nullptr && !safe_to_nest(cur, found)) {
+    w->deque.push_bottom(found);
+    found = nullptr;
+  }
+  while (n > 0) w->deque.push_bottom(skipped[--n]);
+  return found;
 }
 
 void scheduler::run_claimed(task_frame* t) {
@@ -349,13 +365,19 @@ void scheduler::join_children(bool cancellable) {
   const task_frame* f = w->current;
   backoff bo;
   while (f->live_children.load(std::memory_order_acquire) != 0) {
-    if (cancellable) throw_if_cancelled();
+    if (cancellable && cancelled()) {
+      set_searching(*w, false);
+      throw detail::cancel_unwind{};
+    }
     if (help_one(f)) {
+      set_searching(*w, false);
       bo.reset();
     } else {
+      set_searching(*w, true);
       bo.pause();
     }
   }
+  set_searching(*w, false);
 }
 
 void scheduler::execute(task_frame* t) {
@@ -391,6 +413,56 @@ void scheduler::execute(task_frame* t) {
   t->fn.reset();
   finish(t);
   w->current = prev;
+  if (w->pending_drains != nullptr) run_pending_drains();
+}
+
+void scheduler::run_activation(task_frame* f) {
+  worker_ctx* w = detail::t_worker;
+  assert(w != nullptr && w->sched == this && f->detached);
+  task_frame* prev = w->current;
+  f->exec_parent = prev;
+  // Floor 0: the drain's children from earlier activations, possibly under
+  // other frames on this deque, stay claimable (claim_child checks parents).
+  f->deque_floor = 0;
+  w->current = f;
+  if (!cancelled_.load(std::memory_order_relaxed)) {
+    try {
+      f->fn();
+    } catch (const detail::cancel_unwind&) {
+    } catch (...) {
+      record_failure(std::current_exception());
+    }
+  }
+  w->current = prev;
+}
+
+void scheduler::end_activations(task_frame* f) {
+  worker_ctx* w = detail::t_worker;
+  assert(w != nullptr && w->sched == this && f->detached);
+  task_frame* prev = w->current;
+  f->exec_parent = prev;
+  f->deque_floor = 0;
+  w->current = f;
+  f->fn.reset();
+  w->current = prev;
+  // Release the body token the frame was created with (spawn.hpp).
+  if (f->live_children.fetch_sub(1, std::memory_order_acq_rel) == 1) finish(f);
+}
+
+void scheduler::defer_drain(detail::drain* d) noexcept {
+  worker_ctx* w = detail::t_worker;
+  assert(w != nullptr && w->sched == this);
+  d->next_pending = w->pending_drains;
+  w->pending_drains = d;
+}
+
+void scheduler::run_pending_drains() {
+  worker_ctx* w = detail::t_worker;
+  while (detail::drain* d = w->pending_drains) {
+    w->pending_drains = d->next_pending;
+    d->next_pending = nullptr;
+    d->run_owned();
+  }
 }
 
 void scheduler::finish(task_frame* t) {
@@ -413,7 +485,12 @@ void scheduler::finish(task_frame* t) {
   task_frame* parent = t->parent;
   free_frame(t);
   if (parent != nullptr) {
-    parent->live_children.fetch_sub(1, std::memory_order_release);
+    // A drain's frame has no join: the child that completes it last (after
+    // its drain released the body token) finishes it.
+    const bool detached = parent->detached;
+    if (parent->live_children.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        detached)
+      finish(parent);
   } else {
     // The root (the only parentless frame): wake run_root after the frame
     // is recycled, so run() returning means the pools are quiescent.
@@ -439,10 +516,12 @@ void scheduler::worker_main(unsigned index) {
     const std::uint64_t epoch = work_epoch_.load(std::memory_order_acquire);
     if (stop_.load(std::memory_order_acquire)) break;
     if (task_frame* t = find_task(*w)) {
+      set_searching(*w, false);
       execute(t);
       bo.reset();
       continue;
     }
+    set_searching(*w, true);
     bo.pause();
     if (bo.is_yielding()) {
       // Park until new work is enqueued (epoch moves) or shutdown. Advertise
@@ -475,6 +554,9 @@ scheduler::stats_t scheduler::stats() const {
     s.steal_attempts += w->counters.steal_attempts.load(std::memory_order_relaxed);
     s.helps += w->counters.helps.load(std::memory_order_relaxed);
     s.inline_runs += w->counters.inline_runs.load(std::memory_order_relaxed);
+    s.data_wait_helps +=
+        w->counters.data_wait_helps.load(std::memory_order_relaxed);
+    s.give_ways += w->counters.give_ways.load(std::memory_order_relaxed);
   }
   s.throttle_waits = throttle_waits_.load(std::memory_order_relaxed);
   s.throttle_ns = throttle_ns_.load(std::memory_order_relaxed);
@@ -508,6 +590,9 @@ std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
         w->counters.steal_attempts.load(std::memory_order_relaxed);
     s.helps = w->counters.helps.load(std::memory_order_relaxed);
     s.inline_runs = w->counters.inline_runs.load(std::memory_order_relaxed);
+    s.data_wait_helps =
+        w->counters.data_wait_helps.load(std::memory_order_relaxed);
+    s.give_ways = w->counters.give_ways.load(std::memory_order_relaxed);
     s.deque_depth = w->deque.size_estimate();
     s.blocked_on_budget = w->blocked_on_budget.load(std::memory_order_relaxed);
     out.push_back(s);
@@ -523,6 +608,8 @@ void scheduler::reset_stats() {
     w->counters.steal_attempts.store(0, std::memory_order_relaxed);
     w->counters.helps.store(0, std::memory_order_relaxed);
     w->counters.inline_runs.store(0, std::memory_order_relaxed);
+    w->counters.data_wait_helps.store(0, std::memory_order_relaxed);
+    w->counters.give_ways.store(0, std::memory_order_relaxed);
   }
   throttle_waits_.store(0, std::memory_order_relaxed);
   throttle_ns_.store(0, std::memory_order_relaxed);

@@ -57,6 +57,7 @@
 #include "conc/backoff.hpp"
 #include "conc/cache.hpp"
 #include "conc/chase_lev_deque.hpp"
+#include "sched/drain.hpp"
 #include "sched/obj_pool.hpp"
 #include "sched/task.hpp"
 #include "sched/task_fn.hpp"
@@ -82,7 +83,18 @@ struct worker_ctx {
     std::atomic<std::uint64_t> steal_attempts{0};
     std::atomic<std::uint64_t> helps{0};
     std::atomic<std::uint64_t> inline_runs{0};
+    std::atomic<std::uint64_t> data_wait_helps{0};
+    std::atomic<std::uint64_t> give_ways{0};
   } counters;
+
+  /// Drains kicked from completion hooks on this worker, run once the
+  /// completing task's execute() returns (scheduler::defer_drain).
+  drain* pending_drains = nullptr;
+  /// Nesting depth of drain holds on this worker (scheduler::hold_begin).
+  unsigned hold_depth = 0;
+  /// The worker's last attempt to find a task, in its scheduling loop or
+  /// in a join or admission wait, found none (scheduler::all_searching).
+  bool searching = false;
 
   /// Backpressure marker: the hyperqueue this worker is currently throttled
   /// on (core/queue_cb.cpp budget wait), null when not throttled. Written by
@@ -135,6 +147,13 @@ class scheduler {
     std::uint64_t steal_attempts = 0;
     std::uint64_t helps = 0;  // tasks executed inside a wait
     std::uint64_t inline_runs = 0;  // claimed children run by their spawner
+    /// help_one() calls made from hyperqueue data waits (a consumer
+    /// blocked on an empty queue, or on the scan position). Declared
+    /// pipelines consume through drains and never make one.
+    std::uint64_t data_wait_helps = 0;
+    /// Producers held at a drain's bound that went on over it because
+    /// every worker was held (sched/drain.hpp).
+    std::uint64_t give_ways = 0;
     /// Backpressure-throttle accounting (queue memory budgets): wait-loop
     /// iterations and total blocked wall time across all workers. The
     /// watchdog counts throttle_waits as progress — a producer parked on a
@@ -154,6 +173,8 @@ class scheduler {
     std::uint64_t steal_attempts = 0;
     std::uint64_t helps = 0;
     std::uint64_t inline_runs = 0;
+    std::uint64_t data_wait_helps = 0;
+    std::uint64_t give_ways = 0;
     std::size_t deque_depth = 0;  ///< ready frames on the worker's deque
     /// Queue this worker is throttled on right now (memory-budget wait);
     /// null when it is not. See worker_ctx::blocked_on_budget.
@@ -284,6 +305,68 @@ class scheduler {
   /// nested on the calling task. Counted in inline_runs, not helps.
   void run_claimed(detail::task_frame* t);
 
+  /// help_one() from a hyperqueue data wait, counted in data_wait_helps.
+  bool help_data_wait() {
+    detail::worker_ctx* w = detail::t_worker;
+    if (w != nullptr && w->sched == this)
+      w->counters.data_wait_helps.fetch_add(1, std::memory_order_relaxed);
+    return help_one();
+  }
+
+  // ------------- drains (sched/drain.hpp) ----------------------------------
+
+  /// One drain activation: invoke detached frame `f`'s closure with `f`
+  /// current on the calling worker, nested on whatever runs there. A
+  /// failure is recorded like a task body's.
+  void run_activation(detail::task_frame* f);
+  /// The drain is finished: destroy `f`'s closure with `f` current, then
+  /// release the frame's body token, completing the frame now if no child
+  /// is live (else its last child completes it, see finish()).
+  void end_activations(detail::task_frame* f);
+  /// Queue `d` (already in its running state) to run on this worker once
+  /// the current execute() has finished its task.
+  void defer_drain(detail::drain* d) noexcept;
+  /// Run the drains defer_drain queued on this worker.
+  void run_pending_drains();
+
+  /// Bracket a producer held at a drain's bound (backlog or memory budget)
+  /// whose values wait behind an older producer. all_held(): every worker
+  /// is inside such a hold, so no worker is left to start the older
+  /// producer if it is still on a deque — the holds must give way.
+  void hold_begin() noexcept {
+    if (detail::t_worker->hold_depth++ == 0)
+      held_workers_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void hold_end() noexcept {
+    if (--detail::t_worker->hold_depth == 0)
+      held_workers_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool all_held() const noexcept {
+    return held_workers_.load(std::memory_order_relaxed) >= num_workers();
+  }
+  void count_give_way() noexcept {
+    detail::t_worker->counters.give_ways.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// help_one() for a wait that is not a join: like a join it marks the
+  /// worker searching while it finds nothing. all_searching(): every worker
+  /// found nothing to run at its last look and has not run anything since,
+  /// so no task is running or ready anywhere.
+  bool help_or_search() {
+    detail::worker_ctx* w = detail::t_worker;
+    const bool ran = help_one();
+    if (w != nullptr && w->sched == this) set_searching(*w, !ran);
+    return ran;
+  }
+  void stop_searching() noexcept {
+    detail::worker_ctx* w = detail::t_worker;
+    if (w != nullptr && w->sched == this) set_searching(*w, false);
+  }
+  [[nodiscard]] bool all_searching() const noexcept {
+    return searching_workers_.load(std::memory_order_acquire) >=
+           static_cast<int>(num_workers());
+  }
+
   /// Wait until the calling worker's current task has no live children,
   /// helping with its own children oldest first (help_one(current)). The
   /// one join path: hq::sync() (cancellable: unwinds with
@@ -358,6 +441,17 @@ class scheduler {
   // the push fast path.
   std::atomic<std::uint64_t> throttle_waits_{0};
   std::atomic<std::uint64_t> throttle_ns_{0};
+
+  // Workers inside a drain hold (hold_begin / hold_end).
+  std::atomic<unsigned> held_workers_{0};
+
+  // Workers whose last look for a task found none (worker_ctx::searching).
+  std::atomic<int> searching_workers_{0};
+  void set_searching(detail::worker_ctx& w, bool s) noexcept {
+    if (w.searching == s) return;
+    w.searching = s;
+    searching_workers_.fetch_add(s ? 1 : -1, std::memory_order_acq_rel);
+  }
 
   // Failure slot (first-failure-wins) + cancellation epoch, reset by
   // run_root after rethrowing so the scheduler is reusable.

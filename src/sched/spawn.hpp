@@ -84,6 +84,41 @@ inline void launch(task_frame* fr) {
   }
 }
 
+/// Create drain `d`'s stage frame (sched/drain.hpp) as a child of the
+/// calling task: `args` resolve exactly as for a spawn — here, in spawn
+/// order, so the frame's queue attachments take their place in scan order
+/// — but the frame is never launched. Every activation of `d` calls
+/// f(args...) on the same stored arguments, by reference. The frame holds
+/// one body token in live_children until the drain ends.
+template <typename F, typename... Args>
+void make_drain_frame(drain& d, std::uint64_t backlog_limit, F&& f,
+                      Args&&... args) {
+  worker_ctx* w = t_worker;
+  assert(w != nullptr && w->current != nullptr &&
+         "drains are created inside a task");
+  task_frame* parent = w->current;
+  task_frame* fr = w->sched->alloc_frame(parent);
+  fr->spawn_index = parent->spawned++;
+  parent->live_children.fetch_add(1, std::memory_order_relaxed);
+  try {
+    auto bound = std::tuple(resolve_spawn_arg(fr, std::forward<Args>(args))...);
+    fr->fn = task_fn(
+        [func = std::decay_t<F>(std::forward<F>(f)), tup = std::move(bound)]() mutable {
+          std::apply(func, tup);
+        });
+  } catch (...) {
+    // As make_task: run the frame as a no-op so the completion protocol
+    // unwinds whatever was registered.
+    fr->fn = task_fn([] {});
+    launch(fr);
+    throw;
+  }
+  fr->detached = true;
+  fr->live_children.fetch_add(1, std::memory_order_relaxed);  // body token
+  w->counters.spawns.fetch_add(1, std::memory_order_relaxed);
+  d.bind(fr, w->sched, backlog_limit);
+}
+
 }  // namespace detail
 
 /// Spawn `f(args...)` as a child task that may run in parallel with the

@@ -68,6 +68,12 @@ struct task_frame {
 
   task_fn fn;
 
+  /// A drain's stage frame (sched/drain.hpp): never scheduled; each
+  /// activation invokes `fn` with the frame current, and it completes when
+  /// its drain has ended and its last child has completed. Immutable after
+  /// creation.
+  bool detached = false;
+
   /// Children spawned and not yet completed; sync() waits for zero.
   std::atomic<std::uint32_t> live_children{0};
 

@@ -49,7 +49,8 @@ std::string watchdog::report(std::uint64_t last_progress) const {
     os << "  worker " << w.worker << ": deque depth " << w.deque_depth
        << ", spawns " << w.spawns << ", executed " << w.executed << ", steals "
        << w.steals << "/" << w.steal_attempts << " attempts, helps "
-       << w.helps << ", inline runs " << w.inline_runs;
+       << w.helps << " (" << w.data_wait_helps << " in data waits), inline runs "
+       << w.inline_runs;
     if (w.blocked_on_budget != nullptr)
       os << ", blocked_on: budget(queue@" << w.blocked_on_budget << ")";
     os << "\n";

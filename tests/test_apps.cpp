@@ -236,11 +236,13 @@ TEST_P(AppParam, BzipAllVariantsMatchSerial) {
 }
 
 TEST(BzipApp, LoopSplitBoundsQueueGrowth) {
-  // Section 5.4: under serial execution (1 worker) the unsplit version
-  // buffers every block, so its peak segment demand grows with the input;
-  // the split version bounds the batches in flight (split_batch x
-  // split_window) and its demand stays constant. Use many small blocks so
-  // the difference is visible in whole segments.
+  // Section 5.4: the hand-written split version bounds the batches in
+  // flight (split_batch x split_window), so its peak segment demand is a
+  // function of the knobs, not of the input length. The declared pipeline
+  // needs no split for that: its sink is a drain that retires while the
+  // source emits, also under serial execution (1 worker), so its demand
+  // stays flat too. Use many small blocks so a difference would be visible
+  // in whole segments.
   auto cfg = small_bzip(1);
   cfg.block_bytes = 4u << 10;  // 128 blocks
   cfg.split_batch = 4;
@@ -252,15 +254,19 @@ TEST(BzipApp, LoopSplitBoundsQueueGrowth) {
   const auto ex = pipe::execute(g, backend::hyperqueue, {.workers = 1});
   auto split = hq::apps::bzip2::run_hyperqueue_split(cfg, input);
   EXPECT_EQ(unsplit.output, split.output);
-  EXPECT_LE(split.seg_high_water, ex.pool.high_water)
-      << "loop split must not increase peak queue footprint";
-  // The paper's point: the split footprint is a function of the knobs, not
-  // of the input length — doubling the input must not move the high-water
-  // mark, while the unsplit version keeps buffering more.
+  // The paper's point: doubling the input must not move either high-water
+  // mark.
   auto cfg2 = cfg;
   cfg2.input_bytes *= 2;
   auto input2 = hq::util::gen_text(cfg2.input_bytes, cfg2.seed);
+  hq::apps::bzip2::result unsplit2;
+  pipe::graph g2;
+  hq::apps::bzip2::describe_pipeline(cfg2, input2, &unsplit2, g2);
+  const auto ex2 = pipe::execute(g2, backend::hyperqueue, {.workers = 1});
+  EXPECT_LE(ex2.pool.high_water, ex.pool.high_water)
+      << "the declared pipeline's footprint followed the input length";
   auto split2 = hq::apps::bzip2::run_hyperqueue_split(cfg2, input2);
+  EXPECT_EQ(unsplit2.output, split2.output);
   EXPECT_LE(split2.seg_high_water, split.seg_high_water)
       << "split footprint must be independent of the input length";
   // Once warm the segment pool stops allocating: the doubled stream is

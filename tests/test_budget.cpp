@@ -213,6 +213,56 @@ TEST_P(BudgetMatrix, TightBudgetsStayDeterministic) {
   hq::fault::clear();
 }
 
+TEST_P(BudgetMatrix, DeclaredPipelineHoldsTheCap) {
+  // The same caps on a declared pipeline, src -> parallel -> slow sink with
+  // the budget on the sink's queue. Its consumer is a drain, which a
+  // throttled producer runs itself instead of waiting for it: on one worker
+  // the cap holds with no escape. With more workers a producer escapes
+  // (counted) only when every worker is held behind an older producer.
+  const unsigned workers = GetParam();
+  const int items = 4000;
+  std::vector<int> expected(items);
+  std::iota(expected.begin(), expected.end(), 0);
+  const auto ops = hq::detail::make_element_ops<int>();
+  constexpr std::size_t kSegLen = 4;
+  const std::uint64_t seg_bytes =
+      hq::detail::segment::footprint_bytes(kSegLen, &ops);
+  for (std::uint64_t budget_segs : {2ull, 3ull, 8ull}) {
+    std::vector<int> got;
+    hq::pipe::graph g;
+    auto src = g.source<int>("src", [](hq::pipe::emit<int> out) {
+      for (int i = 0; i < items; ++i) out(int{i});
+    });
+    auto mid = g.stage<int, int>(
+        "mid", hq::pipe::stage_kind::parallel,
+        [](int&& v, hq::pipe::emit<int> out) { out(std::move(v)); });
+    auto snk = g.sink<int>("snk", hq::pipe::stage_kind::serial_in_order,
+                           [&got](int&& v) {
+                             for (volatile int i = 0; i < 200; i = i + 1) {
+                             }
+                             got.push_back(v);
+                           });
+    hq::pipe::edge_opts e;
+    e.slice_batch = 16;
+    g.connect(src, mid, e);
+    e.segment_length = kSegLen;
+    e.memory_budget = budget_segs * seg_bytes;
+    g.connect(mid, snk, e);
+    hq::pipe::exec_options opt;
+    opt.workers = workers;
+    const auto res = hq::pipe::execute(g, hq::pipe::backend::hyperqueue, opt);
+    const std::string what = "workers=" + std::to_string(workers) +
+                             " budget_segs=" + std::to_string(budget_segs);
+    EXPECT_EQ(got, expected) << what;
+    if (workers == 1) EXPECT_EQ(res.pool.budget_overruns, 0u) << what;
+    if (res.pool.budget_overruns == 0) {
+      EXPECT_LE(res.pool.peak_bytes,
+                res.pool.budget_bytes + res.pool.exempt_peak_bytes)
+          << what;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Workers, BudgetMatrix,
                          ::testing::Values(1u, 2u, 4u, 8u));
 

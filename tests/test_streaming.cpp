@@ -163,17 +163,213 @@ TEST_P(StreamingRetire, SinkRetiresBeforeSourcesLastEmission) {
   EXPECT_EQ(one.digest, ref.digest);
 }
 
+/// src -> [serial ->] parallel -> sink. The source records, just before
+/// its last emission, whether the sink has retired anything yet; with two
+/// workers it first waits for that, for at most 10 s. On one worker nothing
+/// can run beside the source: the sink must have retired on its stack.
+struct early_probe {
+  static constexpr std::uint64_t kN = 64;
+
+  std::atomic<std::uint64_t> retired{0};
+  bool saw_retire = false;
+  std::uint64_t digest = 0;
+  graph g;
+
+  early_probe(grain gr, bool serial_middle) {
+    auto src = g.source<std::uint64_t>("src", [this](emit<std::uint64_t> out) {
+      for (std::uint64_t i = 0; i + 1 < kN; ++i) out(std::uint64_t{i});
+      if (hq::workers() > 1) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (retired.load(std::memory_order_acquire) == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      saw_retire = retired.load(std::memory_order_acquire) > 0;
+      out(std::uint64_t{kN - 1});
+    });
+    auto mid = g.stage<std::uint64_t, std::uint64_t>(
+        "mix", stage_kind::parallel,
+        [](std::uint64_t&& v, emit<std::uint64_t> out) { out(mix(v)); });
+    auto snk = g.sink<std::uint64_t>(
+        "snk", stage_kind::serial_in_order, [this](std::uint64_t&& v) {
+          digest = digest * 31 + v;
+          retired.fetch_add(1, std::memory_order_release);
+        });
+    if (serial_middle) {
+      auto ser = g.stage<std::uint64_t, std::uint64_t>(
+          "ser", stage_kind::serial_in_order,
+          [](std::uint64_t&& v, emit<std::uint64_t> out) { out(v + 1); });
+      g.connect(src, ser, at(gr));
+      g.connect(ser, mid, at(gr));
+    } else {
+      g.connect(src, mid, at(gr));
+    }
+    g.connect(mid, snk, at(gr));
+  }
+};
+
+void expect_early_retire(grain gr, bool serial_middle, unsigned workers) {
+  early_probe ref(gr, serial_middle);
+  (void)hq::pipe::execute(ref.g, backend::serial);
+  early_probe run(gr, serial_middle);
+  {
+    watchdog_scope dog(workers);
+    exec_options opt;
+    opt.workers = workers;
+    (void)hq::pipe::execute(run.g, backend::hyperqueue, opt);
+  }
+  EXPECT_TRUE(run.saw_retire)
+      << "the sink retired nothing while the source was emitting, at "
+      << workers << " worker(s)";
+  EXPECT_EQ(run.retired.load(), early_probe::kN);
+  EXPECT_EQ(run.digest, ref.digest);
+}
+
+TEST_P(StreamingRetire, SinkRetiresBeforeSourcesLastEmissionOnOneWorker) {
+  expect_early_retire(GetParam(), /*serial_middle=*/false, 1);
+}
+
+TEST_P(StreamingRetire, SerialMiddleStageRetiresWhileSourceEmits) {
+  expect_early_retire(GetParam(), /*serial_middle=*/true, 1);
+  expect_early_retire(GetParam(), /*serial_middle=*/true, 2);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, StreamingRetire,
                          ::testing::Values(grain::slices, grain::element),
                          [](const auto& info) { return grain_label(info.param); });
+
+// ------------------------------------------------------------ backlog bound
+
+/// src -> [serial ->] parallel -> slow sink, batch B on every edge, N
+/// tokens. The producers of a drained queue may leave at most 2·P·B of
+/// their tokens untaken (sched/drain.hpp). Measured at the stage bodies,
+/// a token counts from the body that emits it to the body that takes it,
+/// so the emitter buffers count too: at most one batch per worker, since
+/// no worker runs two producers of one queue at a time. The probe samples,
+/// at every emission into each queue, how many tokens it holds that way.
+struct backlog_probe {
+  const std::size_t batch;
+  const std::uint64_t n;
+  std::atomic<std::uint64_t> src_out{0}, ser_in{0}, par_out{0}, snk_in{0};
+  std::atomic<std::uint64_t> max_ser_queue{0}, max_snk_queue{0};
+  std::uint64_t digest = 0;
+  graph g;
+
+  /// Tokens emitted into a queue and not yet taken out of it. The taker's
+  /// count is read first: it never passes the emitter's.
+  static std::uint64_t held(const std::atomic<std::uint64_t>& out,
+                            const std::atomic<std::uint64_t>& in) {
+    const std::uint64_t taken = in.load(std::memory_order_acquire);
+    return out.load(std::memory_order_acquire) - taken;
+  }
+  static void note(std::atomic<std::uint64_t>& max, std::uint64_t v) {
+    std::uint64_t m = max.load(std::memory_order_relaxed);
+    while (v > m && !max.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
+    }
+  }
+
+  backlog_probe(bool serial_middle, std::size_t b, std::uint64_t count)
+      : batch(b), n(count) {
+    auto src = g.source<std::uint64_t>("src", [this](emit<std::uint64_t> out) {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        out(std::uint64_t{i});
+        src_out.fetch_add(1);
+        note(max_ser_queue, held(src_out, ser_in));
+      }
+    });
+    auto par = g.stage<std::uint64_t, std::uint64_t>(
+        "par", stage_kind::parallel,
+        [this](std::uint64_t&& v, emit<std::uint64_t> out) {
+          out(mix(v));
+          par_out.fetch_add(1);
+          note(max_snk_queue, held(par_out, snk_in));
+        });
+    auto snk = g.sink<std::uint64_t>(
+        "snk", stage_kind::serial_in_order, [this](std::uint64_t&& v) {
+          for (volatile int i = 0; i < 400; i = i + 1) {
+          }
+          digest = digest * 31 + v;
+          snk_in.fetch_add(1, std::memory_order_release);
+        });
+    edge_opts e;
+    e.slice_batch = batch;
+    if (serial_middle) {
+      auto ser = g.stage<std::uint64_t, std::uint64_t>(
+          "ser", stage_kind::serial_in_order,
+          [this](std::uint64_t&& v, emit<std::uint64_t> out) {
+            ser_in.fetch_add(1, std::memory_order_release);
+            out(std::move(v));
+          });
+      g.connect(src, ser, e);
+      g.connect(ser, par, e);
+    } else {
+      g.connect(src, par, e);
+    }
+    g.connect(par, snk, e);
+  }
+};
+
+std::uint64_t give_ways_of(unsigned workers) {
+  hq::scheduler_lease lease(workers);
+  return lease->stats().give_ways;
+}
+
+using backlog_param = std::tuple<grain, unsigned, bool>;
+
+class StreamingBacklog : public ::testing::TestWithParam<backlog_param> {};
+
+TEST_P(StreamingBacklog, DrainedQueuesStayWithinTwoPBatches) {
+  const auto [gr, workers, serial_middle] = GetParam();
+  const std::size_t b = gr == grain::slices ? 16 : 1;
+  // 2·P·B in the queue, plus one emitter buffer of B per worker. When
+  // every worker is held at once, held producers give way over the bound
+  // (sched/drain.hpp, counted in stats_t::give_ways): with more workers
+  // than hardware threads, or beside other load, that happens often, and
+  // such a run is checked for its output only.
+  const std::uint64_t bound = 2 * workers * b + workers * b;
+  for (const std::uint64_t n : {std::uint64_t{4096}, std::uint64_t{16384}}) {
+    backlog_probe ref(serial_middle, b, n);
+    (void)hq::pipe::execute(ref.g, backend::serial);
+    backlog_probe run(serial_middle, b, n);
+    exec_options opt;
+    opt.workers = workers;
+    const std::uint64_t give_ways = give_ways_of(workers);
+    {
+      watchdog_scope dog(workers);
+      (void)hq::pipe::execute(run.g, backend::hyperqueue, opt);
+    }
+    EXPECT_EQ(run.snk_in.load(), n);
+    EXPECT_EQ(run.digest, ref.digest) << "N = " << n;
+    if (give_ways_of(workers) != give_ways) continue;
+    EXPECT_LT(run.max_snk_queue.load(), bound)
+        << "the sink's queue held " << run.max_snk_queue.load()
+        << " tokens, N = " << n;
+    if (serial_middle)
+      EXPECT_LT(run.max_ser_queue.load(), bound)
+          << "the serial stage's queue held " << run.max_ser_queue.load()
+          << " tokens, N = " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, StreamingBacklog,
+    ::testing::Combine(::testing::Values(grain::slices, grain::element),
+                       ::testing::Values(1u, 2u, 4u), ::testing::Bool()),
+    [](const auto& info) {
+      const auto& p = info.param;
+      return std::string(std::get<2>(p) ? "SrcSerParSink" : "SrcParSink") +
+             "_" + grain_label(std::get<0>(p)) + "_P" +
+             std::to_string(std::get<1>(p));
+    });
 
 // --------------------------------------------------- admission window flush
 
 /// src -> sink, or src -> parallel -> sink, under a block window of 4 with
 /// slice_batch 16 on the source edge. Admitted tokens the source's emitter
 /// still buffers cannot reach the sink, so unless the emitter hands its
-/// partial batch on before waiting for the window, the window opens only
-/// when the wait's wedge escape admits over it. The source samples, after
+/// partial batch on before waiting for the window, the window never opens
+/// and the wait admits over it once nothing else can run. The source samples, after
 /// each emission, how many of its tokens the sink has not retired yet.
 struct window_probe {
   static constexpr std::uint64_t kN = 256;
@@ -439,6 +635,34 @@ INSTANTIATE_TEST_SUITE_P(
              "_P" + std::to_string(std::get<2>(p)) + "_" +
              mode_label(std::get<3>(p));
     });
+
+std::uint64_t data_wait_helps(unsigned workers) {
+  hq::scheduler_lease lease(workers);
+  return lease->stats().data_wait_helps;
+}
+
+TEST(StreamingDrain, NoConsumerWaitsForData) {
+  // Every consumer of a declared pipeline is a drain: it takes only what
+  // its queue shows and returns, so no worker ever helps from inside a
+  // hyperqueue data wait (scheduler::stats_t::data_wait_helps).
+  for (const shape s : {shape::par, shape::par_expand, shape::serial_sandwich}) {
+    for (const grain gr : {grain::slices, grain::element}) {
+      for (const unsigned workers : {1u, 2u, 4u}) {
+        const std::string what = shape_label(s) + "_" + grain_label(gr) +
+                                 " @" + std::to_string(workers);
+        graph g;
+        std::vector<tok> got;
+        describe(s, g, &got, gr);
+        exec_options opt;
+        opt.workers = workers;
+        const std::uint64_t before = data_wait_helps(workers);
+        (void)hq::pipe::execute(g, backend::hyperqueue, opt);
+        EXPECT_EQ(data_wait_helps(workers) - before, 0u) << what;
+        expect_same(got, reference(s), what);
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------- bounded run-ahead
 
