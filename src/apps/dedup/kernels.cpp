@@ -76,7 +76,9 @@ void k_dedup(dedup_table* table, chunk_rec* c) {
   bool inserted = false;
   c->entry = table->intern(c->digest, &inserted);
   c->owner = inserted;
-  if (!c->owner) c->data.clear();  // duplicates drop their payload
+  // A duplicate writes only its digest: release its payload allocation
+  // now, not when the chunk leaves the queue behind it.
+  if (!c->owner) std::vector<std::uint8_t>().swap(c->data);
 }
 
 void k_compress(chunk_rec* c) {

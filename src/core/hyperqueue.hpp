@@ -2,7 +2,7 @@
 //
 // A hyperqueue is a deterministic single-producer single-consumer queue
 // whose *implementation* lets many tasks push concurrently (private
-// producer shards, merged in the spawn-order scan list — core/view.hpp)
+// producer shards, merged in the spawn-order scan list — core/shard.hpp)
 // and one task pop concurrently with the pushes, while the consumer
 // observes exactly the serial-elision value order. Producers never take a
 // lock: push, write_slice, push-privileged spawn and completion are all

@@ -494,10 +494,11 @@ void queue_cb::budget_wait(qattach* a, pshard* sh) {
   //
   // A drained queue (a declared pipeline's, sched/drain.hpp) needs no
   // patience: the producer runs the drain itself whenever it is idle, and
-  // otherwise pauses while an activation runs on another worker (which
-  // never waits) or the producer the scan waits on is between batches. It
-  // escapes only when every worker is held so, which a producer reached
-  // through claims on one worker never is: the cap then holds there too.
+  // otherwise pauses while an activation runs on another worker or the
+  // producer the scan waits on is between batches. A producer not yet
+  // scanned escapes only when every worker is paused in a hold, which a
+  // producer reached through claims on one worker never is: the cap then
+  // holds there too.
   scheduler* sc = scheduler::current();
   if (sc != nullptr) sc->throttle_begin(this);
   throttle_waits_.fetch_add(1, std::memory_order_relaxed);
@@ -516,9 +517,9 @@ void queue_cb::budget_wait(qattach* a, pshard* sh) {
       throw_if_run_cancelled();
       if (consumer_drain != nullptr && sc != nullptr) {
         const bool scanned = sh->scanned.load(std::memory_order_relaxed);
-        if (!scanned) consumer_drain->hold_begin(*sc);
+        if (!scanned) consumer_drain->hold_begin();
         const bool held = consumer_drain->hold(*sc, hold, scanned);
-        if (!scanned) consumer_drain->hold_end(*sc);
+        if (!scanned) consumer_drain->hold_end();
         if (!held) {
           throw_if_run_cancelled();
           budget_overruns_.fetch_add(1, std::memory_order_relaxed);

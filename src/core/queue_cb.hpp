@@ -3,7 +3,7 @@
 //
 // Responsibilities:
 //  * per-task, per-queue attachments carrying the producer's private shard
-//    (`pshard`, core/view.hpp) and the consumer's scan position;
+//    (`pshard`, core/shard.hpp) and the consumer's scan position;
 //  * shard splicing at spawn — the lock-free realization of the paper's
 //    view transfer (Section 4.2): the merge order is fixed at the spawn
 //    point, so determinism is independent of execution interleaving;
@@ -32,7 +32,7 @@
 
 #include "conc/spinlock.hpp"
 #include "core/segment.hpp"
-#include "core/view.hpp"
+#include "core/shard.hpp"
 #include "sched/drain.hpp"
 #include "sched/task.hpp"
 

@@ -1,29 +1,15 @@
-// Producer shards and the view split/reduce algebra (paper Section 3.3).
+// Producer shards (paper Section 3.3, realized without views).
 //
-// The runtime's data path orders producers with the explicit shard list
-// (`pshard`, below): the spawn-time splice fixes the merge order exactly
-// where the paper's split() would create the non-local pairing, so the
-// consumer's scan realizes the same serial-elision order the view algebra
-// proves deterministic. The view type and split/reduce remain as the
-// paper-faithful reference semantics (exercised directly by test_views).
-//
-// A view is a (head, tail) pair over a linked chain of queue segments. Each
-// side is either *local* (a real segment pointer) or *non-local* (the
-// segment is shared with the logically adjacent view; represented by a null
-// pointer carrying a match id used to check the pairing invariant).
-// The empty view ε is distinct from a view whose two sides are both
-// non-local.
-//
-//   split((s,s))              = ((s, nlX), (nlX, s))         (new id X)
-//   reduce((h1,t1),(h2,t2))   = ((h1,t2), ε)
-//     - t1, h2 local:         link t1->next = h2
-//     - t1, h2 non-local:     ids must match (already linked by the split)
-//   reduce(v, ε) = (v, ε);  reduce(ε, v) = (v, ε)
+// The paper orders a hyperqueue's producers with views: split() at each
+// spawn, reduce() at each sync. The runtime orders them with an explicit
+// shard list instead: the spawn-time splice fixes the merge order exactly
+// where split() would create a non-local pairing, so the consumer's scan
+// realizes the same serial-elision order the view algebra proves
+// deterministic.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 
 #include "core/segment.hpp"
 
@@ -83,41 +69,5 @@ struct pshard {
   scheduler* pool_sched = nullptr;
   unsigned pool_owner = ~0u;
 };
-
-struct view {
-  segment* head = nullptr;   // local head pointer, when head_nl == 0
-  segment* tail = nullptr;   // local tail pointer, when tail_nl == 0
-  std::uint64_t head_nl = 0;  // nonzero: head side is non-local with this id
-  std::uint64_t tail_nl = 0;  // nonzero: tail side is non-local with this id
-  bool present = false;       // false: this is the empty view ε
-
-  [[nodiscard]] bool empty() const noexcept { return !present; }
-  [[nodiscard]] bool head_local() const noexcept { return present && head_nl == 0; }
-  [[nodiscard]] bool tail_local() const noexcept { return present && tail_nl == 0; }
-
-  /// The local view (s, s) on a single segment.
-  static view local(segment* s) noexcept {
-    view v;
-    v.head = s;
-    v.tail = s;
-    v.present = true;
-    return v;
-  }
-
-  /// Detach and return this view's contents, leaving ε behind.
-  view take() noexcept {
-    view v = *this;
-    *this = view{};
-    return v;
-  }
-};
-
-/// Split a local view (s, s) into a head-only and a tail-only view joined by
-/// the fresh non-local id `nl_id`. Returns {head_view, tail_view}.
-std::pair<view, view> split(view v, std::uint64_t nl_id) noexcept;
-
-/// Reduce `right` into `left` in program order; `right` becomes ε.
-/// Aborts (assert) on pairings that the paper proves cannot occur.
-void reduce_into(view& left, view&& right) noexcept;
 
 }  // namespace hq::detail

@@ -39,15 +39,17 @@ bool admission_ctl::admit() {
     shed.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  // block / bounded_wait: hold the source until the sink opens the window.
-  // The wait runs ready tasks meanwhile: the source's own exposed batches,
-  // and through them the drains their pushes kick, so on one worker the
-  // sink retires the tokens the window waits for on this very stack. No
+  // block / bounded_wait: hold the source until the window opens. The wait
+  // runs ready tasks meanwhile: the source's own exposed batches, and
+  // through them the drains their pushes kick, so on one worker the sink
+  // retires the tokens the window waits for on this very stack. No
   // consumer in a declared pipeline waits for data (sched/drain.hpp), so
-  // nothing this nests can wait on the source. Off the scheduler (the
-  // pthreads and TBB feeders) it is a plain backoff. cancel() and scheduler
-  // cancellation both unblock as a shed so failure teardown never hangs.
-  // The window is soft only where it can never open (see below).
+  // nothing this nests can wait on the source. Every admitted token
+  // retires, at the sink or where an expand stage drops its subtree
+  // (retire_dropped), so the window always opens. Off the scheduler (the
+  // pthreads and TBB feeders) it is a plain backoff. cancel() and
+  // scheduler cancellation both unblock as a shed so failure teardown
+  // never hangs.
   scheduler* sc = scheduler::current();
   const auto t0 = std::chrono::steady_clock::now();
   backoff bo;
@@ -73,22 +75,12 @@ bool admission_ctl::admit() {
       ok = false;
       break;
     }
-    if (sc != nullptr && sc->help_or_search()) {
+    if (sc != nullptr && sc->help_one()) {
       bo.reset();
-      continue;
+    } else {
+      bo.pause();
     }
-    if (sc != nullptr && sc->all_searching()) {
-      // No task runs or waits anywhere: no retirement can come, so the
-      // window cannot open. That happens when an expand stage drops a
-      // token's whole subtree (no sink retirement ever matches its
-      // admission). Admit over the window rather than stop the pipeline.
-      admitted.fetch_add(1, std::memory_order_relaxed);
-      ok = true;
-      break;
-    }
-    bo.pause();
   }
-  if (sc != nullptr) sc->stop_searching();
   wait_ns.fetch_add(
       static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -121,30 +113,30 @@ bool admission_ctl::would_wait() const noexcept {
 namespace {
 
 void run_from(const hq_run& run, std::size_t first, void* token,
-              const erased_emit& last) {
+              const erased_emit& last, admission_ctl* ctl) {
   const stage_rec& s = *run.stages[first];
-  if (first + 1 == run.stages.size()) {
-    s.run_value(token, last);
-    return;
-  }
   // The rest of the run, as the emission target of this body: each token
   // this body emits continues depth-first, as in the serial elision.
   struct rest_t {
     const hq_run* run;
     std::size_t next;
     const erased_emit* last;
-  } rest{&run, first + 1, &last};
-  const erased_emit next{&rest, [](void* c, void* tok) {
-                           const auto* r = static_cast<const rest_t*>(c);
-                           run_from(*r->run, r->next, tok, *r->last);
-                         }};
-  s.run_value(token, next);
+    admission_ctl* ctl;
+  } rest{&run, first + 1, &last, ctl};
+  const erased_emit to_rest{&rest, [](void* c, void* tok) {
+                              const auto* r = static_cast<const rest_t*>(c);
+                              run_from(*r->run, r->next, tok, *r->last, r->ctl);
+                            }};
+  const erased_emit& next = first + 1 == run.stages.size() ? last : to_rest;
+  retire_dropped(s.multi_out ? ctl : nullptr, next,
+                 [&](const erased_emit& e) { s.run_value(token, e); });
 }
 
 }  // namespace
 
-void run_through(const hq_run& run, void* token, const erased_emit& last) {
-  run_from(run, 0, token, last);
+void run_through(const hq_run& run, void* token, const erased_emit& last,
+                 admission_ctl* ctl) {
+  run_from(run, 0, token, last, ctl);
 }
 
 }  // namespace detail

@@ -162,8 +162,12 @@ class emit {
 namespace detail {
 
 /// Runtime state of one run's admission window, shared by the source-side
-/// gate (admit) and the sink-side retire counter (complete). The runner
-/// owns one per execution and reads the counters into exec_result.
+/// gate (admit) and the retire counter (complete). A token retires where
+/// its subtree ends: at the sink, or at an expand stage that emits nothing
+/// for it (retire_dropped). A token an expand stage fans out to k > 1
+/// outputs retires k times, so the window then counts the sink's tokens
+/// rather than the source's. The runner owns one per execution and reads
+/// the counters into exec_result.
 struct admission_ctl {
   explicit admission_ctl(admission_opts o) : opts(o) {}
 
@@ -177,7 +181,8 @@ struct admission_ctl {
   /// Gate one offered token. True: admitted (counted). False: shed (counted)
   /// — the caller must drop the token without emitting it. Blocks per the
   /// policy, running ready tasks when called from a worker, plain backoff
-  /// on external driver threads. cancel() unblocks every waiter (they shed).
+  /// on threads outside the scheduler; it never admits past the window.
+  /// cancel() unblocks every waiter (they shed).
   bool admit();
 
   /// True when admit() would park the caller right now: a full window under
@@ -206,7 +211,8 @@ struct admission_ctl {
   std::int64_t late_ns = 0;
   std::int64_t paced_at_ns = 0;  ///< when late_ns was last brought up to date
 
-  /// Sink-side retirement: opens the window for the next waiter.
+  /// One token retired (at the sink, or dropped by an expand stage): opens
+  /// the window for the next waiter.
   void complete() noexcept {
     completed.fetch_add(1, std::memory_order_release);
   }
@@ -220,7 +226,7 @@ struct admission_ctl {
     // `completed` is loaded first: each token's admit happens-before its
     // complete, so observing N completions (acquire, paired with the
     // release in complete()) implies observing >= N admissions. Clamped at
-    // zero anyway — expand stages retire more sink tokens than the source
+    // zero anyway — a fan-out above 1 retires more tokens than the source
     // admitted, which would otherwise wrap the unsigned difference.
     const std::uint64_t done = completed.load(std::memory_order_acquire);
     const std::uint64_t adm = admitted.load(std::memory_order_relaxed);
@@ -249,6 +255,39 @@ emit<T> heap_emit(const erased_emit& next) {
     const auto* e = static_cast<const erased_emit*>(c);
     e->fn(e->ctx, new T(std::move(v)));
   });
+}
+
+/// An erased emission target that puts each token (an Out the callee may
+/// move from) into emitter `em`.
+template <typename Out, typename Em>
+erased_emit put_into(Em& em) {
+  return {&em, [](void* c, void* tok) {
+            static_cast<Em*>(c)->put(std::move(*static_cast<Out*>(tok)));
+          }};
+}
+
+/// Call `body` with an emission target forwarding to `next`. With `ctl`
+/// (callers pass it for expand stages only) an input the body emits
+/// nothing for retires at the admission window here, where its subtree
+/// ends, as a token the sink takes does: no other retirement will ever
+/// match its admission. The serial elision, the hyperqueue run tasks and
+/// the serial drains retire through this.
+template <typename Body>
+void retire_dropped(admission_ctl* ctl, const erased_emit& next, Body&& body) {
+  if (ctl == nullptr) {
+    body(next);
+    return;
+  }
+  struct counted {
+    const erased_emit* next;
+    bool emitted;
+  } c{&next, false};
+  body(erased_emit{&c, [](void* p, void* tok) {
+                     auto* cp = static_cast<counted*>(p);
+                     cp->emitted = true;
+                     cp->next->fn(cp->next->ctx, tok);
+                   }});
+  if (!c.emitted) ctl->complete();
 }
 
 /// A batch of tokens whose type the task carrying it does not name: the
@@ -288,9 +327,10 @@ class hq_chan_base {
   /// Push privilege for a producer that only spawns this queue's pushers.
   [[nodiscard]] virtual pushdep_any push_any() const = 0;
   /// Spawn one run task over `work` that pushes into this queue (called
-  /// from the producer task holding push_any()).
-  virtual void spawn_run(std::unique_ptr<token_batch> work,
-                         const hq_run& run) = 0;
+  /// from the producer task holding push_any()); `ctl` retires what its
+  /// expand stages drop.
+  virtual void spawn_run(std::unique_ptr<token_batch> work, const hq_run& run,
+                         admission_ctl* ctl) = 0;
 };
 
 /// A run of consecutive parallel stages, lowered without queues. The
@@ -308,8 +348,10 @@ struct hq_run {
 };
 
 /// Deliver one token through every body of `run`, handing the last body's
-/// emissions to `last`.
-void run_through(const hq_run& run, void* token, const erased_emit& last);
+/// emissions to `last`; `ctl` (null without a window) retires the inputs
+/// its expand stages drop.
+void run_through(const hq_run& run, void* token, const erased_emit& last,
+                 admission_ctl* ctl);
 
 /// Resolved data-path knobs of one stage's input/output.
 struct hq_knobs {
@@ -327,7 +369,9 @@ struct hq_knobs {
   /// Admission gate, set by the runner on the source stage only: every
   /// emission passes admission_ctl::admit() and is dropped when it sheds.
   admission_ctl* admit = nullptr;
-  /// Retire counter, set by the runner on the sink stage only.
+  /// The same window's retire counter, set on every stage: the sink
+  /// retires each token it takes, an expand stage (or one in the run it
+  /// feeds) each input it drops.
   admission_ctl* complete = nullptr;
 };
 
@@ -431,8 +475,7 @@ template <typename Out>
 class hq_spawner {
  public:
   hq_spawner(const pushdep_any&, const hq_knobs& k)
-      : run_(*k.run), admit_(k.admit),
-        uncaught_(std::uncaught_exceptions()) {}
+      : k_(k), uncaught_(std::uncaught_exceptions()) {}
   hq_spawner(const hq_spawner&) = delete;
   hq_spawner& operator=(const hq_spawner&) = delete;
   ~hq_spawner() {
@@ -453,16 +496,16 @@ class hq_spawner {
   }
 
   void put(Out&& v) {
-    if (admit_ != nullptr) {
-      if (admit_->would_wait()) flush();
-      if (!admit_->admit()) return;
+    if (k_.admit != nullptr) {
+      if (k_.admit->would_wait()) flush();
+      if (!k_.admit->admit()) return;
     }
     if (!work_) {
       work_ = std::make_unique<token_batch_of<Out>>();
-      work_->v.reserve(run_.batch);
+      work_->v.reserve(k_.run->batch);
     }
     work_->v.push_back(std::move(v));
-    if (work_->v.size() >= run_.batch) flush();
+    if (work_->v.size() >= k_.run->batch) flush();
   }
 
   void flush(bool claim = true) {
@@ -470,7 +513,7 @@ class hq_spawner {
     scheduler& s = *scheduler::current();
     hq::detail::task_frame* mine = claim ? s.claim_child() : nullptr;
     try {
-      run_.out->spawn_run(std::move(work_), run_);
+      k_.run->out->spawn_run(std::move(work_), *k_.run, k_.complete);
     } catch (...) {
       // A popped frame is off every deque: it must run, or the join hangs.
       if (mine != nullptr) run_claimed(s, mine);
@@ -481,17 +524,16 @@ class hq_spawner {
 
  private:
   void run_claimed(scheduler& s, hq::detail::task_frame* t) {
-    if (admit_ == nullptr) {
+    if (k_.admit == nullptr) {
       s.run_claimed(t);
       return;
     }
     const std::int64_t start = admission_ctl::clock_ns();
     s.run_claimed(t);
-    admit_->held(start, admission_ctl::clock_ns());
+    k_.admit->held(start, admission_ctl::clock_ns());
   }
 
-  const hq_run& run_;
-  admission_ctl* admit_;
+  const hq_knobs k_;
   const int uncaught_;  ///< std::uncaught_exceptions() at construction
   std::unique_ptr<token_batch_of<Out>> work_;
 };
@@ -520,15 +562,19 @@ void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,
 /// Serial stage, one activation per call: consumes what its queue shows
 /// now through read slices, in serial-elision order (so in-order needs
 /// nothing extra), then hands on its partial output batch. At the end of
-/// the stream it flushes for good and ends its drain.
+/// the stream it flushes for good and ends its drain. An expand stage
+/// retires each input it drops.
 template <typename In, typename Out, typename Dep>
 class hq_serial_drain {
  public:
-  hq_serial_drain(std::function<void(In&&, emit<Out>)> body, hq_knobs k)
-      : body_(std::move(body)), k_(k) {}
+  hq_serial_drain(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
+                  bool expand)
+      : body_(std::move(body)), k_(k),
+        drops_(expand ? k.complete : nullptr) {}
 
   void operator()(popdep<In>& in, Dep& out) {
     if (!em_) em_ = std::make_unique<hq_output_t<Out, Dep>>(out, k_);
+    const erased_emit to_em = put_into<Out>(*em_);
     for (;;) {
       bool ended = false;
       auto rs = in.poll_read_slice(k_.in_batch, &ended);
@@ -541,7 +587,11 @@ class hq_serial_drain {
         }
         return;
       }
-      for (auto& v : rs) body_(std::move(v), em_->handle());
+      for (auto& v : rs) {
+        retire_dropped(drops_, to_em, [&](const erased_emit& e) {
+          body_(std::move(v), value_emit<Out>(e));
+        });
+      }
       const std::size_t n = rs.size();
       rs.release();
       k_.self->retired(n);
@@ -551,6 +601,7 @@ class hq_serial_drain {
  private:
   std::function<void(In&&, emit<Out>)> body_;
   hq_knobs k_;
+  admission_ctl* drops_;  ///< the window, for an expand stage only
   std::unique_ptr<hq_output_t<Out, Dep>> em_;
 };
 
@@ -588,14 +639,11 @@ class hq_sink_drain {
 /// One batch through a parallel run, pushed into the run's output queue.
 template <typename T>
 void hq_run_task(std::unique_ptr<token_batch> work, const hq_run* run,
-                 pushdep<T> out) {
+                 admission_ctl* ctl, pushdep<T> out) {
   hq_emitter<T> em(out, run->out_batch, nullptr, &run->out->drain);
-  const erased_emit last{&em, [](void* c, void* tok) {
-                           static_cast<hq_emitter<T>*>(c)->put(
-                               std::move(*static_cast<T*>(tok)));
-                         }};
+  const erased_emit last = put_into<T>(em);
   for (std::size_t i = 0; i < work->size(); ++i)
-    run_through(*run, work->at(i), last);
+    run_through(*run, work->at(i), last, ctl);
 }
 
 template <typename T>
@@ -608,9 +656,9 @@ class hq_chan final : public hq_chan_base {
   [[nodiscard]] seg_pool_stats pool() const override { return q.pool_stats(); }
   [[nodiscard]] std::size_t segments() const override { return q.segments(); }
   [[nodiscard]] pushdep_any push_any() const override { return q; }
-  void spawn_run(std::unique_ptr<token_batch> work,
-                 const hq_run& run) override {
-    hq::spawn(hq_run_task<T>, std::move(work), &run, (pushdep<T>)q);
+  void spawn_run(std::unique_ptr<token_batch> work, const hq_run& run,
+                 admission_ctl* ctl) override {
+    hq::spawn(hq_run_task<T>, std::move(work), &run, ctl, (pushdep<T>)q);
   }
 
   hyperqueue<T> q;
@@ -814,18 +862,21 @@ class graph {
     };
     // Parallel stages get no frame of their own (see hq_run).
     if (kind != stage_kind::parallel) {
-      s.hq_spawn = [fn](const detail::hq_stage_ctx& c) -> hq::detail::task_frame* {
+      s.hq_spawn = [fn, multi_out](
+                       const detail::hq_stage_ctx& c) -> hq::detail::task_frame* {
         auto& inq = static_cast<detail::hq_chan<In>*>(c.in)->q;
         if (c.knobs.run != nullptr) {
           hq::detail::make_drain_frame(
               *c.knobs.self, c.knobs.backlog,
-              detail::hq_serial_drain<In, Out, pushdep_any>(fn, c.knobs),
+              detail::hq_serial_drain<In, Out, pushdep_any>(fn, c.knobs,
+                                                            multi_out),
               (popdep<In>)inq, c.out->push_any());
         } else {
           auto& outq = static_cast<detail::hq_chan<Out>*>(c.out)->q;
           hq::detail::make_drain_frame(
               *c.knobs.self, c.knobs.backlog,
-              detail::hq_serial_drain<In, Out, pushdep<Out>>(fn, c.knobs),
+              detail::hq_serial_drain<In, Out, pushdep<Out>>(fn, c.knobs,
+                                                             multi_out),
               (popdep<In>)inq, (pushdep<Out>)outq);
         }
         return nullptr;

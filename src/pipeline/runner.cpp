@@ -74,13 +74,19 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
       };
     }
     const stage_rec& s = g.stage_at(p.order[i]);
-    deliver[i] = [&s, &next, i](void* tok) { s.run_value(tok, next[i]); };
+    detail::admission_ctl* drops = s.multi_out ? ctl : nullptr;
+    deliver[i] = [&s, &next, i, drops](void* tok) {
+      detail::retire_dropped(drops, next[i], [&](const erased_emit& e) {
+        s.run_value(tok, e);
+      });
+    };
   }
   if (ctl != nullptr) {
     // Same boundary as the parallel backends: gate each source emission,
-    // retire at the sink. Tokens flow source->sink within one emit call
-    // here, so in_flight never exceeds one and the elision stays the
-    // lossless reference under any admission policy.
+    // retire at the sink or where an expand stage drops a token's subtree
+    // (above). Tokens flow source->sink within one emit call here, so
+    // in_flight never exceeds one and the elision stays the lossless
+    // reference under any admission policy.
     auto sink = std::move(deliver[n - 1]);
     deliver[n - 1] = [sink, ctl](void* tok) {
       sink(tok);
@@ -181,9 +187,9 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
         }
       }
       // Admission boundary: gate at the source's emitter, retire in the
-      // sink's drain.
+      // sink's drain and wherever an expand stage drops a token.
       if (k == 0) ctx.knobs.admit = ctl;
-      if (k == heads.size()) ctx.knobs.complete = ctl;
+      ctx.knobs.complete = ctl;
       if (hq::detail::task_frame* f = stage(i).hq_spawn(ctx)) source = f;
     }
     hq::detail::launch(source);
@@ -253,12 +259,7 @@ struct src_abort {};
 
 class reorderer {
  public:
-  /// `ctl`, when given, retires a top-level token whose whole subtree an
-  /// expand stage dropped: no leaf of it reaches a retirement, and the
-  /// admission window would otherwise never open for it.
-  explicit reorderer(unsigned leaf_depth,
-                     detail::admission_ctl* ctl = nullptr)
-      : cursor_(leaf_depth, 0), ctl_(ctl) {
+  explicit reorderer(unsigned leaf_depth) : cursor_(leaf_depth, 0) {
     assert(leaf_depth >= 1);
   }
   [[nodiscard]] bool done() const noexcept { return done_; }
@@ -299,7 +300,6 @@ class reorderer {
         pending_.erase(it);
         deliver(payload);
         ++cursor_[L - 1];
-        ++leaves_;
         continue;
       }
       // The cursor's leaf hasn't arrived. Either it is genuinely pending,
@@ -320,10 +320,6 @@ class reorderer {
           } else {
             cursor_[d] = 0;
             ++cursor_[d - 1];
-            if (d == 1) {
-              if (leaves_ == 0 && ctl_ != nullptr) ctl_->complete();
-              leaves_ = 0;
-            }
           }
           break;  // re-check pending at the carried cursor
         }
@@ -341,14 +337,14 @@ class reorderer {
   std::map<std::vector<std::uint32_t>, void*> pending_;
   std::map<std::vector<std::uint32_t>, std::uint32_t> counts_;
   bool done_ = false;
-  detail::admission_ctl* ctl_;
-  std::uint64_t leaves_ = 0;  ///< delivered under the current top-level token
 };
 
 /// Run one heap-mode stage body, collecting its emitted heap tokens. The
 /// input payload is consumed even on throw (run_heap owns it); tokens
-/// already emitted before a throw are destroyed before rethrowing.
-std::vector<void*> run_collect(const stage_rec& s, void* payload) {
+/// already emitted before a throw are destroyed before rethrowing. An
+/// input an expand stage drops retires at `ctl` here.
+std::vector<void*> run_collect(const stage_rec& s, void* payload,
+                               detail::admission_ctl* ctl) {
   std::vector<void*> outs;
   erased_emit em;
   em.ctx = &outs;
@@ -362,6 +358,7 @@ std::vector<void*> run_collect(const stage_rec& s, void* payload) {
       for (void* t : outs) s.destroy_out(t);
     throw;
   }
+  if (outs.empty() && s.multi_out && ctl != nullptr) ctl->complete();
   return outs;
 }
 
@@ -402,7 +399,7 @@ std::vector<void*> run_collect(const stage_rec& s, void* payload) {
 }
 
 void pth_worker_stage(const stage_rec& s, bounded_queue<prec>& in,
-                      bounded_queue<prec>& out) {
+                      bounded_queue<prec>& out, detail::admission_ctl* ctl) {
   for (;;) {
     auto v = in.pop();
     if (!v) break;
@@ -410,7 +407,7 @@ void pth_worker_stage(const stage_rec& s, bounded_queue<prec>& in,
       if (!out.push(*v)) break;  // counts pass through; paths are preserved
       continue;
     }
-    if (!push_tagged(out, s, *v, run_collect(s, v->payload))) break;
+    if (!push_tagged(out, s, *v, run_collect(s, v->payload, ctl))) break;
   }
 }
 
@@ -419,7 +416,7 @@ void pth_worker_stage(const stage_rec& s, bounded_queue<prec>& in,
 void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
                        bounded_queue<prec>& in, bounded_queue<prec>& out,
                        detail::admission_ctl* ctl) {
-  reorderer ro(in_depth, ctl);
+  reorderer ro(in_depth);
   std::uint32_t in_seq = 0;
   // The reorder buffer owns out-of-order payloads; destroy them on any exit
   // that leaves it non-empty (body throw, cancellation via closed queues).
@@ -439,7 +436,7 @@ void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
         prec r;
         r.path[0] = in_seq++;
         r.depth = 1;
-        live = push_tagged(out, s, r, run_collect(s, payload));
+        live = push_tagged(out, s, r, run_collect(s, payload, ctl));
       });
       if (!live || ro.done()) break;
     }
@@ -461,7 +458,7 @@ void pth_sink_stage(const stage_rec& s, unsigned in_depth,
     s.run_heap(payload, none);
     if (ctl != nullptr) ctl->complete();
   };
-  reorderer ro(in_depth, ctl);
+  reorderer ro(in_depth);
   auto drop_pending = [&] {
     if (s.destroy_in) ro.for_each_pending([&](void* p) { s.destroy_in(p); });
   };
@@ -523,9 +520,9 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt,
         });
       } else {
         for (unsigned t = 0; t < workers; ++t)
-          stage_threads[i].emplace_back([&fl, &s, in, out] {
+          stage_threads[i].emplace_back([&fl, &s, in, out, ctl] {
             try {
-              pth_worker_stage(s, *in, *out);
+              pth_worker_stage(s, *in, *out, ctl);
             } catch (...) {
               fl.fail(std::current_exception());
             }
@@ -669,7 +666,7 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
                     : tbbpipe::filter_mode::serial_in_order;
     pl.add_filter(
         mode,
-        [&s](void* t) -> void* {
+        [&s, drops = s.multi_out ? ctl : nullptr](void* t) -> void* {
           std::unique_ptr<toklist> list(static_cast<toklist*>(t));
           toklist next;
           next.reserve(list->size());
@@ -684,7 +681,10 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
           std::size_t done = 0;
           try {
             for (void* v : *list) {
+              const std::size_t before = next.size();
               s.run_heap(v, em);
+              // An expand stage dropped this token's subtree: retire it.
+              if (drops != nullptr && next.size() == before) drops->complete();
               ++done;
             }
           } catch (...) {
@@ -706,9 +706,6 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
         tbbpipe::filter_mode::serial_in_order,
         [&snk, ctl](void* t) -> void* {
           std::unique_ptr<toklist> list(static_cast<toklist*>(t));
-          // An expand stage dropped this source token's whole subtree:
-          // retire it, or the admission window never opens for it.
-          if (list->empty() && ctl != nullptr) ctl->complete();
           erased_emit none;
           std::size_t done = 0;
           try {

@@ -3,7 +3,7 @@
 #include <cassert>
 
 #include "conc/backoff.hpp"
-#include "core/view.hpp"
+#include "core/shard.hpp"
 #include "sched/scheduler.hpp"
 
 namespace hq::detail {
@@ -94,16 +94,6 @@ void drain::finalize() {
   sched_->end_activations(frame_);
 }
 
-void drain::hold_begin(scheduler& s) noexcept {
-  runners_.fetch_add(1, std::memory_order_relaxed);
-  s.hold_begin();
-}
-
-void drain::hold_end(scheduler& s) noexcept {
-  s.hold_end();
-  runners_.fetch_sub(1, std::memory_order_relaxed);
-}
-
 bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
   // A scanned producer leaves the drain to the held producers behind it
   // when there are any: they have nothing else to do, it has. It is held
@@ -128,14 +118,6 @@ bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
   }
   if (state_.load(std::memory_order_acquire) == kDone || s.cancelled())
     return false;
-  // Nothing to take now: an activation runs elsewhere, or the producer the
-  // scan waits on is between batches. Both end on their own, so a scanned
-  // producer just pauses. Any other may be waiting for a producer still
-  // unstarted on a deque: it gives way once every worker is held so.
-  if (!scanned && s.all_held()) {
-    s.count_give_way();
-    return false;
-  }
   // The stall watchdog counts the hold as progress only while the drain
   // takes values: a hold behind a producer that stopped is a stall.
   const std::uint64_t r = retired_.load(std::memory_order_relaxed);
@@ -143,8 +125,16 @@ bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
     h.retired = r;
     s.throttle_tick();
   }
-  h.bo.pause();
-  return true;
+  // Nothing to take now: an activation runs elsewhere, or the producer the
+  // scan waits on has not pushed yet. Pause, counted in the census; once
+  // every worker is paused so, a producer not yet scanned gives way (see
+  // the file comment), unless a kick came in meanwhile.
+  const std::uint64_t k = kicks_.load(std::memory_order_acquire);
+  if (!s.pause_in_hold(h.bo) || scanned ||
+      kicks_.load(std::memory_order_acquire) != k)
+    return true;
+  s.count_give_way();
+  return false;
 }
 
 void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
@@ -176,22 +166,21 @@ void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
     return;
   }
   if (fits(mine.scanned.load(std::memory_order_relaxed))) return;
-  scheduler& s = *sched_;
-  bool counted = false;
+  bool runner = false;
   bool reserved = false;
   hold_state h;
   for (;;) {
     const bool scanned = mine.scanned.load(std::memory_order_relaxed);
-    if (!scanned && !counted) hold_begin(s);
-    if (scanned && counted) hold_end(s);
-    counted = !scanned;
-    if (!hold(s, h, scanned)) break;
+    if (!scanned && !runner) hold_begin();
+    if (scanned && runner) hold_end();
+    runner = !scanned;
+    if (!hold(*sched_, h, scanned)) break;
     if (fits(scanned)) {
       reserved = true;
       break;
     }
   }
-  if (counted) hold_end(s);
+  if (runner) hold_end();
   // Given way (or cancelled): go on over the bound.
   if (!reserved) reserved_.fetch_add(n, std::memory_order_relaxed);
 }

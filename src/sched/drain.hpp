@@ -31,11 +31,17 @@
 // Held producers not yet scanned are the preferred runners (the scanned
 // one, with work of its own, leaves the drain to them and kicks them);
 // after an activation that found nothing they wait for the next kick.
-// Activations never wait for data and only nest work of later stages, so
-// a pause behind a running activation ends. A producer not yet scanned
-// waits for an older producer, which may still be unstarted on a deque:
-// it gives way, over the bound, once every worker is held so
-// (scheduler::all_held).
+//
+// Liveness of a hold. A pause need not end by itself: an activation can
+// claim a run task of a later stage and nest it, held at the next drain,
+// and a producer not yet scanned waits for an older one that may sit
+// unstarted on a deque. So each pause is counted in the scheduler's pause
+// census (scheduler::pause_in_hold), the scanned producer's too; a worker
+// running an activation or a task is not counted. Once every worker is
+// paused in a hold, nothing runs anywhere, and a producer not yet scanned
+// gives way: it goes on over the bound. If a kick came in during its
+// pause, it runs the drain first instead. The scanned producer never
+// gives way: its tokens are visible, so the next activation takes them.
 #pragma once
 
 #include <atomic>
@@ -105,16 +111,19 @@ class drain {
   /// budget): run the drain if it is idle, else pause. `scanned`: the
   /// consumer's scan has reached the producer's shard. False when the hold
   /// must give way: the run is cancelling, the drain is done, or — for a
-  /// producer not yet scanned — every worker is held. Such a producer
-  /// brackets its hold with hold_begin / hold_end.
+  /// producer not yet scanned — every worker is paused in a hold. Such a
+  /// producer brackets its hold with hold_begin / hold_end: it is one of
+  /// the drain's runners.
   struct hold_state {
     backoff bo;
     std::uint64_t seen = ~std::uint64_t{0};  ///< kicks_ at the last empty run
     std::uint64_t retired = 0;  ///< retired_ when last looked at
   };
   bool hold(scheduler& s, hold_state& h, bool scanned);
-  void hold_begin(scheduler& s) noexcept;
-  void hold_end(scheduler& s) noexcept;
+  void hold_begin() noexcept {
+    runners_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void hold_end() noexcept { runners_.fetch_sub(1, std::memory_order_relaxed); }
 
   /// Intrusive link of the scheduler's per-worker deferred-kick list.
   drain* next_pending = nullptr;

@@ -63,7 +63,7 @@ scheduler::scheduler(unsigned num_workers) {
 
   frame_pool_.init(num_workers, sizeof(task_frame), kPoolReturnCap);
   // The attach pool serves both per-(task, queue) attachments and producer
-  // shard records (core/view.hpp): one block size covering the larger of
+  // shard records (core/shard.hpp): one block size covering the larger of
   // the two keeps every spawn-path allocation on the per-worker magazines.
   attach_pool_.init(num_workers,
                     std::max(sizeof(detail::qattach), sizeof(detail::pshard)),
@@ -365,19 +365,13 @@ void scheduler::join_children(bool cancellable) {
   const task_frame* f = w->current;
   backoff bo;
   while (f->live_children.load(std::memory_order_acquire) != 0) {
-    if (cancellable && cancelled()) {
-      set_searching(*w, false);
-      throw detail::cancel_unwind{};
-    }
+    if (cancellable && cancelled()) throw detail::cancel_unwind{};
     if (help_one(f)) {
-      set_searching(*w, false);
       bo.reset();
     } else {
-      set_searching(*w, true);
       bo.pause();
     }
   }
-  set_searching(*w, false);
 }
 
 void scheduler::execute(task_frame* t) {
@@ -516,12 +510,10 @@ void scheduler::worker_main(unsigned index) {
     const std::uint64_t epoch = work_epoch_.load(std::memory_order_acquire);
     if (stop_.load(std::memory_order_acquire)) break;
     if (task_frame* t = find_task(*w)) {
-      set_searching(*w, false);
       execute(t);
       bo.reset();
       continue;
     }
-    set_searching(*w, true);
     bo.pause();
     if (bo.is_yielding()) {
       // Park until new work is enqueued (epoch moves) or shutdown. Advertise

@@ -90,11 +90,6 @@ struct worker_ctx {
   /// Drains kicked from completion hooks on this worker, run once the
   /// completing task's execute() returns (scheduler::defer_drain).
   drain* pending_drains = nullptr;
-  /// Nesting depth of drain holds on this worker (scheduler::hold_begin).
-  unsigned hold_depth = 0;
-  /// The worker's last attempt to find a task, in its scheduling loop or
-  /// in a join or admission wait, found none (scheduler::all_searching).
-  bool searching = false;
 
   /// Backpressure marker: the hyperqueue this worker is currently throttled
   /// on (core/queue_cb.cpp budget wait), null when not throttled. Written by
@@ -152,7 +147,7 @@ class scheduler {
     /// pipelines consume through drains and never make one.
     std::uint64_t data_wait_helps = 0;
     /// Producers held at a drain's bound that went on over it because
-    /// every worker was held (sched/drain.hpp).
+    /// every worker was paused in a hold (sched/drain.hpp).
     std::uint64_t give_ways = 0;
     /// Backpressure-throttle accounting (queue memory budgets): wait-loop
     /// iterations and total blocked wall time across all workers. The
@@ -269,7 +264,7 @@ class scheduler {
   }
 
   /// Pooled fixed-size blocks for hyperqueue attachments and producer shard
-  /// records (core/queue_cb.*, core/view.hpp) — the block size covers both.
+  /// records (core/queue_cb.*, core/shard.hpp) — the block size covers both.
   /// The caller placement-constructs the record in the block and stashes
   /// *owner for the matching free.
   void* alloc_attach_block(unsigned* owner) {
@@ -329,42 +324,22 @@ class scheduler {
   /// Run the drains defer_drain queued on this worker.
   void run_pending_drains();
 
-  /// Bracket a producer held at a drain's bound (backlog or memory budget)
-  /// whose values wait behind an older producer. all_held(): every worker
-  /// is inside such a hold, so no worker is left to start the older
-  /// producer if it is still on a deque — the holds must give way.
-  void hold_begin() noexcept {
-    if (detail::t_worker->hold_depth++ == 0)
-      held_workers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void hold_end() noexcept {
-    if (--detail::t_worker->hold_depth == 0)
-      held_workers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool all_held() const noexcept {
-    return held_workers_.load(std::memory_order_relaxed) >= num_workers();
+  /// The pause census of drain holds (sched/drain.hpp). Pause the calling
+  /// worker once with `bo`, counted meanwhile as a worker paused in a hold;
+  /// true when, at the end of the pause, every worker was counted so. A
+  /// worker running an activation or a task is never counted, so then
+  /// nothing runs anywhere: no activation, task or producer can take or
+  /// add a value until a paused hold goes on.
+  bool pause_in_hold(backoff& bo) noexcept {
+    paused_workers_.fetch_add(1, std::memory_order_acq_rel);
+    bo.pause();
+    const bool all =
+        paused_workers_.load(std::memory_order_acquire) >= num_workers();
+    paused_workers_.fetch_sub(1, std::memory_order_acq_rel);
+    return all;
   }
   void count_give_way() noexcept {
     detail::t_worker->counters.give_ways.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// help_one() for a wait that is not a join: like a join it marks the
-  /// worker searching while it finds nothing. all_searching(): every worker
-  /// found nothing to run at its last look and has not run anything since,
-  /// so no task is running or ready anywhere.
-  bool help_or_search() {
-    detail::worker_ctx* w = detail::t_worker;
-    const bool ran = help_one();
-    if (w != nullptr && w->sched == this) set_searching(*w, !ran);
-    return ran;
-  }
-  void stop_searching() noexcept {
-    detail::worker_ctx* w = detail::t_worker;
-    if (w != nullptr && w->sched == this) set_searching(*w, false);
-  }
-  [[nodiscard]] bool all_searching() const noexcept {
-    return searching_workers_.load(std::memory_order_acquire) >=
-           static_cast<int>(num_workers());
   }
 
   /// Wait until the calling worker's current task has no live children,
@@ -442,16 +417,8 @@ class scheduler {
   std::atomic<std::uint64_t> throttle_waits_{0};
   std::atomic<std::uint64_t> throttle_ns_{0};
 
-  // Workers inside a drain hold (hold_begin / hold_end).
-  std::atomic<unsigned> held_workers_{0};
-
-  // Workers whose last look for a task found none (worker_ctx::searching).
-  std::atomic<int> searching_workers_{0};
-  void set_searching(detail::worker_ctx& w, bool s) noexcept {
-    if (w.searching == s) return;
-    w.searching = s;
-    searching_workers_.fetch_add(s ? 1 : -1, std::memory_order_acq_rel);
-  }
+  // Workers paused in a drain hold right now (pause_in_hold).
+  std::atomic<unsigned> paused_workers_{0};
 
   // Failure slot (first-failure-wins) + cancellation epoch, reset by
   // run_root after rethrowing so the scheduler is reusable.

@@ -44,8 +44,10 @@ auto resolve_spawn_arg(task_frame* fr, A&& a) {
 inline void launch(task_frame* fr);
 
 /// Create a child frame with the closure bound and dependences registered,
-/// but the spawn guard still held. Callers must launch() it.
-template <typename F, typename... Args>
+/// but the spawn guard still held. Callers must launch() it. `kKeepArgs`:
+/// the closure applies its stored arguments by reference, so it can run
+/// more than once (a drain's frame); a task's closure moves them out.
+template <bool kKeepArgs = false, typename F, typename... Args>
 task_frame* make_task(F&& f, Args&&... args) {
   worker_ctx* w = t_worker;
   assert(w != nullptr && w->current != nullptr &&
@@ -60,7 +62,11 @@ task_frame* make_task(F&& f, Args&&... args) {
     auto bound = std::tuple(resolve_spawn_arg(fr, std::forward<Args>(args))...);
     fr->fn = task_fn(
         [func = std::decay_t<F>(std::forward<F>(f)), tup = std::move(bound)]() mutable {
-          std::apply(func, std::move(tup));
+          if constexpr (kKeepArgs) {
+            std::apply(func, tup);
+          } else {
+            std::apply(func, std::move(tup));
+          }
         });
   } catch (...) {
     // Argument resolution threw (e.g. an injected allocation failure in the
@@ -93,30 +99,11 @@ inline void launch(task_frame* fr) {
 template <typename F, typename... Args>
 void make_drain_frame(drain& d, std::uint64_t backlog_limit, F&& f,
                       Args&&... args) {
-  worker_ctx* w = t_worker;
-  assert(w != nullptr && w->current != nullptr &&
-         "drains are created inside a task");
-  task_frame* parent = w->current;
-  task_frame* fr = w->sched->alloc_frame(parent);
-  fr->spawn_index = parent->spawned++;
-  parent->live_children.fetch_add(1, std::memory_order_relaxed);
-  try {
-    auto bound = std::tuple(resolve_spawn_arg(fr, std::forward<Args>(args))...);
-    fr->fn = task_fn(
-        [func = std::decay_t<F>(std::forward<F>(f)), tup = std::move(bound)]() mutable {
-          std::apply(func, tup);
-        });
-  } catch (...) {
-    // As make_task: run the frame as a no-op so the completion protocol
-    // unwinds whatever was registered.
-    fr->fn = task_fn([] {});
-    launch(fr);
-    throw;
-  }
+  task_frame* fr =
+      make_task<true>(std::forward<F>(f), std::forward<Args>(args)...);
   fr->detached = true;
   fr->live_children.fetch_add(1, std::memory_order_relaxed);  // body token
-  w->counters.spawns.fetch_add(1, std::memory_order_relaxed);
-  d.bind(fr, w->sched, backlog_limit);
+  d.bind(fr, fr->sched, backlog_limit);
 }
 
 }  // namespace detail

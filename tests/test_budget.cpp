@@ -20,11 +20,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bounded_run.hpp"
 #include "core/fault.hpp"
 #include "core/latency.hpp"
 #include "hq.hpp"
@@ -217,8 +219,8 @@ TEST_P(BudgetMatrix, DeclaredPipelineHoldsTheCap) {
   // The same caps on a declared pipeline, src -> parallel -> slow sink with
   // the budget on the sink's queue. Its consumer is a drain, which a
   // throttled producer runs itself instead of waiting for it: on one worker
-  // the cap holds with no escape. With more workers a producer escapes
-  // (counted) only when every worker is held behind an older producer.
+  // the cap holds with no escape. With more workers a producer not yet
+  // scanned escapes (counted) only when every worker is paused in a hold.
   const unsigned workers = GetParam();
   const int items = 4000;
   std::vector<int> expected(items);
@@ -386,6 +388,73 @@ TEST(Admission, SerialElisionNeverSheds) {
   EXPECT_EQ(res.admitted, 300u);
   EXPECT_EQ(res.shed, 0u);
   EXPECT_EQ(fx.delivered.load(), 300);
+}
+
+TEST(Admission, DroppedSubtreesRetireOnEveryLowering) {
+  // An expand stage that emits nothing for a token leaves the sink nothing
+  // to retire for it: the token retires where it drops, on every lowering,
+  // or a block window fills with dropped tokens and never opens again.
+  // src -> expand dropping every 4th token -> sink, under a window of 4.
+  constexpr std::uint64_t kN = 200;
+  using hq::pipe::backend;
+  using hq::pipe::stage_kind;
+  struct run_state {
+    hq::pipe::graph g;
+    std::vector<std::uint64_t> got;
+    hq::pipe::exec_result res;
+  };
+  auto describe = [](stage_kind kind, run_state& r) {
+    auto src = r.g.source<std::uint64_t>(
+        "src", [](hq::pipe::emit<std::uint64_t> out) {
+          for (std::uint64_t i = 0; i < kN; ++i) out(std::uint64_t{i});
+        });
+    auto drop = r.g.expand<std::uint64_t, std::uint64_t>(
+        "drop", kind,
+        [](std::uint64_t&& v, hq::pipe::emit<std::uint64_t> out) {
+          if (v % 4 != 3) out(v * 7 + 1);
+        });
+    auto snk = r.g.sink<std::uint64_t>(
+        "snk", stage_kind::serial_in_order,
+        [&r](std::uint64_t&& v) { r.got.push_back(v); });
+    r.g.connect(src, drop);
+    r.g.connect(drop, snk);
+  };
+  struct arm {
+    backend b;
+    unsigned workers;
+  };
+  for (const stage_kind kind :
+       {stage_kind::serial_in_order, stage_kind::parallel}) {
+    run_state ref;
+    describe(kind, ref);
+    (void)hq::pipe::execute(ref.g, backend::serial);
+    ASSERT_EQ(ref.got.size(), kN - kN / 4);
+    for (const arm a : {arm{backend::serial, 1}, arm{backend::hyperqueue, 1},
+                        arm{backend::hyperqueue, 2}, arm{backend::pthreads, 2},
+                        arm{backend::tbb, 2}}) {
+      const std::string what = std::string(hq::pipe::to_string(a.b)) + "@" +
+                               std::to_string(a.workers) + ", " +
+                               hq::pipe::to_string(kind) + " expand";
+      auto r = std::make_shared<run_state>();
+      describe(kind, *r);
+      hq::pipe::exec_options opt;
+      opt.workers = a.workers;
+      opt.admission.policy = hq::pipe::admission_policy::block;
+      opt.admission.window = 4;
+      if (a.b == backend::hyperqueue)
+        hq::scheduler_lease(a.workers)->set_watchdog(/*ms=*/5000);
+      const bool returned =
+          hq::testutil::returns_within(std::chrono::seconds(20), [r, a, opt] {
+            r->res = hq::pipe::execute(r->g, a.b, opt);
+          });
+      ASSERT_TRUE(returned) << what << ": no return within 20 s";
+      if (a.b == backend::hyperqueue)
+        hq::scheduler_lease(a.workers)->set_watchdog(0);
+      EXPECT_EQ(r->got, ref.got) << what;
+      EXPECT_EQ(r->res.admitted, kN) << what;
+      EXPECT_EQ(r->res.shed, 0u) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -369,7 +369,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// slice_batch 16 on the source edge. Admitted tokens the source's emitter
 /// still buffers cannot reach the sink, so unless the emitter hands its
 /// partial batch on before waiting for the window, the window never opens
-/// and the wait admits over it once nothing else can run. The source samples, after
+/// and the run stalls (the watchdog fails it). The source samples, after
 /// each emission, how many of its tokens the sink has not retired yet.
 struct window_probe {
   static constexpr std::uint64_t kN = 256;
