@@ -7,15 +7,23 @@
 // them in --quick mode and uploads the JSON artifacts, making the perf
 // trajectory machine-readable run over run.
 //
+// Every record carries a "host" block (CPU model, nproc, compiler, build
+// type, quick flag): an absolute ns/op means something only next to the
+// machine and build it came from, and bench_compare.py labels a diff
+// between two hosts as such.
+//
 // Flags handled here (stripped before benchmark::Initialize sees argv):
 //   --quick        smoke sizes (maps to a tiny --benchmark_min_time)
 //   --json PATH    output path (each harness passes its default)
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sched/obj_pool.hpp"
@@ -97,6 +105,60 @@ inline void emit_pool_json(FILE* f, const char* key,
                static_cast<unsigned long long>(p.live));
 }
 
+#ifndef HQ_BUILD_TYPE
+#define HQ_BUILD_TYPE "unknown"
+#endif
+
+/// `s` as the body of a JSON string literal.
+inline std::string json_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
+/// The "model name" of the first CPU in /proc/cpuinfo ("unknown" without it).
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// CPUs this process may run on, as nproc counts them.
+inline unsigned available_cpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
+
+/// Emit the record's "host" member, followed by a comma.
+inline void emit_host_json(FILE* f, bool quick) {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::fprintf(f,
+               "  \"host\": {\"cpu_model\": \"%s\", \"nproc\": %u, "
+               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+               "\"quick\": %s},\n",
+               json_escape(cpu_model()).c_str(), available_cpus(),
+               json_escape(compiler).c_str(), HQ_BUILD_TYPE,
+               quick ? "true" : "false");
+}
+
 /// Write the trajectory record. `extra` (optional, may be null) is invoked
 /// to append harness-specific JSON members; it must emit zero or more
 /// `"key": value,`-style fragments each followed by a comma.
@@ -111,6 +173,7 @@ bool write_micro_json(const micro_bench_options& opt, const char* bench_name,
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"quick\": %s,\n", bench_name,
                opt.quick ? "true" : "false");
+  emit_host_json(f, opt.quick);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const bench_row& r = rows[i];

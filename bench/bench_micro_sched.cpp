@@ -56,12 +56,16 @@ double calibration_step_ns() {
 void BM_SpawnSyncFlat(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   hq::scheduler sched(1);
-  for (auto _ : state) {
-    sched.run([&] {
-      for (int i = 0; i < n; ++i) hq::spawn([] {});
-      hq::sync();
-    });
-  }
+  auto flat = [&] {
+    for (int i = 0; i < n; ++i) hq::spawn([] {});
+    hq::sync();
+  };
+  // Untimed warm-up: the first run carves the frame pool. run() executes
+  // on this thread, so Google Benchmark sizes the loop from its CPU time
+  // and --quick may time only a few runs; none of them should be the cold
+  // one.
+  sched.run(flat);
+  for (auto _ : state) sched.run(flat);
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SpawnSyncFlat)->Arg(1000)->Arg(10000);
@@ -71,11 +75,14 @@ void BM_CallSync(benchmark::State& state) {
   // stack flag (no shared_ptr allocation).
   const int n = static_cast<int>(state.range(0));
   hq::scheduler sched(1);
+  long acc = 0;
+  auto calls = [&] {
+    for (int i = 0; i < n; ++i) hq::call([&acc] { ++acc; });
+  };
+  sched.run(calls);  // untimed warm-up, as in BM_SpawnSyncFlat
   for (auto _ : state) {
-    long acc = 0;
-    sched.run([&] {
-      for (int i = 0; i < n; ++i) hq::call([&acc] { ++acc; });
-    });
+    acc = 0;
+    sched.run(calls);
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(state.iterations() * n);

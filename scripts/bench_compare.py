@@ -23,6 +23,12 @@ Failure rules:
     runner jitter on the noisy records cannot fail a merge. This is the
     mode the CI gate runs in.
 
+Host: each record's "host" block (CPU model, nproc, compiler, build type,
+quick flag; bench_json.hpp) is printed first. When the blocks differ, or
+either record has none (the committed baselines predate it), the comparison
+is labelled ACROSS HOSTS: its ns/op deltas mix the change with the machine.
+The label is information only; the failure rules above apply unchanged.
+
 --fields diffs non-benchmark scalars by dotted path into the raw documents
 (e.g. probe.attach_pool.allocated) between baseline and current. Always
 advisory: the values are printed side by side so probe counters
@@ -40,6 +46,16 @@ def load_results(path):
         doc = json.load(f)
     rows = {r["name"]: r for r in doc.get("results", [])}
     return doc, rows
+
+
+HOST_KEYS = ("cpu_model", "nproc", "compiler", "build_type", "quick")
+
+
+def describe_host(doc):
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return None, "not recorded"
+    return host, ", ".join(f"{k}={host.get(k)}" for k in HOST_KEYS)
 
 
 def main():
@@ -62,6 +78,18 @@ def main():
 
     base_doc, base = load_results(args.baseline)
     cur_doc, cur = load_results(args.current)
+
+    base_host, base_desc = describe_host(base_doc)
+    cur_host, cur_desc = describe_host(cur_doc)
+    print(f"baseline host: {base_desc}")
+    print(f"current host:  {cur_desc}")
+    if base_host is None or cur_host is None:
+        across = "a host block is missing"
+    else:
+        differ = [k for k in HOST_KEYS if base_host.get(k) != cur_host.get(k)]
+        across = "differs in " + ", ".join(differ) if differ else ""
+    host_label = f" [ACROSS HOSTS: {across}]" if across else ""
+    print(f"comparison: {'ACROSS HOSTS (' + across + ')' if across else 'same host'}\n")
 
     # The union, not just the baseline: a record that appears on one side
     # only is a discrepancy to report, not something to silently skip.
@@ -138,13 +166,14 @@ def main():
             print(f"  {a}")
 
     if failures:
-        print(f"\nFAIL ({args.current} vs {args.baseline}):", file=sys.stderr)
+        print(f"\nFAIL ({args.current} vs {args.baseline}){host_label}:",
+              file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
     gated = f"{len(stable)} gated of " if stable else ""
     print(f"OK: no gated regression over {args.threshold:.0%} "
-          f"({gated}{len(names)} records checked)")
+          f"({gated}{len(names)} records checked){host_label}")
     return 0
 
 

@@ -35,21 +35,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <vector>
 
 #include <sys/mman.h>
 
 #include "conc/cache.hpp"
-#include "conc/spinlock.hpp"
 #include "core/fault.hpp"
 
 namespace hq::detail {
 
-/// Magazine index for blocks allocated outside any worker of the owning
-/// scheduler (e.g. root frames launched from an external thread). Such
-/// blocks bypass the pool: plain heap round trip.
+/// The freeing index of a thread that is not a worker of the owning
+/// scheduler (a hyperqueue destroyed after its run, on the caller). Blocks
+/// are only ever allocated on a worker.
 inline constexpr unsigned kPoolExternal = ~0u;
 
 class obj_pool {
@@ -57,7 +55,7 @@ class obj_pool {
   /// Counters mirroring seg_pool_stats (core/queue_cb.hpp): a well-behaved
   /// steady-state pipeline plateaus `allocated` while `recycled` grows.
   struct stats_t {
-    std::uint64_t allocated = 0;   ///< fresh blocks ever carved / heap-allocated
+    std::uint64_t allocated = 0;   ///< fresh blocks ever carved
     std::uint64_t recycled = 0;    ///< allocation requests served by a magazine
     /// Peak `live` observed at the sampling points (fresh-block slow paths
     /// and stats() calls). Exact tracking would put a shared counter on
@@ -90,17 +88,12 @@ class obj_pool {
     assert(stats().live == 0 && "obj_pool destroyed with blocks still in use");
     for (const auto& m : mags_)
       for (void* s : m->slabs) ::munmap(s, kSlabBytes);
-    while (ext_free_ != nullptr) {
-      free_block* n = ext_free_->next;
-      ::operator delete(static_cast<void*>(ext_free_), std::align_val_t{kCacheLine});
-      ext_free_ = n;
-    }
   }
 
-  /// Allocate one block on behalf of magazine `worker` (kPoolExternal for
-  /// non-worker threads). Only the owning worker may pass its own index.
+  /// Allocate one block on behalf of magazine `worker`. Only the owning
+  /// worker may pass its own index.
   void* alloc(unsigned worker) {
-    if (worker == kPoolExternal) return external_alloc();
+    assert(worker < mags_.size() && "obj_pool::alloc off a worker");
     magazine& m = *mags_[worker];
     if (m.local == nullptr) adopt_returns(m);
     if (free_block* b = m.local) {
@@ -116,10 +109,6 @@ class obj_pool {
   /// worker): the same-worker path pushes locally, any other thread uses the
   /// owner's bounded return stack.
   void free(void* p, unsigned owner, unsigned freeing) {
-    if (owner == kPoolExternal) {
-      external_discard(p);
-      return;
-    }
     auto* b = ::new (p) free_block{nullptr};
     if (freeing != kPoolExternal) {
       magazine& f = *mags_[freeing];
@@ -161,9 +150,6 @@ class obj_pool {
       s.recycled += m->recycled.load(std::memory_order_relaxed);
       freed += m->freed.load(std::memory_order_relaxed);
     }
-    s.allocated += ext_fresh_.load(std::memory_order_relaxed);
-    s.recycled += ext_recycled_.load(std::memory_order_relaxed);
-    freed += ext_freed_.load(std::memory_order_relaxed);
     // The per-magazine counters are read without synchronization, so a
     // mid-flight snapshot can transiently observe a free before the
     // matching alloc; clamp instead of wrapping (live is monitoring-only,
@@ -238,31 +224,6 @@ class obj_pool {
     return p;
   }
 
-  /// External threads (no magazine) recycle through a tiny spinlock-guarded
-  /// freelist — cold path, one root frame per scheduler::run(). These blocks
-  /// are plain heap memory, never slab-carved.
-  void* external_alloc() {
-    {
-      std::lock_guard<spinlock> lk(ext_mu_);
-      if (free_block* b = ext_free_) {
-        ext_free_ = b->next;
-        ext_recycled_.fetch_add(1, std::memory_order_relaxed);
-        return b;
-      }
-    }
-    ext_fresh_.fetch_add(1, std::memory_order_relaxed);
-    note_high_water();
-    return ::operator new(block_bytes_, std::align_val_t{kCacheLine});
-  }
-
-  void external_discard(void* p) {
-    auto* b = ::new (p) free_block{nullptr};
-    ext_freed_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<spinlock> lk(ext_mu_);
-    b->next = ext_free_;
-    ext_free_ = b;
-  }
-
   /// Record a high-water sample. Called on fresh-block paths (where the
   /// local working set just grew) — cross-magazine recycling bursts between
   /// samples are intentionally not tracked; see stats_t::high_water.
@@ -271,11 +232,8 @@ class obj_pool {
   std::size_t block_bytes_ = 0;
   std::size_t cap_ = 0;
   std::vector<std::unique_ptr<magazine>> mags_;
-  // External-thread blocks and the high-water mark: slow paths only, never
-  // touched by the recycling fast path.
-  spinlock ext_mu_;
-  free_block* ext_free_ = nullptr;
-  std::atomic<std::uint64_t> ext_fresh_{0}, ext_recycled_{0}, ext_freed_{0};
+  // The high-water mark: slow paths only, never touched by the recycling
+  // fast path.
   mutable std::atomic<std::uint64_t> high_{0};  // stats() records samples
 };
 

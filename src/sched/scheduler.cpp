@@ -69,8 +69,9 @@ scheduler::scheduler(unsigned num_workers) {
                     std::max(sizeof(detail::qattach), sizeof(detail::pshard)),
                     kPoolReturnCap);
 
-  threads_.reserve(num_workers);
-  for (unsigned i = 0; i < num_workers; ++i) {
+  // Worker 0 is whichever thread calls run().
+  threads_.reserve(num_workers - 1);
+  for (unsigned i = 1; i < num_workers; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
   }
 }
@@ -80,21 +81,19 @@ scheduler::~scheduler() {
   work_epoch_.fetch_add(1, std::memory_order_release);
   idle_cv_.notify_all();
   for (auto& t : threads_) t.join();
-  assert(injector_.empty() && "scheduler destroyed with pending tasks");
 }
 
 void scheduler::run_root(task_fn fn) {
   assert(detail::t_worker == nullptr &&
          "run() must not be called from inside a task; use spawn()");
-  {
-    std::lock_guard<std::mutex> lk(done_mu_);
-    root_done_ = false;
-  }
-  task_frame* root = alloc_frame(nullptr);
-  root->fn = std::move(fn);
-  // finish() signals done_cv_ for the parentless root frame after freeing
-  // it (not via a completion hook, which would run pre-free): once the wait
-  // below returns, no frame is live and no scheduler work is in flight.
+  // The caller is worker 0 until the root returns, and unbound again on
+  // every exit, also when the root's allocation throws.
+  struct bind_caller {
+    explicit bind_caller(worker_ctx* w) noexcept { detail::t_worker = w; }
+    ~bind_caller() { detail::t_worker = nullptr; }
+    bind_caller(const bind_caller&) = delete;
+    bind_caller& operator=(const bind_caller&) = delete;
+  } bound(workers_[0].get());
   // Arm the stall watchdog for the duration of this run: set_watchdog's
   // interval once called, else HQ_WATCHDOG_MS read now, so a scheduler kept
   // resident across runs follows the knob. Its monitor thread cancels a
@@ -108,14 +107,12 @@ void scheduler::run_root(task_fn fn) {
     wo.grace_intervals = watchdog_grace_;
     dog.emplace(*this, wo);
   }
-  // Release the spawn guard: the root has no dependences.
-  if (root->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    enqueue(root);
-  }
-  {
-    std::unique_lock<std::mutex> lk(done_mu_);
-    done_cv_.wait(lk, [&] { return root_done_; });
-  }
+  task_frame* root = alloc_frame(nullptr);
+  root->fn = std::move(fn);
+  // The root has no dependences and no parent: run it here. Its implicit
+  // join waits for every frame of the run, and finish() recycles the root
+  // before execute() returns, so the pools are quiescent from here on.
+  execute(root);
   dog.reset();
   // Surface the run's first failure on the calling thread. The root has
   // completed, so every frame was executed (bodies skipped once cancelling)
@@ -143,13 +140,8 @@ void scheduler::record_failure(std::exception_ptr e) noexcept {
 void scheduler::enqueue(task_frame* t) {
   assert(t->sched == this);
   worker_ctx* w = detail::t_worker;
-  if (w != nullptr && w->sched == this) {
-    w->deque.push_bottom(t);
-  } else {
-    std::lock_guard<std::mutex> lk(inj_mu_);
-    injector_.push_back(t);
-    inj_count_.store(injector_.size(), std::memory_order_release);
-  }
+  assert(w != nullptr && w->sched == this && "enqueue() off a worker");
+  w->deque.push_bottom(t);
   // Publish-then-check handshake with parking workers: the task publish
   // above must be ordered before the idle probe, exactly as a parking
   // worker orders its num_idle_ increment before its last work probe
@@ -190,28 +182,12 @@ task_frame* scheduler::try_steal(worker_ctx& w) {
   return found;
 }
 
-task_frame* scheduler::pop_injector() {
-  // The count gate keeps the empty case (the common one) lock-free.
-  if (inj_count_.load(std::memory_order_acquire) == 0) return nullptr;
-  std::lock_guard<std::mutex> lk(inj_mu_);
-  if (injector_.empty()) return nullptr;
-  task_frame* t = injector_.front();
-  injector_.pop_front();
-  inj_count_.store(injector_.size(), std::memory_order_release);
-  return t;
-}
-
 task_frame* scheduler::find_task(worker_ctx& w) {
   if (task_frame* t = w.deque.pop_bottom()) return t;
-  // Poll the injector before the steal sweep: external submissions must not
-  // starve behind 2·n failed steal rounds.
-  if (task_frame* t = pop_injector()) return t;
-  if (task_frame* t = try_steal(w)) return t;
-  return pop_injector();
+  return try_steal(w);
 }
 
 bool scheduler::work_available() const {
-  if (inj_count_.load(std::memory_order_relaxed) > 0) return true;
   for (const auto& w : workers_) {
     if (w->deque.size_estimate() > 0) return true;
   }
@@ -485,14 +461,6 @@ void scheduler::finish(task_frame* t) {
     if (parent->live_children.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
         detached)
       finish(parent);
-  } else {
-    // The root (the only parentless frame): wake run_root after the frame
-    // is recycled, so run() returning means the pools are quiescent.
-    {
-      std::lock_guard<std::mutex> lk(done_mu_);
-      root_done_ = true;
-    }
-    done_cv_.notify_all();
   }
 }
 

@@ -39,14 +39,17 @@
 //  * enqueue() touches the shared work_epoch_/idle_cv_ lines only when a
 //    worker is actually parked.
 //
-// Workers are not pinned; the OS places them. A thief sweeps the other
-// workers in index rotation starting after itself.
+// The thread that calls run() is worker 0 for the duration of the run: it
+// executes the root in place, and the root's implicit join is its wait, so
+// a run hands nothing to another thread and needs no wake-up to return.
+// The scheduler starts P - 1 pool threads for workers 1..P-1 (none at
+// P = 1). Workers are not pinned; the OS places them. A thief sweeps the
+// other workers in index rotation starting after itself.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -105,16 +108,19 @@ struct worker_ctx {
 /// once, call run() any number of times (serially) — workers park in between.
 class scheduler {
  public:
-  /// @param num_workers worker thread count (>=1); this is the paper's "core
-  /// count" knob. Defaults to hardware concurrency.
+  /// @param num_workers worker count, the calling thread included (>=1): run()
+  /// executes tasks on its caller (worker 0) and num_workers - 1 pool
+  /// threads. This is the paper's "core count" knob. Defaults to hardware
+  /// concurrency.
   explicit scheduler(unsigned num_workers = 0);
   ~scheduler();
 
   scheduler(const scheduler&) = delete;
   scheduler& operator=(const scheduler&) = delete;
 
-  /// Execute `f` as the root task and block until it (and all transitively
-  /// spawned tasks) complete. Must not be called from inside a task.
+  /// Execute `f` as the root task on the calling thread, which is worker 0
+  /// until it (and all transitively spawned tasks) complete: it helps and
+  /// steals while it waits. Must not be called from inside a task.
   ///
   /// Failure semantics: the first exception a task body throws is captured
   /// into the scheduler's failure slot, flips the cancellation epoch (so
@@ -130,7 +136,8 @@ class scheduler {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Scheduler of the calling worker thread (null on external threads).
+  /// Scheduler of the calling worker thread, or of the run() the calling
+  /// thread is in (null on other threads).
   static scheduler* current() noexcept;
 
   /// Monotonic event counters, for the overhead benches. Aggregated from the
@@ -209,10 +216,7 @@ class scheduler {
     watchdog_set_ = true;
   }
 
-  // Run-state introspection for the watchdog's diagnostic dump.
-  [[nodiscard]] std::size_t injector_depth() const noexcept {
-    return inj_count_.load(std::memory_order_relaxed);
-  }
+  /// Parked pool threads, out of num_workers() - 1 (the watchdog's dump).
   [[nodiscard]] int idle_workers() const noexcept {
     return num_idle_.load(std::memory_order_relaxed);
   }
@@ -246,7 +250,7 @@ class scheduler {
   // ------------- internal API (spawn/sync/hyperqueue machinery) -----------
 
   /// Allocate + construct a task frame from the calling worker's magazine
-  /// (plain heap when called from a non-worker thread, e.g. for roots).
+  /// (a root comes from magazine 0, the caller's).
   detail::task_frame* alloc_frame(detail::task_frame* parent) {
     const unsigned owner = my_worker_index();
     void* mem = frame_pool_.alloc(owner);
@@ -275,15 +279,16 @@ class scheduler {
     attach_pool_.free(p, owner, my_worker_index());
   }
 
-  /// Make a ready frame available for execution.
+  /// Make a ready frame available for execution. Only a worker of this
+  /// scheduler enqueues: every frame but the root is spawned or satisfied
+  /// by a task.
   void enqueue(detail::task_frame* t);
 
   /// Execute one ready task if any is available. Returns false when no task
   /// could be obtained (the caller should back off). With `joiner` (the
   /// calling worker's current frame, waiting for its children) the oldest
   /// of its own ready children is taken first; otherwise, and once it has
-  /// none left on this worker's deque, the newest local task, then the
-  /// injector, then a steal.
+  /// none left on this worker's deque, the newest local task, then a steal.
   bool help_one(const detail::task_frame* joiner = nullptr);
 
   /// Bounded run-ahead, step 1 (see the class comment): pop the calling
@@ -379,7 +384,6 @@ class scheduler {
   void worker_main(unsigned index);
   detail::task_frame* find_task(detail::worker_ctx& w);
   detail::task_frame* try_steal(detail::worker_ctx& w);
-  detail::task_frame* pop_injector();
   bool work_available() const;
   void execute(detail::task_frame* t);
   void finish(detail::task_frame* t);
@@ -393,23 +397,12 @@ class scheduler {
   detail::obj_pool frame_pool_;
   detail::obj_pool attach_pool_;
 
-  // External / overflow submission channel. inj_count_ lets the hot path
-  // skip the lock when the injector is empty (the common case).
-  std::mutex inj_mu_;
-  std::deque<detail::task_frame*> injector_;
-  std::atomic<std::size_t> inj_count_{0};
-
   // Idle-worker parking.
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
   std::atomic<int> num_idle_{0};
   std::atomic<std::uint64_t> work_epoch_{0};
   std::atomic<bool> stop_{false};
-
-  // Root-completion signalling for run().
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  bool root_done_ = false;
 
   // Backpressure-throttle totals (see throttle_begin/tick/end). Shared
   // lines, but only touched while a producer is already blocked — never on

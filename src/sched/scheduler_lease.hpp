@@ -1,7 +1,8 @@
 // Resident schedulers: the runtime's only way to obtain worker threads.
 //
 // Building a scheduler carves the per-worker slab pools and starts one
-// thread per worker; destroying it joins them. Paying that on every
+// thread per worker but worker 0, which is the thread that calls run();
+// destroying it joins them. Paying that on every
 // pipeline run would make a run's fixed cost depend on how the work is
 // split into runs, so the runtime instead leases an idle *resident*
 // scheduler (TBB's implicit-arena model):

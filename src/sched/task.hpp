@@ -42,9 +42,8 @@ struct task_frame {
   task_frame* const parent;
   const unsigned depth;
 
-  /// Magazine that owns this frame's memory (kPoolExternal for frames
-  /// heap-allocated outside any worker, e.g. roots launched from external
-  /// threads). Set by scheduler::alloc_frame right after construction.
+  /// Magazine that owns this frame's memory. Set by scheduler::alloc_frame
+  /// right after construction.
   unsigned pool_owner = ~0u;
 
   /// Position among its parent's children in spawn order (immutable once

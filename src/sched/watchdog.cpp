@@ -40,8 +40,8 @@ std::string watchdog::report(std::uint64_t last_progress) const {
   os << "watchdog: no scheduler progress for "
      << opt_.interval.count() << " ms (spawns+executed+throttle stuck at "
      << last_progress << ")\n";
-  os << "  injector depth " << sched_.injector_depth() << ", parked workers "
-     << sched_.idle_workers() << "/" << sched_.num_workers()
+  os << "  worker 0 is the calling thread, parked workers "
+     << sched_.idle_workers() << "/" << sched_.num_workers() - 1
      << ", cancelling=" << (sched_.cancelled() ? "yes" : "no")
      << ", throttle waits " << st.throttle_waits << " ("
      << st.throttle_ns / 1000000 << " ms total)\n";

@@ -144,8 +144,8 @@ void range_producer(hq::pushdep<int> q, int start, int end) {
 void slow_consumer(hq::popdep<int> q, std::vector<int>* out, unsigned spin) {
   while (!q.empty()) {
     out->push_back(q.pop());
-    for (volatile unsigned i = 0; i < spin; ++i) {
-    }
+    volatile unsigned i = 0;
+    while (i < spin) i = i + 1;
   }
 }
 
@@ -240,8 +240,8 @@ TEST_P(BudgetMatrix, DeclaredPipelineHoldsTheCap) {
         [](int&& v, hq::pipe::emit<int> out) { out(std::move(v)); });
     auto snk = g.sink<int>("snk", hq::pipe::stage_kind::serial_in_order,
                            [&got](int&& v) {
-                             for (volatile int i = 0; i < 200; i = i + 1) {
-                             }
+                             volatile int i = 0;
+                             while (i < 200) i = i + 1;
                              got.push_back(v);
                            });
     hq::pipe::edge_opts e;
@@ -256,7 +256,9 @@ TEST_P(BudgetMatrix, DeclaredPipelineHoldsTheCap) {
     const std::string what = "workers=" + std::to_string(workers) +
                              " budget_segs=" + std::to_string(budget_segs);
     EXPECT_EQ(got, expected) << what;
-    if (workers == 1) EXPECT_EQ(res.pool.budget_overruns, 0u) << what;
+    if (workers == 1) {
+      EXPECT_EQ(res.pool.budget_overruns, 0u) << what;
+    }
     if (res.pool.budget_overruns == 0) {
       EXPECT_LE(res.pool.peak_bytes,
                 res.pool.budget_bytes + res.pool.exempt_peak_bytes)
@@ -322,8 +324,8 @@ struct admit_fixture {
     auto snk = g.sink<int>(
         "snk", hq::pipe::stage_kind::serial_in_order,
         [this, sink_spin](int&&) {
-          for (volatile unsigned i = 0; i < sink_spin; ++i) {
-          }
+          volatile unsigned i = 0;
+          while (i < sink_spin) i = i + 1;
           delivered.fetch_add(1, std::memory_order_relaxed);
         });
     g.connect(src, snk);

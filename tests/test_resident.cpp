@@ -27,6 +27,7 @@
 #include "core/fault.hpp"
 #include "pipeline/runner.hpp"
 #include "sched/scheduler_lease.hpp"
+#include "sched/spawn.hpp"
 
 namespace {
 
@@ -53,27 +54,29 @@ struct body_trace {
   std::set<hq::scheduler*> scheds;
 };
 
-/// source -> parallel middle -> ordered sink. The first middle bodies hold
-/// (bounded) until a second thread has entered the stage, so a 2-worker run
-/// provably executes bodies on both workers.
-void run_traced(body_trace& t) {
+/// source -> parallel middle -> ordered sink, every body traced. The first
+/// middle bodies hold (bounded) until as many threads as workers have run a
+/// body, so a 2-worker run provably executes bodies on both workers.
+void run_traced(body_trace& t, unsigned workers = 2) {
+  auto note = [&t] {
+    std::lock_guard<std::mutex> lk(t.mu);
+    t.threads.insert(thread_serial());
+    t.scheds.insert(hq::scheduler::current());
+  };
   graph g;
-  auto src = g.source<int>("src", [](emit<int> out) {
+  auto src = g.source<int>("src", [&note](emit<int> out) {
+    note();
     for (int i = 0; i < 64; ++i) out(int{i});
   });
   auto mid = g.stage<int, int>(
-      "mid", stage_kind::parallel, [&t](int&& v, emit<int> out) {
-        {
-          std::lock_guard<std::mutex> lk(t.mu);
-          t.threads.insert(thread_serial());
-          t.scheds.insert(hq::scheduler::current());
-        }
+      "mid", stage_kind::parallel, [&t, &note, workers](int&& v, emit<int> out) {
+        note();
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(5);
         for (;;) {
           {
             std::lock_guard<std::mutex> lk(t.mu);
-            if (t.threads.size() >= 2) break;
+            if (t.threads.size() >= workers) break;
           }
           if (std::chrono::steady_clock::now() > deadline) break;
           std::this_thread::yield();
@@ -82,11 +85,14 @@ void run_traced(body_trace& t) {
       });
   long sum = 0;
   auto snk = g.sink<int>("snk", stage_kind::serial_in_order,
-                         [&sum](int&& v) { sum += v; });
+                         [&sum, &note](int&& v) {
+                           note();
+                           sum += v;
+                         });
   g.connect(src, mid);
   g.connect(mid, snk);
   hq::pipe::exec_options opt;
-  opt.workers = 2;
+  opt.workers = workers;
   (void)hq::pipe::execute(g, backend::hyperqueue, opt);
   EXPECT_EQ(sum, 3 * (63 * 64 / 2));
 }
@@ -108,6 +114,32 @@ TEST(ResidentRuntime, ConsecutiveExecutesShareWorkersAndScheduler) {
   ASSERT_EQ(first.scheds.size(), 1u);
   EXPECT_NE(*first.scheds.begin(), nullptr);
   EXPECT_EQ(second.scheds, first.scheds);
+}
+
+TEST(ResidentRuntime, RunExecutesOnTheCallingThread) {
+  // The caller is worker 0: a run hands its root to no other thread, so a
+  // 1-worker run never leaves the caller and P workers are P threads.
+  const std::uint64_t me = thread_serial();
+  body_trace one;
+  run_traced(one, 1);
+  EXPECT_EQ(one.threads, std::set<std::uint64_t>{me})
+      << "hyperqueue@1 ran a stage body off the calling thread";
+
+  body_trace two;
+  run_traced(two, 2);
+  EXPECT_EQ(two.threads.size(), 2u);
+  EXPECT_EQ(two.threads.count(me), 1u)
+      << "hyperqueue@2 ran no stage body on the calling thread";
+
+  hq::scheduler s(1);
+  std::uint64_t root = 0, child = 0;
+  s.run([&] {
+    root = thread_serial();
+    hq::spawn([&child] { child = thread_serial(); });
+  });
+  EXPECT_EQ(root, me);
+  EXPECT_EQ(child, me);
+  EXPECT_EQ(hq::scheduler::current(), nullptr) << "run() left the caller bound";
 }
 
 TEST(ResidentRuntime, LeaseKeepsOneIdleSchedulerPerKey) {
@@ -139,20 +171,25 @@ TEST(ResidentRuntime, PoolFootprintStopsGrowingAfterWarmUp) {
   // other workers return to it), so the pools carve while the workers first
   // take turns at the busy roles and then level off at a plateau, whose
   // height varies from run to run with the schedule. The gate is taken
-  // against that plateau, not against the first run: after kWarmUp runs,
+  // against that plateau, not against the first run: after the warm-up,
   // the carving of the second window of kWindow runs may not exceed the
   // largest single-run step seen in the first window. A leak of one block
   // every k runs (k < kWindow / (that step + 1)) carves more than that.
+  // The caller (worker 0) runs most of a quick dedup alone: the pool
+  // thread's magazine carves its share in the run where that thread first
+  // spawns, which can come dozens of runs in. So the windows start after
+  // kWarmUp runs and after every worker's first spawn.
   constexpr unsigned kWorkers = 2;
   constexpr int kWarmUp = 10;
   constexpr int kWindow = 20;
-  constexpr int kRuns = kWarmUp + 2 * kWindow;
   app_params p;
   p.workers = kWorkers;
   hq::scheduler* sched = nullptr;
   std::vector<std::uint64_t> frames, attach;
   std::uint64_t executed = 0;
-  for (int run = 0; run < kRuns; ++run) {
+  int warm = kWarmUp;  // runs before the first window
+  std::size_t spawned = 0;  // workers that have spawned so far
+  for (int run = 0; run < warm + 2 * kWindow; ++run) {
     const auto r = hq::pipe::run_app("dedup", backend::hyperqueue, p);
     ASSERT_TRUE(r.ok) << "run " << run << ": " << r.exec.error;
     hq::scheduler_lease lease(kWorkers);
@@ -167,12 +204,19 @@ TEST(ResidentRuntime, PoolFootprintStopsGrowingAfterWarmUp) {
     EXPECT_EQ(ap.live, 0u);
     frames.push_back(fp.allocated);
     attach.push_back(ap.allocated);
+    const auto pw = lease->per_worker_stats();
+    const auto now = static_cast<std::size_t>(std::count_if(
+        pw.begin(), pw.end(), [](const auto& w) { return w.spawns > 0; }));
+    if (now > spawned) {
+      spawned = now;
+      warm = std::max(warm, run + 1);
+    }
   }
   auto check = [&](const char* pool, const std::vector<std::uint64_t>& a) {
     // `allocated` only grows: a window's largest value is its last.
-    const std::size_t w1_end = kWarmUp + kWindow - 1;
+    const std::size_t w1_end = static_cast<std::size_t>(warm + kWindow - 1);
     std::uint64_t step = 0;
-    for (std::size_t i = kWarmUp; i <= w1_end; ++i)
+    for (std::size_t i = static_cast<std::size_t>(warm); i <= w1_end; ++i)
       step = std::max(step, a[i] - a[i - 1]);
     std::string seq;
     for (auto v : a) seq += std::to_string(v) + " ";

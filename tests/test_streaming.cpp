@@ -287,8 +287,8 @@ struct backlog_probe {
         });
     auto snk = g.sink<std::uint64_t>(
         "snk", stage_kind::serial_in_order, [this](std::uint64_t&& v) {
-          for (volatile int i = 0; i < 400; i = i + 1) {
-          }
+          volatile int i = 0;
+          while (i < 400) i = i + 1;
           digest = digest * 31 + v;
           snk_in.fetch_add(1, std::memory_order_release);
         });
@@ -345,10 +345,11 @@ TEST_P(StreamingBacklog, DrainedQueuesStayWithinTwoPBatches) {
     EXPECT_LT(run.max_snk_queue.load(), bound)
         << "the sink's queue held " << run.max_snk_queue.load()
         << " tokens, N = " << n;
-    if (serial_middle)
+    if (serial_middle) {
       EXPECT_LT(run.max_ser_queue.load(), bound)
           << "the serial stage's queue held " << run.max_ser_queue.load()
           << " tokens, N = " << n;
+    }
   }
 }
 
@@ -456,8 +457,8 @@ enum class mode { plain, block, shed, fault };
 
 /// Varies per-token cost so parallel activations finish out of order.
 void jitter(std::uint64_t v) {
-  for (volatile std::uint64_t i = 0; i < (v % 7) * 300; i = i + 1) {
-  }
+  volatile std::uint64_t i = 0;
+  while (i < (v % 7) * 300) i = i + 1;
 }
 
 tok step(tok t, std::uint64_t salt) {
