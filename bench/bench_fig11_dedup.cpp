@@ -28,7 +28,7 @@ run run_graph(const hq::apps::dedup::config& cfg, const bytes& input,
   hq::pipe::graph g;
   hq::apps::dedup::describe_pipeline(cfg, input, &table, &r, g);
   const auto ex =
-      hq::pipe::execute(g, b, {.workers = workers});
+      hq::pipe::execute(g, b, {.workers = workers, .admission = {}});
   return {ex.seconds, std::move(r.output)};
 }
 

@@ -26,7 +26,7 @@ run run_graph(const hq::apps::ferret::config& cfg,
   hq::pipe::graph g;
   hq::apps::ferret::describe_pipeline(cfg, db, &checksum, g);
   const auto ex =
-      hq::pipe::execute(g, b, {.workers = workers});
+      hq::pipe::execute(g, b, {.workers = workers, .admission = {}});
   return {ex.seconds, checksum};
 }
 

@@ -95,7 +95,7 @@ inline micro_bench_options parse_micro_args(int& argc, char** argv,
 /// by a comma — shared so BENCH_sched.json and BENCH_queue.json keep the
 /// exact same record shape.
 inline void emit_pool_json(FILE* f, const char* key,
-                           const hq::detail::obj_pool::stats_t& p) {
+                           const hq::detail::pool_counts& p) {
   std::fprintf(f,
                "    \"%s\": {\"allocated\": %llu, \"recycled\": %llu, "
                "\"high_water\": %llu, \"live\": %llu},\n",

@@ -137,7 +137,7 @@ BENCHMARK(BM_ParallelProducers)->Arg(1)->Arg(8)->Arg(64);
 /// attachment allocations once warm. This is the JSON correctness gate.
 struct probe_result {
   hq::detail::seg_pool_stats segs;
-  hq::detail::obj_pool::stats_t attaches;
+  hq::detail::pool_counts attaches;
   bool zero_alloc_steady_state = false;
   bool sum_ok = false;
   std::uint64_t mu_attach_push_burst = 0;  // mu acquisitions by push spawns
@@ -160,7 +160,7 @@ void run_push_probe(bool quick, probe_result& pr) {
   sched.run([&] {
     for (int r = 0; r < rounds; ++r) {
       hq::hyperqueue<int> q(256);
-      const hq::data_path_stats before = q.data_stats();
+      const hq::seg_pool_stats before = q.pool_stats();
       for (int l = 0; l < producers; ++l) {
         hq::spawn(
             [l, per_leaf](hq::pushdep<int> qq) {
@@ -169,7 +169,7 @@ void run_push_probe(bool quick, probe_result& pr) {
             (hq::pushdep<int>)q);
       }
       q.sync_push();
-      const hq::data_path_stats after = q.data_stats();
+      const hq::seg_pool_stats after = q.pool_stats();
       mu_delta += after.mu_attach - before.mu_attach;
       long sum = 0;
       while (!q.empty()) sum += q.pop();
@@ -189,7 +189,7 @@ probe_result run_probe(bool quick) {
   hq::scheduler sched(2);
   long total = 0;
   hq::detail::seg_pool_stats seg_warm{}, seg_after{};
-  hq::detail::obj_pool::stats_t at_warm{}, at_after{};
+  hq::detail::pool_counts at_warm{}, at_after{};
   sched.run([&] {
     hq::hyperqueue<int> q(256);
     auto round = [&q, &total] {

@@ -183,8 +183,8 @@ BENCHMARK(BM_EarlyReductionDepth)->Arg(4)->Arg(16)->Arg(64);
 /// one worker must allocate zero fresh task frames.
 struct probe_result {
   hq::scheduler::stats_t stats;
-  hq::detail::obj_pool::stats_t frames;
-  hq::detail::obj_pool::stats_t attaches;
+  hq::detail::pool_counts frames;
+  hq::detail::pool_counts attaches;
   bool zero_alloc_steady_state = false;
   bool counters_ok = false;
 };
@@ -197,7 +197,7 @@ probe_result run_probe(bool quick) {
   {
     // Deterministic zero-alloc gate on one worker, snapshots inside run().
     hq::scheduler sched(1);
-    hq::detail::obj_pool::stats_t warm{}, after{};
+    hq::detail::pool_counts warm{}, after{};
     sched.run([&] {
       for (int r = 0; r < rounds; ++r) {
         for (int i = 0; i < width; ++i) hq::spawn([] {});

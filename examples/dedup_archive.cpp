@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     hq::apps::dedup::dedup_table table;
     hq::pipe::graph g;
     hq::apps::dedup::describe_pipeline(cfg, input, &table, &r, g);
-    r.seconds = hq::pipe::execute(g, b, {.workers = w}).seconds;
+    r.seconds = hq::pipe::execute(g, b, {.workers = w, .admission = {}}).seconds;
     r.unique_chunks = table.unique_chunks();
     return r;
   };

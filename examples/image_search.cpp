@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     std::uint64_t checksum = 0;
     hq::pipe::graph g;
     hq::apps::ferret::describe_pipeline(cfg, db, &checksum, g);
-    const auto ex = hq::pipe::execute(g, b, {.workers = w});
+    const auto ex = hq::pipe::execute(g, b, {.workers = w, .admission = {}});
     return std::pair{ex.seconds, checksum};
   };
   const auto serial = run(hq::pipe::backend::serial, 1);

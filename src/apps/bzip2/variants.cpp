@@ -129,7 +129,7 @@ void record_pool(result* r, const hyperqueue<block>& a,
   r->seg_recycled = st.recycled;
   r->seg_high_water = st.high_water;
   r->peak_segments = std::max<std::size_t>(
-      r->peak_segments, std::max(a.segments(), b.segments()));
+      r->peak_segments, std::max(a.pool_stats().live, b.pool_stats().live));
 }
 
 /// Compress one batch of blocks and stream them out through write slices.
@@ -201,8 +201,9 @@ result run_hyperqueue_split(const config& cfg,
       if (++window >= cfg.split_window) {
         q_out.sync_pop();  // paper: "sync (popdep<T>)queue;"
         window = 0;
-        r.peak_segments = std::max(
-            r.peak_segments, std::max(q_in.segments(), q_out.segments()));
+        r.peak_segments = std::max<std::size_t>(
+            r.peak_segments,
+            std::max(q_in.pool_stats().live, q_out.pool_stats().live));
       }
     }
     sync();

@@ -51,14 +51,9 @@ class popdep;
 template <typename T>
 class pushpopdep;
 
-/// Segment-pool counters (see detail::seg_pool_stats), re-exported for
-/// tests and benches.
+/// A queue's counters (see detail::seg_pool_stats), re-exported for tests
+/// and benches.
 using seg_pool_stats = detail::seg_pool_stats;
-
-/// Data-path slow-event counters (see detail::data_path_stats): remote
-/// index reloads and mutex acquisitions on the element path. The fast path
-/// increments none of them.
-using data_path_stats = detail::data_path_stats;
 
 namespace detail {
 
@@ -444,19 +439,14 @@ class hyperqueue {
   /// Call before any producer runs.
   void set_drain(detail::drain* d) noexcept { cb_->consumer_drain = d; }
 
-  /// Number of segments currently allocated (tests/benches).
-  [[nodiscard]] std::size_t segments() const { return cb_->segments_allocated(); }
-
-  /// Segment-pool counters (Section 5.1/5.2): fresh allocations, pool
-  /// reuses, and the in-use high-water mark. In steady state `allocated`
-  /// stops growing and equals `high_water`.
+  /// The queue's one snapshot. Segment pool (Section 5.1/5.2): fresh
+  /// allocations, pool reuses, and the in-use high-water mark; in steady
+  /// state `allocated` stops growing and equals `high_water`. Byte
+  /// footprint and budget waits. Data-path slow events: remote index
+  /// reloads (bounded by one per segment-capacity of elements in steady
+  /// state) and mutex acquisitions (zero on the fast path; mu_attach stays
+  /// 0 on the producer side — the zero-mutex-on-push contract).
   [[nodiscard]] seg_pool_stats pool_stats() const { return cb_->pool_stats(); }
-
-  /// Data-path slow-event counters: remote index reloads (bounded by one
-  /// per segment-capacity of elements in steady state) and mutex
-  /// acquisitions (zero on the fast path; mu_attach stays 0 on the
-  /// producer side — the zero-mutex-on-push contract).
-  [[nodiscard]] data_path_stats data_stats() const { return cb_->data_stats(); }
 
   /// Adjust (or clear, bytes == 0) the memory budget at run time. See
   /// detail::queue_cb::set_memory_budget.
@@ -465,7 +455,7 @@ class hyperqueue {
     return cb_->memory_budget();
   }
   /// Bytes one segment occupies — the budget's accounting unit; the live
-  /// footprint in bytes is data_stats().live_bytes (= segments in use x
+  /// footprint in bytes is pool_stats().in_use_bytes (= segments in use x
   /// this).
   [[nodiscard]] std::uint64_t segment_bytes() const {
     return cb_->segment_bytes();

@@ -1,5 +1,6 @@
 #include "core/queue_cb.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdlib>
@@ -145,47 +146,48 @@ void queue_cb::release() noexcept {
 }
 
 segment* queue_cb::alloc_segment() {
-  const std::uint64_t in_use = seg_in_use.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t hw = seg_high_water.load(std::memory_order_relaxed);
-  while (in_use > hw &&
-         !seg_high_water.compare_exchange_weak(hw, in_use,
-                                               std::memory_order_relaxed)) {
-  }
   // Lock-free front of the pool: the steady-state ring recycle (consumer
   // recycles the drained segment, producer allocates the next wrap) is
   // served entirely by this one-slot cache. The acquire pairs with the
   // release in recycle_segment so the reset() state is visible.
-  if (segment* s = seg_cache_.exchange(nullptr, std::memory_order_acquire)) {
+  segment* s = seg_cache_.exchange(nullptr, std::memory_order_acquire);
+  if (s != nullptr) {
     seg_recycled.fetch_add(1, std::memory_order_relaxed);
     dp_.seg_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return s;
-  }
-  {
+  } else {
     std::lock_guard<spinlock> lk(free_mu);
     if (free_list != nullptr) {
-      segment* s = free_list;
+      s = free_list;
       free_list = s->next.load(std::memory_order_relaxed);
       s->next.store(nullptr, std::memory_order_relaxed);
       seg_recycled.fetch_add(1, std::memory_order_relaxed);
-      return s;
     }
   }
-  segment* s;
-  try {
+  std::uint64_t peak = 0;
+  if (s == nullptr) {
     s = segment::create(seg_capacity, &ops, &dp_);
-  } catch (...) {
-    // Roll back the in-use count so a failed (real or injected) allocation
-    // leaves the counters consistent for teardown and the next run.
-    seg_in_use.fetch_sub(1, std::memory_order_relaxed);
-    throw;
+    seg_live.fetch_add(1, std::memory_order_relaxed);
+    // The pool was empty, so every segment made so far was out of it: the
+    // fresh count is a high-water mark. The in-use count can sit below it
+    // here, when a segment recycled during the create was uncounted first.
+    peak = seg_fresh.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  seg_live.fetch_add(1, std::memory_order_relaxed);
-  seg_fresh.fetch_add(1, std::memory_order_relaxed);
+  // Count the segment in use only once it is taken: recycle_segment
+  // uncounts one before it publishes it, so a count made before the take
+  // could overlap that window and push high_water past `allocated`.
+  peak = std::max(peak, seg_in_use.fetch_add(1, std::memory_order_relaxed) + 1);
+  std::uint64_t hw = seg_high_water.load(std::memory_order_relaxed);
+  while (peak > hw &&
+         !seg_high_water.compare_exchange_weak(hw, peak,
+                                               std::memory_order_relaxed)) {
+  }
   return s;
 }
 
 void queue_cb::recycle_segment(segment* s) {
   s->reset();
+  // Uncount before publishing: once published, another producer may take
+  // the segment and count it again.
   seg_in_use.fetch_sub(1, std::memory_order_relaxed);
   segment* expected = nullptr;
   if (seg_cache_.compare_exchange_strong(expected, s, std::memory_order_release,

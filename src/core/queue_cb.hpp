@@ -28,12 +28,14 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 
 #include "conc/spinlock.hpp"
 #include "core/segment.hpp"
 #include "core/shard.hpp"
 #include "sched/drain.hpp"
+#include "sched/obj_pool.hpp"
 #include "sched/task.hpp"
 
 namespace hq::detail {
@@ -43,15 +45,12 @@ inline constexpr std::uint8_t kPrivPop = 2;
 
 struct queue_cb;
 
-/// Segment-pool counters (tests / benches): with a well-behaved pipeline the
-/// pool reaches steady state — `allocated` plateaus at `high_water` and every
-/// further segment demand is served by `recycled`.
-struct seg_pool_stats {
-  std::uint64_t allocated = 0;   ///< fresh heap allocations, ever
-  std::uint64_t recycled = 0;    ///< allocation requests served by the pool
-  std::uint64_t high_water = 0;  ///< peak segments simultaneously in use
-  std::uint64_t live = 0;        ///< currently allocated (in use + pooled)
-
+/// The one snapshot of a queue (tests / benches): segment-pool counters,
+/// byte footprint, backpressure and data-path slow events. With a
+/// well-behaved pipeline the pool reaches steady state — `allocated`
+/// plateaus at `high_water` and every further segment demand is served by
+/// `recycled`.
+struct seg_pool_stats : pool_counts {
   // Byte-denominated footprint (the budget's own unit, so budgets can be
   // audited without knowing segment geometry): in_use_bytes is segments in
   // use x bytes per segment *now*, peak_bytes the same at the high-water
@@ -79,43 +78,43 @@ struct seg_pool_stats {
   std::uint64_t shards_peak = 0;
   std::uint64_t exempt_peak_bytes = 0;
 
-  /// Aggregate over a pipeline's queues (field-wise sum; high_water /
-  /// peak_bytes become the sum of per-queue peaks, an upper bound on the
-  /// combined peak; budget_bytes the combined cap).
-  friend seg_pool_stats operator+(const seg_pool_stats& a,
-                                  const seg_pool_stats& b) {
-    seg_pool_stats r;
-    r.allocated = a.allocated + b.allocated;
-    r.recycled = a.recycled + b.recycled;
-    r.high_water = a.high_water + b.high_water;
-    r.live = a.live + b.live;
-    r.in_use_bytes = a.in_use_bytes + b.in_use_bytes;
-    r.peak_bytes = a.peak_bytes + b.peak_bytes;
-    r.budget_bytes = a.budget_bytes + b.budget_bytes;
-    r.throttle_waits = a.throttle_waits + b.throttle_waits;
-    r.throttle_ns = a.throttle_ns + b.throttle_ns;
-    r.budget_overruns = a.budget_overruns + b.budget_overruns;
-    r.shards_peak = a.shards_peak + b.shards_peak;
-    r.exempt_peak_bytes = a.exempt_peak_bytes + b.exempt_peak_bytes;
-    return r;
-  }
-};
-
-/// Data-path slow-event snapshot (tests / benches): the element fast path
-/// increments none of these. The mu_* fields pin the locking contract:
-/// mu_attach stays 0 across producer-only bursts because the producer side —
-/// push, write_slice, push-privileged spawn and completion — never takes a
-/// mutex; mu_attach/mu_complete count the pop-side registrations that still
-/// do.
-struct data_path_stats {
+  // Data-path slow events (see data_path_counters): the element fast path
+  // counts none of these. The mu_* fields pin the locking contract:
+  // mu_attach stays 0 across producer-only bursts because the producer
+  // side — push, write_slice, push-privileged spawn and completion — never
+  // takes a mutex; mu_attach/mu_complete count the pop-side registrations
+  // that still do.
   std::uint64_t head_reloads = 0;   ///< producer re-read the consumer's head
   std::uint64_t tail_reloads = 0;   ///< consumer re-read the producer's tail
   std::uint64_t mu_data = 0;        ///< consumer took mu (scan-position claim)
   std::uint64_t seg_cache_hits = 0; ///< segment allocs served lock-free
   std::uint64_t mu_attach = 0;      ///< attach_spawn took mu (pop FIFO only)
   std::uint64_t mu_complete = 0;    ///< completion took mu (pop hand-back only)
-  std::uint64_t live_bytes = 0;     ///< segments in use x bytes per segment
 };
+
+/// Every seg_pool_stats field, for the sum below.
+inline constexpr std::uint64_t seg_pool_stats::*kSegPoolFields[] = {
+    &seg_pool_stats::allocated,      &seg_pool_stats::recycled,
+    &seg_pool_stats::high_water,     &seg_pool_stats::live,
+    &seg_pool_stats::in_use_bytes,   &seg_pool_stats::peak_bytes,
+    &seg_pool_stats::budget_bytes,   &seg_pool_stats::throttle_waits,
+    &seg_pool_stats::throttle_ns,    &seg_pool_stats::budget_overruns,
+    &seg_pool_stats::shards_peak,    &seg_pool_stats::exempt_peak_bytes,
+    &seg_pool_stats::head_reloads,   &seg_pool_stats::tail_reloads,
+    &seg_pool_stats::mu_data,        &seg_pool_stats::seg_cache_hits,
+    &seg_pool_stats::mu_attach,      &seg_pool_stats::mu_complete,
+};
+static_assert(sizeof(seg_pool_stats) ==
+                  std::size(kSegPoolFields) * sizeof(std::uint64_t),
+              "every seg_pool_stats field needs a row in kSegPoolFields");
+
+/// Aggregate over a pipeline's queues (field-wise sum; high_water /
+/// peak_bytes become the sum of per-queue peaks, an upper bound on the
+/// combined peak; budget_bytes the combined cap).
+inline seg_pool_stats operator+(seg_pool_stats a, const seg_pool_stats& b) {
+  for (const auto f : kSegPoolFields) a.*f += b.*f;
+  return a;
+}
 
 /// Per-(task, queue) bookkeeping. Owned by the queue control block; lives
 /// from the task's spawn until its completion (the owner attachment lives
@@ -258,9 +257,6 @@ struct queue_cb {
   void sync_children(std::uint8_t priv_filter);
 
   // ---- introspection (tests / benches) ------------------------------------
-  [[nodiscard]] std::uint64_t segments_allocated() const {
-    return seg_live.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] seg_pool_stats pool_stats() const {
     seg_pool_stats st;
     st.allocated = seg_fresh.load(std::memory_order_relaxed);
@@ -275,17 +271,12 @@ struct queue_cb {
     st.budget_overruns = budget_overruns_.load(std::memory_order_relaxed);
     st.shards_peak = shards_peak_.load(std::memory_order_relaxed);
     st.exempt_peak_bytes = st.shards_peak * kShardMinSegs * seg_bytes_;
-    return st;
-  }
-  [[nodiscard]] data_path_stats data_stats() const {
-    data_path_stats st;
     st.head_reloads = dp_.head_reloads.load(std::memory_order_relaxed);
     st.tail_reloads = dp_.tail_reloads.load(std::memory_order_relaxed);
     st.mu_data = dp_.mu_data.load(std::memory_order_relaxed);
     st.seg_cache_hits = dp_.seg_cache_hits.load(std::memory_order_relaxed);
     st.mu_attach = dp_.mu_attach.load(std::memory_order_relaxed);
     st.mu_complete = dp_.mu_complete.load(std::memory_order_relaxed);
-    st.live_bytes = seg_in_use.load(std::memory_order_relaxed) * seg_bytes_;
     return st;
   }
   [[nodiscard]] qattach* owner_attachment() { return owner; }
@@ -423,7 +414,7 @@ struct queue_cb {
   /// reached when no worker can run the consumer; see budget_wait).
   static constexpr std::uint32_t kBudgetPatience = 1024;
 
-  /// Slow-event counters (see data_path_stats); segments hold a pointer.
+  /// Slow-event counters (see seg_pool_stats); segments hold a pointer.
   mutable data_path_counters dp_;
 };
 

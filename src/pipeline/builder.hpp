@@ -323,7 +323,6 @@ class hq_chan_base {
   /// The drain consuming this queue: the next serial stage or the sink.
   hq::detail::drain drain;
   [[nodiscard]] virtual seg_pool_stats pool() const = 0;
-  [[nodiscard]] virtual std::size_t segments() const = 0;
   /// Push privilege for a producer that only spawns this queue's pushers.
   [[nodiscard]] virtual pushdep_any push_any() const = 0;
   /// Spawn one run task over `work` that pushes into this queue (called
@@ -654,7 +653,6 @@ class hq_chan final : public hq_chan_base {
     q.set_drain(&drain);
   }
   [[nodiscard]] seg_pool_stats pool() const override { return q.pool_stats(); }
-  [[nodiscard]] std::size_t segments() const override { return q.segments(); }
   [[nodiscard]] pushdep_any push_any() const override { return q; }
   void spawn_run(std::unique_ptr<token_batch> work, const hq_run& run,
                  admission_ctl* ctl) override {

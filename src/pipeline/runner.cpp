@@ -195,8 +195,9 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
     hq::detail::launch(source);
     hq::sync();
     for (auto& ch : chans) {
-      res.pool = res.pool + ch->pool();
-      res.peak_segments = std::max(res.peak_segments, ch->segments());
+      const seg_pool_stats st = ch->pool();
+      res.pool = res.pool + st;
+      res.peak_segments = std::max<std::size_t>(res.peak_segments, st.live);
     }
     chans.clear();  // queues must be destroyed by their owning task
   });

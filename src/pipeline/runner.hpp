@@ -65,8 +65,9 @@ struct exec_result {
   /// what() of the failure when outcome != ok (filled by run_app; execute()
   /// itself throws instead).
   std::string error;
-  /// Hyperqueue backend only: pool counters summed over the chain's queues
-  /// and the peak live segment count (zero-steady-state-alloc probes).
+  /// Hyperqueue backend only: the chain's queue snapshots summed
+  /// (seg_pool_stats, operator+) and the peak live segment count
+  /// (zero-steady-state-alloc probes).
   seg_pool_stats pool;
   std::size_t peak_segments = 0;
   /// Admission accounting (exec_options::admission; zero when the policy is

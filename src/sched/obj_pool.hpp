@@ -50,21 +50,25 @@ namespace hq::detail {
 /// are only ever allocated on a worker.
 inline constexpr unsigned kPoolExternal = ~0u;
 
+/// Recycling-pool counters, shared by obj_pool::stats() and the queue
+/// segment pool (core/queue_cb.hpp, seg_pool_stats): a well-behaved
+/// steady-state pipeline plateaus `allocated` while `recycled` grows.
+struct pool_counts {
+  std::uint64_t allocated = 0;   ///< fresh blocks ever made
+  std::uint64_t recycled = 0;    ///< allocation requests served by the pool
+  /// Peak blocks simultaneously in use. For segments, the peak of the
+  /// in-use count, raised on every take; for obj_pool the peak of `live`
+  /// observed at the sampling points (fresh-block slow paths and stats()
+  /// calls). Exact tracking would put a shared counter on every alloc — the
+  /// contention obj_pool exists to remove — so bursts served purely from
+  /// magazines between samples can exceed it.
+  std::uint64_t high_water = 0;
+  /// Blocks live now: handed out (obj_pool), or in use or pooled (segments).
+  std::uint64_t live = 0;
+};
+
 class obj_pool {
  public:
-  /// Counters mirroring seg_pool_stats (core/queue_cb.hpp): a well-behaved
-  /// steady-state pipeline plateaus `allocated` while `recycled` grows.
-  struct stats_t {
-    std::uint64_t allocated = 0;   ///< fresh blocks ever carved
-    std::uint64_t recycled = 0;    ///< allocation requests served by a magazine
-    /// Peak `live` observed at the sampling points (fresh-block slow paths
-    /// and stats() calls). Exact tracking would put a shared counter on
-    /// every alloc — the contention this pool exists to remove — so bursts
-    /// served purely from magazines between samples can exceed it.
-    std::uint64_t high_water = 0;
-    std::uint64_t live = 0;        ///< blocks currently in use
-  };
-
   obj_pool() = default;
   obj_pool(const obj_pool&) = delete;
   obj_pool& operator=(const obj_pool&) = delete;
@@ -142,8 +146,8 @@ class obj_pool {
                                               std::memory_order_relaxed));
   }
 
-  [[nodiscard]] stats_t stats() const {
-    stats_t s;
+  [[nodiscard]] pool_counts stats() const {
+    pool_counts s;
     std::uint64_t freed = 0;
     for (const auto& m : mags_) {
       s.allocated += m->carved.load(std::memory_order_relaxed);
@@ -226,7 +230,7 @@ class obj_pool {
 
   /// Record a high-water sample. Called on fresh-block paths (where the
   /// local working set just grew) — cross-magazine recycling bursts between
-  /// samples are intentionally not tracked; see stats_t::high_water.
+  /// samples are intentionally not tracked; see pool_counts::high_water.
   void note_high_water() { (void)stats(); }
 
   std::size_t block_bytes_ = 0;

@@ -172,13 +172,13 @@ task_frame* scheduler::try_steal(worker_ctx& w) {
       if (++victim == n) victim = 0;
       ++attempts;
       if (task_frame* t = workers_[victim]->deque.steal()) {
-        w.counters.steals.fetch_add(1, std::memory_order_relaxed);
+        detail::bump(w.counters.steals);
         found = t;
         break;
       }
     }
   }
-  w.counters.steal_attempts.fetch_add(attempts, std::memory_order_relaxed);
+  detail::bump(w.counters.steal_attempts, attempts);
   return found;
 }
 
@@ -289,7 +289,7 @@ bool scheduler::help_one(const task_frame* joiner) {
       deferred = t;
       continue;
     }
-    w->counters.helps.fetch_add(1, std::memory_order_relaxed);
+    detail::bump(w->counters.helps);
     execute(t);
     return true;
   }
@@ -330,7 +330,7 @@ task_frame* scheduler::claim_child() {
 }
 
 void scheduler::run_claimed(task_frame* t) {
-  detail::t_worker->counters.inline_runs.fetch_add(1, std::memory_order_relaxed);
+  detail::bump(detail::t_worker->counters.inline_runs);
   execute(t);
 }
 
@@ -357,7 +357,7 @@ void scheduler::execute(task_frame* t) {
   t->exec_parent = prev;
   t->deque_floor = w->deque.bottom_index();
   w->current = t;
-  w->counters.executed.fetch_add(1, std::memory_order_relaxed);
+  detail::bump(w->counters.executed);
 
   // The failure guard. Cost when nothing throws: one relaxed load and a
   // zero-overhead (table-driven) try region around the existing basic_fn
@@ -505,19 +505,20 @@ void scheduler::worker_main(unsigned index) {
   detail::t_worker = nullptr;
 }
 
+namespace {
+
+/// Relaxed read of a counter its worker may be bumping right now.
+std::uint64_t read_counter(std::uint64_t& counter) {
+  return std::atomic_ref<std::uint64_t>(counter).load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
 scheduler::stats_t scheduler::stats() const {
   stats_t s;
-  for (const auto& w : workers_) {
-    s.spawns += w->counters.spawns.load(std::memory_order_relaxed);
-    s.executed += w->counters.executed.load(std::memory_order_relaxed);
-    s.steals += w->counters.steals.load(std::memory_order_relaxed);
-    s.steal_attempts += w->counters.steal_attempts.load(std::memory_order_relaxed);
-    s.helps += w->counters.helps.load(std::memory_order_relaxed);
-    s.inline_runs += w->counters.inline_runs.load(std::memory_order_relaxed);
-    s.data_wait_helps +=
-        w->counters.data_wait_helps.load(std::memory_order_relaxed);
-    s.give_ways += w->counters.give_ways.load(std::memory_order_relaxed);
-  }
+  for (const auto& w : workers_)
+    for (const auto& c : kSchedCounters)
+      s.*c.field += read_counter(w->counters.*c.field);
   s.throttle_waits = throttle_waits_.load(std::memory_order_relaxed);
   s.throttle_ns = throttle_ns_.load(std::memory_order_relaxed);
   return s;
@@ -542,17 +543,9 @@ std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
   out.reserve(workers_.size());
   for (const auto& w : workers_) {
     worker_stats_t s;
+    for (const auto& c : kSchedCounters)
+      s.*c.field = read_counter(w->counters.*c.field);
     s.worker = w->index;
-    s.spawns = w->counters.spawns.load(std::memory_order_relaxed);
-    s.executed = w->counters.executed.load(std::memory_order_relaxed);
-    s.steals = w->counters.steals.load(std::memory_order_relaxed);
-    s.steal_attempts =
-        w->counters.steal_attempts.load(std::memory_order_relaxed);
-    s.helps = w->counters.helps.load(std::memory_order_relaxed);
-    s.inline_runs = w->counters.inline_runs.load(std::memory_order_relaxed);
-    s.data_wait_helps =
-        w->counters.data_wait_helps.load(std::memory_order_relaxed);
-    s.give_ways = w->counters.give_ways.load(std::memory_order_relaxed);
     s.deque_depth = w->deque.size_estimate();
     s.blocked_on_budget = w->blocked_on_budget.load(std::memory_order_relaxed);
     out.push_back(s);
@@ -561,16 +554,10 @@ std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
 }
 
 void scheduler::reset_stats() {
-  for (auto& w : workers_) {
-    w->counters.spawns.store(0, std::memory_order_relaxed);
-    w->counters.executed.store(0, std::memory_order_relaxed);
-    w->counters.steals.store(0, std::memory_order_relaxed);
-    w->counters.steal_attempts.store(0, std::memory_order_relaxed);
-    w->counters.helps.store(0, std::memory_order_relaxed);
-    w->counters.inline_runs.store(0, std::memory_order_relaxed);
-    w->counters.data_wait_helps.store(0, std::memory_order_relaxed);
-    w->counters.give_ways.store(0, std::memory_order_relaxed);
-  }
+  for (auto& w : workers_)
+    for (const auto& c : kSchedCounters)
+      std::atomic_ref<std::uint64_t>(w->counters.*c.field)
+          .store(0, std::memory_order_relaxed);
   throttle_waits_.store(0, std::memory_order_relaxed);
   throttle_ns_.store(0, std::memory_order_relaxed);
 }

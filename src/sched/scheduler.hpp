@@ -51,6 +51,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -67,7 +68,52 @@
 
 namespace hq {
 
+/// The scheduler's per-worker event counters, declared once. Each worker
+/// bumps its own copy (detail::worker_ctx::counters) and scheduler::stats()
+/// sums them; every reader walks kSchedCounters.
+struct sched_counters {
+  std::uint64_t spawns = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t steals = 0;
+  std::uint64_t steal_attempts = 0;
+  std::uint64_t helps = 0;  ///< tasks executed inside a wait
+  std::uint64_t inline_runs = 0;  ///< claimed children run by their spawner
+  /// help_one() calls made from hyperqueue data waits (a consumer blocked on
+  /// an empty queue, or on the scan position). Declared pipelines consume
+  /// through drains and never make one.
+  std::uint64_t data_wait_helps = 0;
+  /// Producers held at a drain's bound that went on over it because every
+  /// worker was paused in a hold (sched/drain.hpp).
+  std::uint64_t give_ways = 0;
+};
+
+/// The name table of sched_counters: stats(), per_worker_stats(),
+/// reset_stats() and the watchdog dump loop over it.
+struct sched_counter_field {
+  const char* name;
+  std::uint64_t sched_counters::*field;
+};
+inline constexpr sched_counter_field kSchedCounters[] = {
+    {"spawns", &sched_counters::spawns},
+    {"executed", &sched_counters::executed},
+    {"steals", &sched_counters::steals},
+    {"steal_attempts", &sched_counters::steal_attempts},
+    {"helps", &sched_counters::helps},
+    {"inline_runs", &sched_counters::inline_runs},
+    {"data_wait_helps", &sched_counters::data_wait_helps},
+    {"give_ways", &sched_counters::give_ways},
+};
+static_assert(sizeof(sched_counters) ==
+                  std::size(kSchedCounters) * sizeof(std::uint64_t),
+              "every sched_counters field needs a row in kSchedCounters");
+
 namespace detail {
+
+/// Count `n` events in a worker's counter: a relaxed RMW by the owning
+/// worker only, while stats() may read it from any thread.
+inline void bump(std::uint64_t& counter, std::uint64_t n = 1) noexcept {
+  std::atomic_ref<std::uint64_t>(counter).fetch_add(n, std::memory_order_relaxed);
+}
 
 struct worker_ctx {
   scheduler* sched = nullptr;
@@ -75,20 +121,10 @@ struct worker_ctx {
   chase_lev_deque<task_frame> deque;
   task_frame* current = nullptr;
 
-  /// Monotonic event counters on the worker's own cache line: written
-  /// relaxed by the owning worker only, read by scheduler::stats() from any
-  /// thread. Keeping them out of the scheduler object removes the shared
-  /// fetch_add per spawn/execute/steal.
-  struct alignas(kCacheLine) counters_t {
-    std::atomic<std::uint64_t> spawns{0};
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> steal_attempts{0};
-    std::atomic<std::uint64_t> helps{0};
-    std::atomic<std::uint64_t> inline_runs{0};
-    std::atomic<std::uint64_t> data_wait_helps{0};
-    std::atomic<std::uint64_t> give_ways{0};
-  } counters;
+  /// Event counters on the worker's own cache line (written with bump()).
+  /// Keeping them out of the scheduler object removes the shared fetch_add
+  /// per spawn/execute/steal.
+  alignas(kCacheLine) sched_counters counters;
 
   /// Drains kicked from completion hooks on this worker, run once the
   /// completing task's execute() returns (scheduler::defer_drain).
@@ -140,43 +176,22 @@ class scheduler {
   /// thread is in (null on other threads).
   static scheduler* current() noexcept;
 
-  /// Monotonic event counters, for the overhead benches. Aggregated from the
-  /// per-worker counters (see worker_ctx::counters_t).
-  struct stats_t {
-    std::uint64_t spawns = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t steal_attempts = 0;
-    std::uint64_t helps = 0;  // tasks executed inside a wait
-    std::uint64_t inline_runs = 0;  // claimed children run by their spawner
-    /// help_one() calls made from hyperqueue data waits (a consumer
-    /// blocked on an empty queue, or on the scan position). Declared
-    /// pipelines consume through drains and never make one.
-    std::uint64_t data_wait_helps = 0;
-    /// Producers held at a drain's bound that went on over it because
-    /// every worker was paused in a hold (sched/drain.hpp).
-    std::uint64_t give_ways = 0;
-    /// Backpressure-throttle accounting (queue memory budgets): wait-loop
-    /// iterations and total blocked wall time across all workers. The
-    /// watchdog counts throttle_waits as progress — a producer parked on a
-    /// budget is waiting by design, not stalled.
+  /// Monotonic event counters, for the overhead benches: the per-worker
+  /// counters summed over the workers, plus the scheduler-wide
+  /// backpressure-throttle accounting (queue memory budgets): wait-loop
+  /// iterations and total blocked wall time across all workers. The
+  /// watchdog counts throttle_waits as progress — a producer parked on a
+  /// budget is waiting by design, not stalled.
+  struct stats_t : sched_counters {
     std::uint64_t throttle_waits = 0;
     std::uint64_t throttle_ns = 0;
   };
   [[nodiscard]] stats_t stats() const;
   void reset_stats();
 
-  /// Per-worker counters and run state (the watchdog's dump).
-  struct worker_stats_t {
+  /// One worker's counters and run state (the watchdog's dump).
+  struct worker_stats_t : sched_counters {
     unsigned worker = 0;
-    std::uint64_t spawns = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t steal_attempts = 0;
-    std::uint64_t helps = 0;
-    std::uint64_t inline_runs = 0;
-    std::uint64_t data_wait_helps = 0;
-    std::uint64_t give_ways = 0;
     std::size_t deque_depth = 0;  ///< ready frames on the worker's deque
     /// Queue this worker is throttled on right now (memory-budget wait);
     /// null when it is not. See worker_ctx::blocked_on_budget.
@@ -232,18 +247,15 @@ class scheduler {
     throttle_waits_.fetch_add(1, std::memory_order_relaxed);
   }
   void throttle_end(std::uint64_t waited_ns) noexcept;
-  [[nodiscard]] std::uint64_t throttle_ns() const noexcept {
-    return throttle_ns_.load(std::memory_order_relaxed);
-  }
 
-  /// Task-frame pool counters, mirroring hyperqueue<T>::pool_stats(): in a
-  /// steady-state pipeline `allocated` plateaus while `recycled` grows —
+  /// Task-frame pool counters, the pool_counts that hyperqueue<T>::
+  /// pool_stats() also reports for segments: in a steady-state pipeline `allocated` plateaus while `recycled` grows —
   /// every spawn past warm-up reuses a frame instead of calling malloc.
-  [[nodiscard]] detail::obj_pool::stats_t frame_pool_stats() const {
+  [[nodiscard]] detail::pool_counts frame_pool_stats() const {
     return frame_pool_.stats();
   }
   /// Same counters for the hyperqueue-attachment (qattach) pool.
-  [[nodiscard]] detail::obj_pool::stats_t attach_pool_stats() const {
+  [[nodiscard]] detail::pool_counts attach_pool_stats() const {
     return attach_pool_.stats();
   }
 
@@ -309,7 +321,7 @@ class scheduler {
   bool help_data_wait() {
     detail::worker_ctx* w = detail::t_worker;
     if (w != nullptr && w->sched == this)
-      w->counters.data_wait_helps.fetch_add(1, std::memory_order_relaxed);
+      detail::bump(w->counters.data_wait_helps);
     return help_one();
   }
 
@@ -344,7 +356,7 @@ class scheduler {
     return all;
   }
   void count_give_way() noexcept {
-    detail::t_worker->counters.give_ways.fetch_add(1, std::memory_order_relaxed);
+    detail::bump(detail::t_worker->counters.give_ways);
   }
 
   /// Wait until the calling worker's current task has no live children,

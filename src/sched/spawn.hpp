@@ -78,7 +78,7 @@ task_frame* make_task(F&& f, Args&&... args) {
     launch(fr);
     throw;
   }
-  w->counters.spawns.fetch_add(1, std::memory_order_relaxed);
+  bump(w->counters.spawns);
   return fr;
 }
 

@@ -46,11 +46,8 @@ std::string watchdog::report(std::uint64_t last_progress) const {
      << ", throttle waits " << st.throttle_waits << " ("
      << st.throttle_ns / 1000000 << " ms total)\n";
   for (const auto& w : sched_.per_worker_stats()) {
-    os << "  worker " << w.worker << ": deque depth " << w.deque_depth
-       << ", spawns " << w.spawns << ", executed " << w.executed << ", steals "
-       << w.steals << "/" << w.steal_attempts << " attempts, helps "
-       << w.helps << " (" << w.data_wait_helps << " in data waits), inline runs "
-       << w.inline_runs;
+    os << "  worker " << w.worker << ": deque depth " << w.deque_depth;
+    for (const auto& c : kSchedCounters) os << ", " << c.name << " " << w.*c.field;
     if (w.blocked_on_budget != nullptr)
       os << ", blocked_on: budget(queue@" << w.blocked_on_budget << ")";
     os << "\n";

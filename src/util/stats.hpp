@@ -38,16 +38,4 @@ struct summary {
 /// sample's median is the mean of its two middle values.
 summary summarize(std::vector<double> xs);
 
-/// Best-of-k timing helper: run `fn` k times, return the minimum seconds.
-template <typename F>
-double time_best_of(int k, F&& fn) {
-  double best = 1e300;
-  for (int i = 0; i < k; ++i) {
-    stopwatch sw;
-    fn();
-    best = std::min(best, sw.seconds());
-  }
-  return best;
-}
-
 }  // namespace hq::util

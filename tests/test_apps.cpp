@@ -39,7 +39,7 @@ std::uint64_t ferret_checksum(const hq::apps::ferret::config& cfg, backend b) {
   std::uint64_t checksum = 0;
   pipe::graph g;
   hq::apps::ferret::describe_pipeline(cfg, db, &checksum, g);
-  pipe::execute(g, b, {.workers = cfg.threads});
+  pipe::execute(g, b, {.workers = cfg.threads, .admission = {}});
   return checksum;
 }
 
@@ -127,7 +127,7 @@ hq::apps::dedup::result dedup_run(const hq::apps::dedup::config& cfg,
   hq::apps::dedup::dedup_table table;
   pipe::graph g;
   hq::apps::dedup::describe_pipeline(cfg, input, &table, &r, g);
-  pipe::execute(g, b, {.workers = cfg.threads});
+  pipe::execute(g, b, {.workers = cfg.threads, .admission = {}});
   r.unique_chunks = table.unique_chunks();
   return r;
 }
@@ -211,7 +211,7 @@ std::vector<std::uint8_t> bzip_output(const hq::apps::bzip2::config& cfg,
   hq::apps::bzip2::result r;
   pipe::graph g;
   hq::apps::bzip2::describe_pipeline(cfg, input, &r, g);
-  pipe::execute(g, b, {.workers = cfg.threads});
+  pipe::execute(g, b, {.workers = cfg.threads, .admission = {}});
   return r.output;
 }
 
@@ -251,7 +251,8 @@ TEST(BzipApp, LoopSplitBoundsQueueGrowth) {
   hq::apps::bzip2::result unsplit;
   pipe::graph g;
   hq::apps::bzip2::describe_pipeline(cfg, input, &unsplit, g);
-  const auto ex = pipe::execute(g, backend::hyperqueue, {.workers = 1});
+  const auto ex =
+      pipe::execute(g, backend::hyperqueue, {.workers = 1, .admission = {}});
   auto split = hq::apps::bzip2::run_hyperqueue_split(cfg, input);
   EXPECT_EQ(unsplit.output, split.output);
   // The paper's point: doubling the input must not move either high-water
@@ -262,7 +263,8 @@ TEST(BzipApp, LoopSplitBoundsQueueGrowth) {
   hq::apps::bzip2::result unsplit2;
   pipe::graph g2;
   hq::apps::bzip2::describe_pipeline(cfg2, input2, &unsplit2, g2);
-  const auto ex2 = pipe::execute(g2, backend::hyperqueue, {.workers = 1});
+  const auto ex2 =
+      pipe::execute(g2, backend::hyperqueue, {.workers = 1, .admission = {}});
   EXPECT_LE(ex2.pool.high_water, ex.pool.high_water)
       << "the declared pipeline's footprint followed the input length";
   auto split2 = hq::apps::bzip2::run_hyperqueue_split(cfg2, input2);

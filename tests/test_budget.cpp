@@ -1,6 +1,6 @@
 // Bounded-memory operation: per-queue byte budgets (core/queue_cb.cpp
 // budget_wait), the HQ_QUEUE_BUDGET environment default, footprint
-// reporting through pool/data stats, throttle accounting in the scheduler
+// reporting through pool stats, throttle accounting in the scheduler
 // (and its watchdog interplay: throttled is progress, not a stall),
 // admission control at the pipeline boundary, and the latency-percentile
 // histogram the SLO reporting is built on.
@@ -116,9 +116,7 @@ TEST(Budget, LiveBytesTrackSegments) {
     hq::hyperqueue<int> q(16, 1u << 20);
     for (int i = 0; i < 200; ++i) q.push(i);  // ~13 segments in flight
     auto ps = q.pool_stats();
-    auto ds = q.data_stats();
-    EXPECT_GT(ds.live_bytes, 0u);
-    EXPECT_EQ(ds.live_bytes, ps.in_use_bytes);
+    EXPECT_GT(ps.in_use_bytes, 0u);
     EXPECT_GE(ps.peak_bytes, ps.in_use_bytes);
     EXPECT_EQ(ps.in_use_bytes % q.segment_bytes(), 0u);
     for (int i = 0; i < 200; ++i) EXPECT_EQ(q.pop(), i);

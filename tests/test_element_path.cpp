@@ -198,8 +198,7 @@ TEST(ElementPath, SteadyStateFastPathTakesNoLockAndNoRemoteLoads) {
   constexpr std::uint64_t kCap = 256;
   constexpr std::uint64_t kRounds = 200;
   hq::scheduler sched(1);
-  hq::data_path_stats st{};
-  hq::seg_pool_stats pool{};
+  hq::seg_pool_stats st{};
   sched.run([&] {
     hq::hyperqueue<std::uint64_t> q(kCap);
     std::uint64_t expect = 0;
@@ -210,8 +209,7 @@ TEST(ElementPath, SteadyStateFastPathTakesNoLockAndNoRemoteLoads) {
         ASSERT_EQ(q.pop(), expect++);
       }
     }
-    st = q.data_stats();
-    pool = q.pool_stats();
+    st = q.pool_stats();
   });
   // Zero mutex acquisitions on the element path: the owner holds its views
   // from attach_owner, and the empty() gate resolves through ready data.
@@ -222,7 +220,7 @@ TEST(ElementPath, SteadyStateFastPathTakesNoLockAndNoRemoteLoads) {
   EXPECT_LE(st.head_reloads, kRounds + 2);
   EXPECT_LE(st.tail_reloads, 2 * kRounds + 2);
   // And the whole run rides a single segment.
-  EXPECT_EQ(pool.allocated, 1u);
+  EXPECT_EQ(st.allocated, 1u);
 }
 
 TEST(ElementPath, TwoTaskStreamWalksMuAtMostOncePerAttachment) {
@@ -233,7 +231,7 @@ TEST(ElementPath, TwoTaskStreamWalksMuAtMostOncePerAttachment) {
   hq::scheduler sched(2);
   constexpr int kTotal = 200000;
   long sum = 0;
-  hq::data_path_stats st{};
+  hq::seg_pool_stats st{};
   sched.run([&] {
     hq::hyperqueue<int> q(256);
     hq::spawn(
@@ -247,7 +245,7 @@ TEST(ElementPath, TwoTaskStreamWalksMuAtMostOncePerAttachment) {
         },
         (hq::popdep<int>)q);
     hq::sync();
-    st = q.data_stats();
+    st = q.pool_stats();
   });
   EXPECT_EQ(sum, static_cast<long>(kTotal) * (kTotal - 1) / 2);
   // One walk for the consumer while the producer lives (epoch memo) plus at
@@ -260,8 +258,7 @@ TEST(ElementPath, RingRecycleServedBySegmentCache) {
   // Steady-state drain -> recycle -> alloc-next-wrap cycles go through the
   // lock-free one-slot cache, not the free-list spinlock.
   hq::scheduler sched(1);
-  hq::data_path_stats st{};
-  hq::seg_pool_stats pool{};
+  hq::seg_pool_stats st{};
   sched.run([&] {
     hq::hyperqueue<int> q(16);
     // Fill two segments, then drain both, 50 times: every wrap recycles the
@@ -273,11 +270,10 @@ TEST(ElementPath, RingRecycleServedBySegmentCache) {
         ASSERT_EQ(q.pop(), i);
       }
     }
-    st = q.data_stats();
-    pool = q.pool_stats();
+    st = q.pool_stats();
   });
   EXPECT_GT(st.seg_cache_hits, 0u);
-  EXPECT_EQ(st.seg_cache_hits, pool.recycled)
+  EXPECT_EQ(st.seg_cache_hits, st.recycled)
       << "every pool reuse should have been served lock-free";
 }
 

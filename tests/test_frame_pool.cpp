@@ -32,7 +32,7 @@ TEST(FramePool, SingleWorkerPlateausExactly) {
   // Both snapshots are taken inside one run() so no frame free is in
   // flight at observation time.
   hq::scheduler sched(1);
-  hq::detail::obj_pool::stats_t warm, after;
+  hq::detail::pool_counts warm, after;
   sched.run([&] {
     for (int r = 0; r < 20; ++r) {
       for (int i = 0; i < 64; ++i) hq::spawn([] {});
@@ -94,7 +94,7 @@ TEST(FramePool, QattachRecyclesInPipelines) {
     hq::sync();
     EXPECT_EQ(sum, 8L * 32 * 31 / 2);
   };
-  hq::detail::obj_pool::stats_t warm, after;
+  hq::detail::pool_counts warm, after;
   sched.run([&] {
     for (int i = 0; i < 3; ++i) pipeline();
     warm = sched.attach_pool_stats();

@@ -290,7 +290,7 @@ TEST_P(HyperqueueParam, SteadyStatePairReusesOneSegment) {
         },
         (hq::pushpopdep<int>)queue);
     hq::sync();
-    segments_after = queue.segments();
+    segments_after = queue.pool_stats().live;
   });
   EXPECT_LE(segments_after, 2u) << "in-step pair must ring-recycle one segment";
 }
@@ -310,7 +310,7 @@ TEST_P(HyperqueueParam, SerialExecutionGrowsQueue) {
         },
         (hq::pushdep<int>)queue);
     hq::sync();  // force full production before consumption
-    peak_segments = queue.segments();
+    peak_segments = queue.pool_stats().live;
     hq::spawn(
         [](hq::popdep<int> q) {
           long sum = 0;

@@ -154,7 +154,7 @@ void check_linear_order(backend b, unsigned workers) {
   g.connect(src, mid, opts);
   g.connect(mid, snk, opts);
 
-  (void)hq::pipe::execute(g, b, {.workers = workers});
+  (void)hq::pipe::execute(g, b, {.workers = workers, .admission = {}});
   ASSERT_EQ(got.size(), kN);
   for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(got[i], i * i) << "at " << i;
 }
@@ -189,7 +189,7 @@ void check_expand_order(backend b, unsigned workers) {
   g.connect(src, exp, opts);
   g.connect(exp, snk, opts);
 
-  (void)hq::pipe::execute(g, b, {.workers = workers});
+  (void)hq::pipe::execute(g, b, {.workers = workers, .admission = {}});
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }

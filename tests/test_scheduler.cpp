@@ -136,6 +136,32 @@ TEST(Scheduler, StatsCountSpawns) {
   EXPECT_EQ(s.executed, 51u);  // 50 children + root
 }
 
+TEST(SchedulerStats, TotalsAreTheSumOverWorkersAndResetToZero) {
+  // stats() and per_worker_stats() read the same per-worker counters: with
+  // the run over, every counter in the name table totals to the sum of its
+  // per-worker values, and reset_stats() zeroes each of them.
+  hq::scheduler sched(2);
+  long out = 0;
+  sched.run([&] { fib_task(22, &out); });
+  ASSERT_EQ(out, serial_fib(22));
+  const auto total = sched.stats();
+  const auto per_worker = sched.per_worker_stats();
+  ASSERT_EQ(per_worker.size(), 2u);
+  EXPECT_GT(total.spawns, 10000u);
+  for (const auto& c : hq::kSchedCounters) {
+    std::uint64_t sum = 0;
+    for (const auto& w : per_worker) sum += w.*c.field;
+    EXPECT_EQ(total.*c.field, sum) << c.name;
+  }
+  sched.reset_stats();
+  const auto zero = sched.stats();
+  for (const auto& c : hq::kSchedCounters) EXPECT_EQ(zero.*c.field, 0u) << c.name;
+  for (const auto& w : sched.per_worker_stats())
+    for (const auto& c : hq::kSchedCounters) EXPECT_EQ(w.*c.field, 0u) << c.name;
+  EXPECT_EQ(zero.throttle_waits, 0u);
+  EXPECT_EQ(zero.throttle_ns, 0u);
+}
+
 TEST(Scheduler, SpawnArgumentsCapturedByValue) {
   hq::scheduler sched(2);
   std::atomic<long> sum{0};
