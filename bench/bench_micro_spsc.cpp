@@ -182,7 +182,7 @@ BENCHMARK(BM_HyperqueueSegment_Bulk64);
 /// deliver every value in order.
 bool run_cached_index_probe() {
   const hq::detail::element_ops ops = hq::detail::make_element_ops<std::uint64_t>();
-  hq::detail::data_path_counters counters;
+  hq::detail::data_path_counts counters;
   auto* seg = hq::detail::segment::create(256, &ops, &counters);
   const std::uint64_t rounds = 100, cap = 256;
   bool fifo_ok = true;
@@ -199,8 +199,8 @@ bool run_cached_index_probe() {
       if (out != expect++) fifo_ok = false;
     }
   }
-  const std::uint64_t head_reloads = counters.head_reloads.load();
-  const std::uint64_t tail_reloads = counters.tail_reloads.load();
+  const std::uint64_t head_reloads = counters.head_reloads;
+  const std::uint64_t tail_reloads = counters.tail_reloads;
   const bool reloads_ok = head_reloads <= rounds + 2 && tail_reloads <= rounds + 2;
   if (!reloads_ok) {
     std::fprintf(stderr,

@@ -1,6 +1,5 @@
 #include "core/queue_cb.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdlib>
@@ -150,11 +149,23 @@ segment* queue_cb::alloc_segment() {
   // recycles the drained segment, producer allocates the next wrap) is
   // served entirely by this one-slot cache. The acquire pairs with the
   // release in recycle_segment so the reset() state is visible.
-  segment* s = seg_cache_.exchange(nullptr, std::memory_order_acquire);
-  if (s != nullptr) {
-    seg_recycled.fetch_add(1, std::memory_order_relaxed);
-    dp_.seg_cache_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  const auto take_cached = [this] {
+    segment* c = seg_cache_.exchange(nullptr, std::memory_order_acquire);
+    if (c != nullptr) {
+      seg_recycled.fetch_add(1, std::memory_order_relaxed);
+      bump(dp_.seg_cache_hits);
+    }
+    return c;
+  };
+  const auto raise_high_water = [this](std::uint64_t in_use) {
+    std::uint64_t hw = seg_high_water.load(std::memory_order_relaxed);
+    while (in_use > hw &&
+           !seg_high_water.compare_exchange_weak(hw, in_use,
+                                                 std::memory_order_relaxed)) {
+    }
+  };
+  segment* s = take_cached();
+  if (s == nullptr) {
     std::lock_guard<spinlock> lk(free_mu);
     if (free_list != nullptr) {
       s = free_list;
@@ -163,24 +174,31 @@ segment* queue_cb::alloc_segment() {
       seg_recycled.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  std::uint64_t peak = 0;
-  if (s == nullptr) {
-    s = segment::create(seg_capacity, &ops, &dp_);
-    seg_live.fetch_add(1, std::memory_order_relaxed);
-    // The pool was empty, so every segment made so far was out of it: the
-    // fresh count is a high-water mark. The in-use count can sit below it
-    // here, when a segment recycled during the create was uncounted first.
-    peak = seg_fresh.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  // Count the segment in use only once it is taken: recycle_segment
+  // A pooled segment is counted in use once it is taken: recycle_segment
   // uncounts one before it publishes it, so a count made before the take
   // could overlap that window and push high_water past `allocated`.
-  peak = std::max(peak, seg_in_use.fetch_add(1, std::memory_order_relaxed) + 1);
-  std::uint64_t hw = seg_high_water.load(std::memory_order_relaxed);
-  while (peak > hw &&
-         !seg_high_water.compare_exchange_weak(hw, peak,
-                                               std::memory_order_relaxed)) {
+  if (s != nullptr) {
+    raise_high_water(seg_in_use.fetch_add(1, std::memory_order_relaxed) + 1);
+    return s;
   }
+  // The pool looked empty. Count the request first, then look at the cache
+  // once more: a segment uncounted since the first look is either there
+  // now, or its recycle was too late to spare the create. A segment taken
+  // here was counted before the take, so it leaves the mark alone.
+  const std::uint64_t in_use =
+      seg_in_use.fetch_add(1, std::memory_order_relaxed) + 1;
+  if ((s = take_cached()) != nullptr) return s;
+  try {
+    s = segment::create(seg_capacity, &ops, &dp_);
+  } catch (...) {
+    // A failed (real or injected) allocation leaves the counters
+    // consistent for teardown and the next run.
+    seg_in_use.fetch_sub(1, std::memory_order_relaxed);
+    throw;
+  }
+  seg_live.fetch_add(1, std::memory_order_relaxed);
+  seg_fresh.fetch_add(1, std::memory_order_relaxed);
+  raise_high_water(in_use);
   return s;
 }
 
@@ -377,7 +395,7 @@ qattach* queue_cb::attach_spawn(task_frame* child, std::uint8_t priv) {
 
   if ((priv & kPrivPop) != 0) {
     std::lock_guard<std::mutex> lk(mu);
-    dp_.mu_attach.fetch_add(1, std::memory_order_relaxed);
+    bump(dp_.mu_attach);
     // The scan position follows the consumer in pop FIFO order. Take it from
     // the parent only when no older pop sibling is live: if one is, the
     // position either sits with that sibling or is parked here in transit to
@@ -431,7 +449,7 @@ void queue_cb::on_task_complete(qattach* a) {
 
   if ((a->priv & kPrivPop) != 0) {
     std::lock_guard<std::mutex> lk(mu);
-    dp_.mu_complete.fetch_add(1, std::memory_order_relaxed);
+    bump(dp_.mu_complete);
     // Hand the scan position back to the parent; the FIFO-next consumer
     // claims it lazily (ensure_pos).
     if (a->has_pos) {
@@ -633,7 +651,7 @@ bool queue_cb::try_pos(qattach* a) {
   // streaming through ready data never touches mu.
   if (a->has_pos) return true;
   std::lock_guard<std::mutex> lk(mu);
-  dp_.mu_data.fetch_add(1, std::memory_order_relaxed);
+  bump(dp_.mu_data);
   if (a->has_pos) return true;
   // Claim the scan position from an ancestor: after the previous consumer
   // completed, it travels back up the spawn tree.

@@ -46,11 +46,11 @@ inline constexpr std::uint8_t kPrivPop = 2;
 struct queue_cb;
 
 /// The one snapshot of a queue (tests / benches): segment-pool counters,
-/// byte footprint, backpressure and data-path slow events. With a
-/// well-behaved pipeline the pool reaches steady state — `allocated`
-/// plateaus at `high_water` and every further segment demand is served by
-/// `recycled`.
-struct seg_pool_stats : pool_counts {
+/// byte footprint, backpressure and the data-path slow events
+/// (data_path_counts). With a well-behaved pipeline the pool reaches steady
+/// state — `allocated` plateaus at `high_water` and every further segment
+/// demand is served by `recycled`.
+struct seg_pool_stats : pool_counts, data_path_counts {
   // Byte-denominated footprint (the budget's own unit, so budgets can be
   // audited without knowing segment geometry): in_use_bytes is segments in
   // use x bytes per segment *now*, peak_bytes the same at the high-water
@@ -77,19 +77,6 @@ struct seg_pool_stats : pool_counts {
   // the slack schedule-independent instead of a guessed constant).
   std::uint64_t shards_peak = 0;
   std::uint64_t exempt_peak_bytes = 0;
-
-  // Data-path slow events (see data_path_counters): the element fast path
-  // counts none of these. The mu_* fields pin the locking contract:
-  // mu_attach stays 0 across producer-only bursts because the producer
-  // side — push, write_slice, push-privileged spawn and completion — never
-  // takes a mutex; mu_attach/mu_complete count the pop-side registrations
-  // that still do.
-  std::uint64_t head_reloads = 0;   ///< producer re-read the consumer's head
-  std::uint64_t tail_reloads = 0;   ///< consumer re-read the producer's tail
-  std::uint64_t mu_data = 0;        ///< consumer took mu (scan-position claim)
-  std::uint64_t seg_cache_hits = 0; ///< segment allocs served lock-free
-  std::uint64_t mu_attach = 0;      ///< attach_spawn took mu (pop FIFO only)
-  std::uint64_t mu_complete = 0;    ///< completion took mu (pop hand-back only)
 };
 
 /// Every seg_pool_stats field, for the sum below.
@@ -271,12 +258,9 @@ struct queue_cb {
     st.budget_overruns = budget_overruns_.load(std::memory_order_relaxed);
     st.shards_peak = shards_peak_.load(std::memory_order_relaxed);
     st.exempt_peak_bytes = st.shards_peak * kShardMinSegs * seg_bytes_;
-    st.head_reloads = dp_.head_reloads.load(std::memory_order_relaxed);
-    st.tail_reloads = dp_.tail_reloads.load(std::memory_order_relaxed);
-    st.mu_data = dp_.mu_data.load(std::memory_order_relaxed);
-    st.seg_cache_hits = dp_.seg_cache_hits.load(std::memory_order_relaxed);
-    st.mu_attach = dp_.mu_attach.load(std::memory_order_relaxed);
-    st.mu_complete = dp_.mu_complete.load(std::memory_order_relaxed);
+    for (const auto f : kDataPathFields)
+      st.*f = std::atomic_ref<std::uint64_t>(dp_.*f).load(
+          std::memory_order_relaxed);
     return st;
   }
   [[nodiscard]] qattach* owner_attachment() { return owner; }
@@ -415,7 +399,7 @@ struct queue_cb {
   static constexpr std::uint32_t kBudgetPatience = 1024;
 
   /// Slow-event counters (see seg_pool_stats); segments hold a pointer.
-  mutable data_path_counters dp_;
+  mutable data_path_counts dp_;
 };
 
 }  // namespace hq::detail

@@ -30,7 +30,7 @@ std::size_t segment::footprint_bytes(std::uint64_t capacity,
 }
 
 segment* segment::create(std::uint64_t capacity, const element_ops* ops,
-                         data_path_counters* counters) {
+                         data_path_counts* counters) {
   assert(capacity >= 2 && std::has_single_bit(capacity));
   if (fault::failpoint("segment.alloc")) throw std::bad_alloc();
   // One allocation: [segment header | padding to element alignment | slots].

@@ -31,7 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <new>
+#include <iterator>
 
 #include "conc/cache.hpp"
 
@@ -59,14 +59,13 @@ struct element_ops {
   void (*destroy_n)(void* p, std::size_t n) noexcept = nullptr;
 
   /// memcpy with the common small element sizes peeled so the compiler emits
-  /// a single load/store pair instead of a libc dispatch. Both pointers are
-  /// laundered to the bytes of the object representation: inlined next to
-  /// a caller's 4-byte element, gcc would otherwise pair it with the 8- and
-  /// 16-byte arms (-Warray-bounds), though the arm taken always matches n.
-  /// The generated code is the same.
+  /// a single load/store pair instead of a libc dispatch. The empty asm is a
+  /// diagnostic workaround and emits no instruction: it hides where the
+  /// pointers came from, so gcc, having inlined this next to a caller's
+  /// 4-byte element, no longer pairs that element with the 8- and 16-byte
+  /// arms (-Warray-bounds), though the arm taken always matches n.
   static void copy_sized(void* dst, const void* src, std::size_t n) noexcept {
-    dst = std::launder(static_cast<unsigned char*>(dst));
-    src = std::launder(static_cast<const unsigned char*>(src));
+    asm("" : "+r"(dst), "+r"(src));
     switch (n) {
       case 4: std::memcpy(dst, src, 4); break;
       case 8: std::memcpy(dst, src, 8); break;
@@ -101,21 +100,32 @@ struct element_ops {
   }
 };
 
-/// Slow-event counters for the element data path (see queue_cb). The fast
-/// path increments nothing; each field counts one kind of slow event, so
-/// tests can assert the fast path stayed lock-free and line-local.
-struct data_path_counters {
-  std::atomic<std::uint64_t> head_reloads{0};  ///< producer re-read remote head
-  std::atomic<std::uint64_t> tail_reloads{0};  ///< consumer re-read remote tail
-  std::atomic<std::uint64_t> mu_data{0};       ///< consumer took queue_cb::mu
-  std::atomic<std::uint64_t> seg_cache_hits{0};///< alloc served lock-free
-  std::atomic<std::uint64_t> mu_attach{0};     ///< attach_spawn took mu (pop
-                                               ///< FIFO registration only —
-                                               ///< push spawns never do)
-  std::atomic<std::uint64_t> mu_complete{0};   ///< completion took mu (pop
-                                               ///< hand-back only — push
-                                               ///< completions never do)
+/// Slow-event counters for the element data path (see queue_cb), declared
+/// once: queue_cb::pool_stats() copies them into seg_pool_stats, which
+/// extends this type. The fast path increments nothing; each field counts
+/// one kind of slow event, so tests can assert the fast path stayed
+/// lock-free and line-local. Writers bump the plain fields through
+/// std::atomic_ref, and readers walk kDataPathFields.
+struct data_path_counts {
+  std::uint64_t head_reloads = 0;   ///< producer re-read the consumer's head
+  std::uint64_t tail_reloads = 0;   ///< consumer re-read the producer's tail
+  std::uint64_t mu_data = 0;        ///< consumer took mu (scan-position claim)
+  std::uint64_t seg_cache_hits = 0; ///< segment allocs served lock-free
+  /// attach_spawn took mu: pop-FIFO registration only, so it stays 0 across
+  /// producer-only bursts (push, write_slice, push spawns and completions
+  /// never take a mutex).
+  std::uint64_t mu_attach = 0;
+  std::uint64_t mu_complete = 0;    ///< completion took mu (pop hand-back only)
 };
+
+inline constexpr std::uint64_t data_path_counts::*kDataPathFields[] = {
+    &data_path_counts::head_reloads, &data_path_counts::tail_reloads,
+    &data_path_counts::mu_data,      &data_path_counts::seg_cache_hits,
+    &data_path_counts::mu_attach,    &data_path_counts::mu_complete,
+};
+static_assert(sizeof(data_path_counts) ==
+                  std::size(kDataPathFields) * sizeof(std::uint64_t),
+              "every data_path_counts field needs a row in kDataPathFields");
 
 class segment {
  public:
@@ -123,7 +133,7 @@ class segment {
   /// two) in a single allocation. `counters`, when non-null, receives the
   /// remote-index-reload counts (slow path only).
   static segment* create(std::uint64_t capacity, const element_ops* ops,
-                         data_path_counters* counters = nullptr);
+                         data_path_counts* counters = nullptr);
 
   /// Free the segment's memory. Remaining elements must have been destroyed.
   static void destroy(segment* s);
@@ -303,7 +313,7 @@ class segment {
 
  private:
   segment(std::uint64_t capacity, const element_ops* o, std::byte* storage,
-          data_path_counters* counters)
+          data_path_counts* counters)
       : mask(capacity - 1),
         ops(o),
         esize_(o->size),
@@ -317,7 +327,8 @@ class segment {
   /// (both accesses are atomic, so concurrent writers from different
   /// segments lose updates but never race); a depth-1 consumer reloads on
   /// every poll, and a lock prefix there would cost more than the reload.
-  static void bump(std::atomic<std::uint64_t>& c) noexcept {
+  static void bump(std::uint64_t& counter) noexcept {
+    std::atomic_ref<std::uint64_t> c(counter);
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 
@@ -338,7 +349,7 @@ class segment {
   const std::uint64_t esize_;
   const bool trivial_;
   std::byte* const storage_;
-  data_path_counters* const counters_;
+  data_path_counts* const counters_;
 };
 
 }  // namespace hq::detail

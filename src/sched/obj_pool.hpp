@@ -57,9 +57,9 @@ struct pool_counts {
   std::uint64_t allocated = 0;   ///< fresh blocks ever made
   std::uint64_t recycled = 0;    ///< allocation requests served by the pool
   /// Peak blocks simultaneously in use. For segments, the peak of the
-  /// in-use count, raised on every take; for obj_pool the peak of `live`
-  /// observed at the sampling points (fresh-block slow paths and stats()
-  /// calls). Exact tracking would put a shared counter on every alloc — the
+  /// in-use count (see queue_cb::alloc_segment); for obj_pool the peak of
+  /// `live` observed at the sampling points (fresh-block slow paths and
+  /// stats() calls). Exact tracking would put a shared counter on every alloc — the
   /// contention obj_pool exists to remove — so bursts served purely from
   /// magazines between samples can exceed it.
   std::uint64_t high_water = 0;

@@ -456,7 +456,7 @@ TEST(ElementPath, SyncPushCounterMatchesChildLifetimes) {
 /// (The element-wise 2-thread torture lives in test_spsc_torture.cpp.)
 TEST(ElementPath, PaddedSegmentSliceTortureTwoThreads) {
   const hq::detail::element_ops ops = hq::detail::make_element_ops<std::uint64_t>();
-  hq::detail::data_path_counters counters;
+  hq::detail::data_path_counts counters;
   auto* seg = hq::detail::segment::create(512, &ops, &counters);
   constexpr std::uint64_t kItems = 1'000'000;
 
