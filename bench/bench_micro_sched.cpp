@@ -1,5 +1,6 @@
 // Scheduler and dataflow-tracker microbenchmarks: spawn/sync overhead,
-// recursive task trees, versioned-object dependence chains.
+// recursive task trees, versioned-object dependence chains, and the fixed
+// cost of a pipeline execute that carries no token.
 //
 // Provides its own main(): after the Google-Benchmark runs it executes a
 // correctness-gated probe (spawn/steal counters + frame-pool steady state —
@@ -23,6 +24,7 @@
 
 #include "bench_json.hpp"
 #include "hq.hpp"
+#include "pipeline/runner.hpp"
 
 namespace {
 
@@ -88,6 +90,24 @@ void BM_CallSync(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_CallSync)->Arg(1000);
+
+void BM_ExecuteZeroToken(benchmark::State& state) {
+  // The fixed cost of one hyperqueue execute: a source that emits nothing,
+  // a parallel stage and a sink, on a resident scheduler of `workers`.
+  namespace pipe = hq::pipe;
+  pipe::graph g;
+  auto src = g.source<int>("src", [](pipe::emit<int>) {});
+  auto mid = g.stage<int, int>("mid", pipe::stage_kind::parallel,
+                               [](int&& v, pipe::emit<int> out) { out(int{v}); });
+  auto snk = g.sink<int>("snk", pipe::stage_kind::serial_in_order, [](int&&) {});
+  g.connect(src, mid);
+  g.connect(mid, snk);
+  pipe::exec_options opt;
+  opt.workers = static_cast<unsigned>(state.range(0));
+  (void)pipe::execute(g, pipe::backend::hyperqueue, opt);  // untimed warm-up
+  for (auto _ : state) (void)pipe::execute(g, pipe::backend::hyperqueue, opt);
+}
+BENCHMARK(BM_ExecuteZeroToken)->Arg(1)->Arg(2);
 
 long fib_serial(long n) { return n < 2 ? n : fib_serial(n - 1) + fib_serial(n - 2); }
 

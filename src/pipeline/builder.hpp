@@ -544,12 +544,12 @@ using hq_output_t = std::conditional_t<std::is_same_v<Dep, pushdep_any>,
                                        hq_spawner<Out>, hq_emitter<Out>>;
 
 // ---- hyperqueue stage lowering ----------------------------------------------
-// The source is one task, spawned by the runner's root first. Every serial
-// stage and the sink is a drain (sched/drain.hpp) whose frame the root
-// creates after it, in declaration order — the serial-elision order the
-// queues' definitive-empty gate relies on. Parallel stages have no frame of
-// their own: they run inside the run tasks their producer's hq_spawner
-// spawns.
+// The source is one task, made by the runner's root first and run in place
+// on its thread. Every serial stage and the sink is a drain (sched/drain.hpp)
+// whose frame the root creates after it, in declaration order — the
+// serial-elision order the queues' definitive-empty gate relies on. Parallel
+// stages have no frame of their own: they run inside the run tasks their
+// producer's hq_spawner spawns.
 
 template <typename Out, typename Dep>
 void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,

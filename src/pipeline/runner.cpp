@@ -111,8 +111,9 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
 // queue: the stage feeding a run spawns one task per batch that carries the
 // batch through the run's bodies (hq_run, builder.hpp). The source task and
 // the drains' frames are made in chain order — the serial-elision order the
-// queues' visibility rules assume. The root's join runs the source at top
-// level; every consumer runs when its producers kick it.
+// queues' visibility rules assume. The root runs the source in place, so no
+// pool thread wakes before the source spawns a run task; every consumer runs
+// when its producers kick it.
 
 exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
                                    detail::admission_ctl* ctl) {
@@ -157,8 +158,8 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
     }
     // Producer k is the source (k = 0) or the stage behind queue k - 1; it
     // pushes into queue k, directly or through the parallel run between.
-    // The drains are all bound before the source is launched: until then
-    // no producer can kick one.
+    // The drains are all bound before the source runs: until then no
+    // producer can kick one.
     hq::detail::task_frame* source = nullptr;
     for (std::size_t k = 0; k <= heads.size(); ++k) {
       const std::size_t i = k == 0 ? 0 : heads[k - 1];
@@ -192,7 +193,7 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       ctx.knobs.complete = ctl;
       if (hq::detail::task_frame* f = stage(i).hq_spawn(ctx)) source = f;
     }
-    hq::detail::launch(source);
+    sched.run_in_place(source);
     hq::sync();
     for (auto& ch : chans) {
       const seg_pool_stats st = ch->pool();

@@ -334,6 +334,10 @@ void scheduler::run_claimed(task_frame* t) {
   execute(t);
 }
 
+void scheduler::run_in_place(task_frame* t) {
+  if (t->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) execute(t);
+}
+
 void scheduler::join_children(bool cancellable) {
   worker_ctx* w = detail::t_worker;
   assert(w != nullptr && w->sched == this && w->current != nullptr &&

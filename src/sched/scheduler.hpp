@@ -317,6 +317,14 @@ class scheduler {
   /// nested on the calling task. Counted in inline_runs, not helps.
   void run_claimed(detail::task_frame* t);
 
+  /// Launch a frame made by make_task() in place: release its spawn guard
+  /// and, if that makes it ready, execute it nested on the calling task
+  /// without exposing it or waking anyone; a frame with dependences left
+  /// becomes ready through satisfy() as usual. Counted in executed only.
+  /// The caller must be a task the frame may nest on (safe_to_nest), e.g.
+  /// a root whose only attachments are owner ones.
+  void run_in_place(detail::task_frame* t);
+
   /// help_one() from a hyperqueue data wait, counted in data_wait_helps.
   bool help_data_wait() {
     detail::worker_ctx* w = detail::t_worker;

@@ -142,6 +142,45 @@ TEST(ResidentRuntime, RunExecutesOnTheCallingThread) {
   EXPECT_EQ(hq::scheduler::current(), nullptr) << "run() left the caller bound";
 }
 
+TEST(ResidentRuntime, ZeroTokenExecuteExposesNothing) {
+  // The root runs the source in place and a source that emits nothing
+  // spawns nothing, so a zero-token execute puts no task on a deque: no
+  // pool thread can steal or execute anything, at any worker count.
+  constexpr int kRuns = 2000;
+  const std::uint64_t me = thread_serial();
+  int off_caller = 0;
+  graph g;
+  auto src = g.source<int>("src", [&off_caller, me](emit<int>) {
+    if (thread_serial() != me) ++off_caller;
+  });
+  auto mid = g.stage<int, int>("mid", stage_kind::parallel,
+                               [](int&& v, emit<int> out) { out(int{v}); });
+  auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
+  g.connect(src, mid);
+  g.connect(mid, snk);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    auto snapshot = [workers] {
+      hq::scheduler_lease lease(workers);
+      return std::make_pair(lease->stats().steals, lease->per_worker_stats());
+    };
+    hq::pipe::exec_options opt;
+    opt.workers = workers;
+    (void)hq::pipe::execute(g, backend::hyperqueue, opt);  // make it resident
+    off_caller = 0;
+    const auto before = snapshot();
+    for (int i = 0; i < kRuns; ++i)
+      (void)hq::pipe::execute(g, backend::hyperqueue, opt);
+    const auto after = snapshot();
+    EXPECT_EQ(off_caller, 0) << "source bodies run off the calling thread";
+    EXPECT_EQ(after.first - before.first, 0u) << "steals";
+    ASSERT_EQ(after.second.size(), workers);
+    for (unsigned w = 1; w < workers; ++w)
+      EXPECT_EQ(after.second[w].executed - before.second[w].executed, 0u)
+          << "pool worker " << w << " executed tasks";
+  }
+}
+
 TEST(ResidentRuntime, LeaseKeepsOneIdleSchedulerPerKey) {
   // Schedulers are told apart by their history, not their address: a new
   // scheduler can be built at a destroyed one's address, but only the
