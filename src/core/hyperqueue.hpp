@@ -389,18 +389,6 @@ class hyperqueue {
     attach_or_release();
   }
 
-  /// As above, plus a memory budget: cap the queue's live segment footprint
-  /// at roughly `memory_budget_bytes` (0 = the HQ_QUEUE_BUDGET environment
-  /// default, itself unlimited when unset). Producers that would grow the
-  /// queue past the cap block cooperatively until the consumer recycles
-  /// segments — deterministic backpressure, not data loss. Budgets below
-  /// the structural minimum are enforced at it.
-  hyperqueue(std::size_t segment_length, std::uint64_t memory_budget_bytes)
-      : cb_(new detail::queue_cb(detail::make_element_ops<T>(), segment_length,
-                                 memory_budget_bytes)) {
-    attach_or_release();
-  }
-
   hyperqueue(const hyperqueue&) = delete;
   hyperqueue& operator=(const hyperqueue&) = delete;
 
@@ -435,28 +423,22 @@ class hyperqueue {
   operator pushdep_any() const { return pushdep_any(cb_); }        // NOLINT
 
   /// Name the drain that consumes this queue (sched/drain.hpp): producer
-  /// shard closes kick it, and budget waits run it instead of escaping.
+  /// shard closes kick it, and pool_stats() reports its backlog holds.
   /// Call before any producer runs.
   void set_drain(detail::drain* d) noexcept { cb_->consumer_drain = d; }
 
   /// The queue's one snapshot. Segment pool (Section 5.1/5.2): fresh
   /// allocations, pool reuses, and the in-use high-water mark; in steady
   /// state `allocated` stops growing and equals `high_water`. Byte
-  /// footprint and budget waits. Data-path slow events: remote index
-  /// reloads (bounded by one per segment-capacity of elements in steady
-  /// state) and mutex acquisitions (zero on the fast path; mu_attach stays
-  /// 0 on the producer side — the zero-mutex-on-push contract).
+  /// footprint, and the producers held at the queue's drain (0 without
+  /// one). Data-path slow events: remote index reloads (bounded by one per
+  /// segment-capacity of elements in steady state) and mutex acquisitions
+  /// (zero on the fast path; mu_attach stays 0 on the producer side — the
+  /// zero-mutex-on-push contract).
   [[nodiscard]] seg_pool_stats pool_stats() const { return cb_->pool_stats(); }
 
-  /// Adjust (or clear, bytes == 0) the memory budget at run time. See
-  /// detail::queue_cb::set_memory_budget.
-  void set_memory_budget(std::uint64_t bytes) { cb_->set_memory_budget(bytes); }
-  [[nodiscard]] std::uint64_t memory_budget() const {
-    return cb_->memory_budget();
-  }
-  /// Bytes one segment occupies — the budget's accounting unit; the live
-  /// footprint in bytes is pool_stats().in_use_bytes (= segments in use x
-  /// this).
+  /// Bytes one segment occupies; the live footprint in bytes is
+  /// pool_stats().in_use_bytes (= segments in use x this).
   [[nodiscard]] std::uint64_t segment_bytes() const {
     return cb_->segment_bytes();
   }

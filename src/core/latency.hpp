@@ -2,7 +2,7 @@
 // fixed-bucket logarithmic histograms.
 //
 // Latency SLOs need tail percentiles, not means: a mean hides exactly the
-// overload behavior budgets and admission policies exist to control
+// overload behavior admission policies exist to control
 // (bench_service records wall-clock request latency here). This module
 // keeps them cheap and deterministic:
 //

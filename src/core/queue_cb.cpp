@@ -1,8 +1,6 @@
 #include "core/queue_cb.hpp"
 
 #include <bit>
-#include <chrono>
-#include <cstdlib>
 
 #include "conc/backoff.hpp"
 #include "core/fault.hpp"
@@ -66,61 +64,13 @@ void free_qattach(qattach* a) {
   s->free_attach_block(a, owner);
 }
 
-/// HQ_QUEUE_BUDGET: default per-queue memory budget in bytes, with an
-/// optional binary K/M/G suffix ("256K", "4M"). Unset, empty or "0" means
-/// unlimited. Parsed once; every queue constructed without an explicit
-/// budget picks this up.
-std::uint64_t env_default_budget() {
-  static const std::uint64_t cached = [] {
-    const char* e = std::getenv("HQ_QUEUE_BUDGET");
-    if (e == nullptr || *e == '\0') return std::uint64_t{0};
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(e, &end, 10);
-    std::uint64_t mult = 1;
-    if (end != nullptr) {
-      switch (*end) {
-        case 'k': case 'K': mult = std::uint64_t{1} << 10; break;
-        case 'm': case 'M': mult = std::uint64_t{1} << 20; break;
-        case 'g': case 'G': mult = std::uint64_t{1} << 30; break;
-        default: break;
-      }
-    }
-    return static_cast<std::uint64_t>(v) * mult;
-  }();
-  return cached;
-}
-
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
 }  // namespace
 
-queue_cb::queue_cb(element_ops o, std::uint64_t segment_capacity,
-                   std::uint64_t budget_bytes)
+queue_cb::queue_cb(element_ops o, std::uint64_t segment_capacity)
     : ops(o),
       seg_capacity(std::bit_ceil(segment_capacity < 2 ? std::uint64_t{2}
                                                       : segment_capacity)),
-      seg_bytes_(segment::footprint_bytes(seg_capacity, &ops)) {
-  if (budget_bytes == 0) budget_bytes = env_default_budget();
-  if (budget_bytes != 0) set_memory_budget(budget_bytes);
-}
-
-void queue_cb::set_memory_budget(std::uint64_t bytes) noexcept {
-  budget_bytes_.store(bytes, std::memory_order_relaxed);
-  std::uint64_t segs = 0;
-  if (bytes != 0) {
-    segs = bytes / seg_bytes_;
-    // Enforce at the structural minimum: below kShardMinSegs the exemption
-    // in budget_wait would make the cap vacuous anyway, and advertising a
-    // tighter number than the runtime can honor helps nobody.
-    if (segs < kShardMinSegs) segs = kShardMinSegs;
-  }
-  budget_segs_.store(segs, std::memory_order_relaxed);
-}
+      seg_bytes_(segment::footprint_bytes(seg_capacity, &ops)) {}
 
 queue_cb::~queue_cb() {
   assert(owner == nullptr && "queue control block released before detach_owner");
@@ -218,12 +168,6 @@ void queue_cb::recycle_segment(segment* s) {
 }
 
 pshard* queue_cb::alloc_shard() {
-  const std::uint64_t live =
-      shards_live_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t peak = shards_peak_.load(std::memory_order_relaxed);
-  while (peak < live && !shards_peak_.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
   // Shards share the scheduler's attach pool (its block size covers both
   // record types), so steady-state spawn churn recycles shard records with
   // the same zero-malloc guarantee as attachments.
@@ -239,7 +183,6 @@ pshard* queue_cb::alloc_shard() {
 }
 
 void queue_cb::free_shard(pshard* sh) {
-  shards_live_.fetch_sub(1, std::memory_order_relaxed);
   scheduler* s = sh->pool_sched;
   if (s == nullptr) {
     delete sh;
@@ -299,7 +242,6 @@ void queue_cb::attach_owner(task_frame* owner_frame) {
   }
   sh->head.store(s0, std::memory_order_relaxed);
   sh->tail = s0;
-  sh->live_segs.store(1, std::memory_order_relaxed);
   a->my_shard = sh;
   a->has_pos = true;
   a->pos_shard = sh;
@@ -474,114 +416,15 @@ void queue_cb::on_task_complete(qattach* a) {
 
 // ---------------------------------------------------------------- producer
 
-void queue_cb::budget_wait(qattach* a, pshard* sh) {
-  std::uint64_t limit = budget_segs_.load(std::memory_order_relaxed);
-  if (limit == 0) [[likely]] return;
-  // Structural exemption, and the whole deadlock-freedom argument: a naive
-  // global wait can strand a producer forever behind segments the consumer
-  // cannot reach (e.g. a completed fast sibling's full shard that sits
-  // *later* in scan order than the slow shard the consumer is parked on).
-  // But the consumer always sits on some shard X in scan order and can
-  // drain X down to its open tail segment, recycling the rest — so as long
-  // as a producer holding fewer than kShardMinSegs live segments may always
-  // link another one, X's producer in particular can always make progress,
-  // the consumer eventually passes X, and every wait ahead of it unblocks
-  // by induction over the scan order. Peak footprint stays within budget +
-  // (kShardMinSegs per concurrently-exempt producer shard) — the structural
-  // slack any correct cap must concede.
-  if (sh->live_segs.load(std::memory_order_relaxed) < kShardMinSegs) return;
-  // Tasks holding pop privilege drain this queue themselves: their own pops
-  // are what would free segments, so parking them on the budget would be a
-  // self-deadlock. The budget governs pure producers.
-  if ((a->priv & kPrivPop) != 0) return;
-  if (seg_in_use.load(std::memory_order_relaxed) < limit) return;
-
-  // Over budget: cooperative throttle. Pause-only, deliberately NOT
-  // help-first: helping from a producer-side wait can nest a consumer task
-  // on this very stack, and a consumer blocks indefinitely on the open
-  // shard of the producer suspended beneath it — a guaranteed deadlock on
-  // one worker. Pausing instead keeps the stack clean; the consumer drains
-  // from another worker and its recycles reopen the budget. When no worker
-  // can run the consumer at all (e.g. a single worker occupied by this very
-  // wait), the wait detects the lack of recycle progress and escapes: it
-  // allocates over budget rather than deadlocking, counted in
-  // budget_overruns. Hard cap whenever the consumer is runnable — the
-  // overload case that matters — degrading to a slow soft cap only on
-  // schedules where a hard cap is impossible without task suspension.
-  // Cancellable (a failed run unwinds the wait) and watchdog-visible
-  // (throttle_begin marks the worker, throttle_tick keeps the progress
-  // counter moving so backpressure is never misread as a stall).
-  //
-  // A drained queue (a declared pipeline's, sched/drain.hpp) needs no
-  // patience: the producer runs the drain itself whenever it is idle, and
-  // otherwise pauses while an activation runs on another worker or the
-  // producer the scan waits on is between batches. A producer not yet
-  // scanned escapes only when every worker is paused in a hold, which a
-  // producer reached through claims on one worker never is: the cap then
-  // holds there too.
-  scheduler* sc = scheduler::current();
-  if (sc != nullptr) sc->throttle_begin(this);
-  throttle_waits_.fetch_add(1, std::memory_order_relaxed);
-  const auto t0 = std::chrono::steady_clock::now();
-  backoff bo;
-  drain::hold_state hold;
-  std::uint64_t last_recycled = seg_recycled.load(std::memory_order_relaxed);
-  std::uint32_t stalled_iters = 0;
-  try {
-    for (;;) {
-      limit = budget_segs_.load(std::memory_order_relaxed);
-      if (limit == 0 || seg_in_use.load(std::memory_order_relaxed) < limit ||
-          sh->live_segs.load(std::memory_order_relaxed) < kShardMinSegs) {
-        break;
-      }
-      throw_if_run_cancelled();
-      if (consumer_drain != nullptr && sc != nullptr) {
-        const bool scanned = sh->scanned.load(std::memory_order_relaxed);
-        if (!scanned) consumer_drain->hold_begin();
-        const bool held = consumer_drain->hold(*sc, hold, scanned);
-        if (!scanned) consumer_drain->hold_end();
-        if (!held) {
-          throw_if_run_cancelled();
-          budget_overruns_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        continue;
-      }
-      const std::uint64_t rec = seg_recycled.load(std::memory_order_relaxed);
-      if (rec != last_recycled) {
-        last_recycled = rec;
-        stalled_iters = 0;
-        bo.reset();
-      } else if (bo.is_yielding() && ++stalled_iters > kBudgetPatience) {
-        budget_overruns_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      if (sc != nullptr) sc->throttle_tick();
-      bo.pause();
-    }
-  } catch (...) {
-    const std::uint64_t ns = elapsed_ns(t0);
-    throttle_ns_.fetch_add(ns, std::memory_order_relaxed);
-    if (sc != nullptr) sc->throttle_end(ns);
-    throw;
-  }
-  const std::uint64_t ns = elapsed_ns(t0);
-  throttle_ns_.fetch_add(ns, std::memory_order_relaxed);
-  if (sc != nullptr) sc->throttle_end(ns);
-}
-
 void queue_cb::push(void* src) {
   fault::delaypoint("queue.push");
   qattach* a = my_attachment(kPrivPush);
   pshard* sh = a->my_shard;
   if (segment* s = sh->tail) {
     if (s->try_push(src)) return;
-    // Segment full: chain a fresh one (throttling first if the queue is at
-    // its memory budget). We own the shard's tail, so the link needs no
-    // lock.
-    budget_wait(a, sh);
+    // Segment full: chain a fresh one. We own the shard's tail, so the link
+    // needs no lock.
     segment* ns = alloc_segment();
-    sh->live_segs.fetch_add(1, std::memory_order_relaxed);
     bool ok = ns->try_push(src);
     assert(ok);
     (void)ok;
@@ -592,10 +435,8 @@ void queue_cb::push(void* src) {
   // First push into this shard: create the chain and publish its head. The
   // release store makes the element visible to the consumer the moment it
   // reaches this shard in scan order — no mutex, unlike the old early-
-  // reduction path. (No budget_wait: a shard's first segment is always
-  // structurally exempt.)
+  // reduction path.
   segment* ns = alloc_segment();
-  sh->live_segs.fetch_add(1, std::memory_order_relaxed);
   bool ok = ns->try_push(src);
   assert(ok);
   (void)ok;
@@ -616,16 +457,13 @@ void* queue_cb::write_slice(std::uint64_t want, std::uint64_t* count) {
     // consumer pair that stays in step must ring-recycle one segment, not
     // leak a fresh one per wrap.
     if (void* p = s->acquire_write(want, count)) return p;
-    // Segment truly full: chain a fresh one (throttling at the budget).
-    budget_wait(a, sh);
+    // Segment truly full: chain a fresh one.
     segment* ns = alloc_segment();
-    sh->live_segs.fetch_add(1, std::memory_order_relaxed);
     s->next.store(ns, std::memory_order_release);
     sh->tail = ns;
     return ns->acquire_write(want, count);
   }
   segment* ns = alloc_segment();
-  sh->live_segs.fetch_add(1, std::memory_order_relaxed);
   sh->tail = ns;
   sh->head.store(ns, std::memory_order_release);
   return ns->acquire_write(want, count);
@@ -698,9 +536,6 @@ segment* queue_cb::scan(qattach* a, bool* ended) {
           }
           a->pos_seg = n;
           recycle_segment(s);
-          // Unblocks the shard's producer at the budget: dropping below
-          // kShardMinSegs re-arms its structural exemption.
-          sh->live_segs.fetch_sub(1, std::memory_order_relaxed);
           s = n;
           continue;
         }

@@ -46,50 +46,36 @@ inline constexpr std::uint8_t kPrivPop = 2;
 struct queue_cb;
 
 /// The one snapshot of a queue (tests / benches): segment-pool counters,
-/// byte footprint, backpressure and the data-path slow events
-/// (data_path_counts). With a well-behaved pipeline the pool reaches steady
-/// state — `allocated` plateaus at `high_water` and every further segment
-/// demand is served by `recycled`.
+/// byte footprint, the backlog holds at the queue's drain and the data-path
+/// slow events (data_path_counts). With a well-behaved pipeline the pool
+/// reaches steady state — `allocated` plateaus at `high_water` and every
+/// further segment demand is served by `recycled`.
 struct seg_pool_stats : pool_counts, data_path_counts {
-  // Byte-denominated footprint (the budget's own unit, so budgets can be
-  // audited without knowing segment geometry): in_use_bytes is segments in
-  // use x bytes per segment *now*, peak_bytes the same at the high-water
-  // mark, budget_bytes the configured cap (0 = unlimited).
+  // Byte-denominated footprint: in_use_bytes is segments in use x bytes per
+  // segment *now*, peak_bytes the same at the high-water mark.
   std::uint64_t in_use_bytes = 0;
   std::uint64_t peak_bytes = 0;
-  std::uint64_t budget_bytes = 0;
 
-  // Backpressure events: producer waits entered because the queue was at
-  // its memory budget, and the total wall time spent in them.
-  // budget_overruns counts waits that escaped over budget because no
-  // consumer could make recycle progress (see queue_cb::budget_wait) — 0
-  // whenever the consumer stays runnable, i.e. the cap held hard.
+  // Backlog holds at the queue's drain (sched/drain.hpp; 0 on a queue with
+  // no drain): throttle_waits counts producers that had to hold at the
+  // bound, throttle_ns the time they spent held, and budget_overruns the
+  // held producers that gave way and went on over the bound (the events
+  // scheduler::stats_t::give_ways counts per worker).
   std::uint64_t throttle_waits = 0;
   std::uint64_t throttle_ns = 0;
   std::uint64_t budget_overruns = 0;
-
-  // Structural-exemption audit: shards_peak is the high-water count of
-  // simultaneously live producer shards, and exempt_peak_bytes =
-  // shards_peak x kShardMinSegs x segment bytes — the most the per-shard
-  // allocation floor can ever hold above budget_bytes. On any run with
-  // budget_overruns == 0, peak_bytes <= budget_bytes + exempt_peak_bytes
-  // is the hard invariant (tests assert exactly this; the shard peak makes
-  // the slack schedule-independent instead of a guessed constant).
-  std::uint64_t shards_peak = 0;
-  std::uint64_t exempt_peak_bytes = 0;
 };
 
 /// Every seg_pool_stats field, for the sum below.
 inline constexpr std::uint64_t seg_pool_stats::*kSegPoolFields[] = {
-    &seg_pool_stats::allocated,      &seg_pool_stats::recycled,
-    &seg_pool_stats::high_water,     &seg_pool_stats::live,
-    &seg_pool_stats::in_use_bytes,   &seg_pool_stats::peak_bytes,
-    &seg_pool_stats::budget_bytes,   &seg_pool_stats::throttle_waits,
-    &seg_pool_stats::throttle_ns,    &seg_pool_stats::budget_overruns,
-    &seg_pool_stats::shards_peak,    &seg_pool_stats::exempt_peak_bytes,
-    &seg_pool_stats::head_reloads,   &seg_pool_stats::tail_reloads,
-    &seg_pool_stats::mu_data,        &seg_pool_stats::seg_cache_hits,
-    &seg_pool_stats::mu_attach,      &seg_pool_stats::mu_complete,
+    &seg_pool_stats::allocated,       &seg_pool_stats::recycled,
+    &seg_pool_stats::high_water,      &seg_pool_stats::live,
+    &seg_pool_stats::in_use_bytes,    &seg_pool_stats::peak_bytes,
+    &seg_pool_stats::throttle_waits,  &seg_pool_stats::throttle_ns,
+    &seg_pool_stats::budget_overruns, &seg_pool_stats::head_reloads,
+    &seg_pool_stats::tail_reloads,    &seg_pool_stats::mu_data,
+    &seg_pool_stats::seg_cache_hits,  &seg_pool_stats::mu_attach,
+    &seg_pool_stats::mu_complete,
 };
 static_assert(sizeof(seg_pool_stats) ==
                   std::size(kSegPoolFields) * sizeof(std::uint64_t),
@@ -97,7 +83,7 @@ static_assert(sizeof(seg_pool_stats) ==
 
 /// Aggregate over a pipeline's queues (field-wise sum; high_water /
 /// peak_bytes become the sum of per-queue peaks, an upper bound on the
-/// combined peak; budget_bytes the combined cap).
+/// combined peak).
 inline seg_pool_stats operator+(seg_pool_stats a, const seg_pool_stats& b) {
   for (const auto f : kSegPoolFields) a.*f += b.*f;
   return a;
@@ -169,12 +155,7 @@ struct qattach {
 
 /// Control block shared by a hyperqueue<T> and all wrappers referencing it.
 struct queue_cb {
-  /// `budget_bytes` caps the queue's live segment footprint (backpressure,
-  /// see budget_wait). 0 means "use the HQ_QUEUE_BUDGET environment default"
-  /// (itself unlimited when unset); call set_memory_budget(0) afterwards to
-  /// force unlimited regardless of the environment.
-  queue_cb(element_ops o, std::uint64_t segment_capacity,
-           std::uint64_t budget_bytes = 0);
+  queue_cb(element_ops o, std::uint64_t segment_capacity);
   ~queue_cb();
 
   queue_cb(const queue_cb&) = delete;
@@ -252,12 +233,7 @@ struct queue_cb {
     st.live = seg_live.load(std::memory_order_relaxed);
     st.in_use_bytes = seg_in_use.load(std::memory_order_relaxed) * seg_bytes_;
     st.peak_bytes = st.high_water * seg_bytes_;
-    st.budget_bytes = budget_bytes_.load(std::memory_order_relaxed);
-    st.throttle_waits = throttle_waits_.load(std::memory_order_relaxed);
-    st.throttle_ns = throttle_ns_.load(std::memory_order_relaxed);
-    st.budget_overruns = budget_overruns_.load(std::memory_order_relaxed);
-    st.shards_peak = shards_peak_.load(std::memory_order_relaxed);
-    st.exempt_peak_bytes = st.shards_peak * kShardMinSegs * seg_bytes_;
+    if (consumer_drain != nullptr) consumer_drain->hold_stats(st);
     for (const auto f : kDataPathFields)
       st.*f = std::atomic_ref<std::uint64_t>(dp_.*f).load(
           std::memory_order_relaxed);
@@ -267,33 +243,15 @@ struct queue_cb {
 
   /// The drain that consumes this queue (declared pipelines; null for
   /// hand-written programs, whose consumers pop). Set before any producer
-  /// runs; a closing producer shard kicks it, and budget waits run it.
+  /// runs; a closing producer shard kicks it.
   drain* consumer_drain = nullptr;
   /// Attachment of the calling task (current frame), requiring `need` privs.
   qattach* my_attachment(std::uint8_t need);
 
-  // ---- memory budget (backpressure) ---------------------------------------
-  /// Cap the queue's live segment footprint at roughly `bytes` (0 =
-  /// unlimited). Producers that would grow the queue past the cap enter a
-  /// cooperative, cancellable throttle wait instead (budget_wait). Budgets
-  /// below the structural minimum — kShardMinSegs segments per live producer
-  /// shard, which deadlock-freedom requires — are enforced at that minimum,
-  /// so any positive budget is safe and deterministic.
-  void set_memory_budget(std::uint64_t bytes) noexcept;
-  [[nodiscard]] std::uint64_t memory_budget() const noexcept {
-    return budget_bytes_.load(std::memory_order_relaxed);
-  }
-  /// Bytes one segment occupies (header + slots) — the budget's unit.
+  /// Bytes one segment occupies (header + slots).
   [[nodiscard]] std::uint64_t segment_bytes() const noexcept {
     return seg_bytes_;
   }
-
-  /// Per-shard allocation floor the budget never blocks: the consumer can
-  /// always drain any shard ahead of it down to its open tail segment, so a
-  /// producer holding fewer than this many live segments must be allowed to
-  /// link another one or backpressure could deadlock behind an unreachable
-  /// shard (see budget_wait in queue_cb.cpp for the full argument).
-  static constexpr std::uint32_t kShardMinSegs = 2;
 
   element_ops ops;
   const std::uint64_t seg_capacity;
@@ -305,15 +263,6 @@ struct queue_cb {
   void recycle_segment(segment* s);
   pshard* alloc_shard();
   void free_shard(pshard* sh);
-
-  /// Memory-budget throttle, called by producer paths before growing shard
-  /// `sh`'s chain. Blocks (pause-only, cancellable) while the queue is at
-  /// its budget — unless a structural exemption applies: the shard holds
-  /// fewer than kShardMinSegs segments, or the task also has pop privilege
-  /// (its own pops are what would free segments). Escapes over budget
-  /// (counted) when no consumer makes recycle progress, rather than
-  /// wedging a schedule that cannot interleave the consumer.
-  void budget_wait(qattach* a, pshard* sh);
 
   /// Splice `count` (1 or 2) pre-linked shards after the spawner's current
   /// shard `sp` and close it. first..last must already be chained via their
@@ -378,25 +327,8 @@ struct queue_cb {
   std::atomic<std::uint64_t> seg_in_use{0};
   std::atomic<std::uint64_t> seg_high_water{0};
 
-  // Memory budget (see set_memory_budget / budget_wait). seg_bytes_ is the
-  // per-segment footprint fixed at construction; budget_segs_ the cap
-  // translated into segments (0 = unlimited), what the throttle actually
-  // compares against seg_in_use.
+  /// Bytes per segment, fixed at construction (footprint_bytes).
   const std::uint64_t seg_bytes_;
-  std::atomic<std::uint64_t> budget_bytes_{0};
-  std::atomic<std::uint64_t> budget_segs_{0};
-  std::atomic<std::uint64_t> throttle_waits_{0};
-  std::atomic<std::uint64_t> throttle_ns_{0};
-  std::atomic<std::uint64_t> budget_overruns_{0};
-  // Live / high-water producer-shard population: each live shard may hold
-  // up to kShardMinSegs budget-exempt segments, so the peak bounds how far
-  // above the budget an overrun-free run can legitimately sit.
-  std::atomic<std::uint64_t> shards_live_{0};
-  std::atomic<std::uint64_t> shards_peak_{0};
-  /// Yield-phase iterations without any recycle progress before a budget
-  /// wait escapes over budget instead of risking a deadlocked schedule (only
-  /// reached when no worker can run the consumer; see budget_wait).
-  static constexpr std::uint32_t kBudgetPatience = 1024;
 
   /// Slow-event counters (see seg_pool_stats); segments hold a pointer.
   mutable data_path_counts dp_;

@@ -139,7 +139,7 @@ class segment {
   static void destroy(segment* s);
 
   /// Bytes one segment of `capacity` slots occupies (header + alignment
-  /// padding + slot array) — the unit of queue memory-budget accounting
+  /// padding + slot array) — the unit of a queue's byte footprint
   /// (queue_cb). Matches what create() actually allocates.
   static std::size_t footprint_bytes(std::uint64_t capacity,
                                      const element_ops* ops) noexcept;

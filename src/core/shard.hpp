@@ -41,22 +41,10 @@ struct pshard {
   std::atomic<pshard*> next{nullptr};   ///< scan-order successor (see above)
   std::atomic<bool> closed{false};      ///< no pushes or splices can follow
 
-  /// Segments currently live in this shard's chain. Incremented by the
-  /// owning producer when it links a fresh segment, decremented by the
-  /// consumer as it recycles drained ones. The memory-budget throttle
-  /// (queue_cb::budget_wait) reads the producer's own count to apply the
-  /// structural exemption: a producer below the per-shard minimum may
-  /// always allocate, which is what keeps budget waits deadlock-free (the
-  /// consumer can reach and drain every shard ahead of it in scan order).
-  /// Relaxed is enough: only the owner increments, so a producer's read of
-  /// its own shard is never below the true count — staleness errs toward
-  /// throttling, and the wait loop re-reads.
-  std::atomic<std::uint32_t> live_segs{0};
-
   /// Set once the consumer's scan has reached this shard: every value
   /// pushed here is visible from now on, none waits behind an older
-  /// producer. The bounds of drained queues (sched/drain.hpp) treat such a
-  /// producer apart.
+  /// producer. The backlog bound of a drained queue (sched/drain.hpp)
+  /// treats such a producer apart.
   std::atomic<bool> scanned{false};
   /// Values the consumer has taken from this shard (written by the
   /// consumer only): a scanned producer's own backlog is what it pushed

@@ -172,11 +172,6 @@ void graph::connect(stage_id from, stage_id to, edge_opts opts) {
   if (dst.in_edge != -1)
     throw graph_error("pipe::connect: input of stage '" + dst.name +
                       "' already connected");
-  if (opts.memory_budget != 0 && dst.kind == stage_kind::parallel &&
-      !dst.is_sink)
-    throw graph_error("pipe::connect: memory_budget on edge '" + src.name +
-                      "' -> '" + dst.name +
-                      "': an edge into a parallel stage has no queue to cap");
 
   detail::edge_rec e;
   e.from = from;

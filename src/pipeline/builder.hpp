@@ -100,14 +100,6 @@ struct edge_opts {
   /// Ignored. Kept only because the end-to-end benchmark's workload graphs
   /// still set it; it goes once they stop.
   double traffic = 1.0;
-  /// Memory budget of this edge's hyperqueue in bytes (0 = the
-  /// HQ_QUEUE_BUDGET environment default, itself unlimited when unset).
-  /// Producers that would grow the queue past the cap block cooperatively
-  /// until the consumer catches up — deterministic backpressure; see
-  /// hyperqueue<T>::set_memory_budget. An edge into a parallel stage has no
-  /// queue to cap: connect() rejects a nonzero budget there (the admission
-  /// window is what bounds how far the source spawns ahead).
-  std::uint64_t memory_budget = 0;
 };
 
 /// How the pipeline boundary treats offered work once the in-flight window
@@ -134,8 +126,7 @@ struct admission_opts {
 };
 
 /// Thrown on pipeline misuse: type-mismatched edges, unattached stages,
-/// missing source/sink, parallel sinks, over-deep fan-out nesting, memory
-/// budgets on edges into parallel stages.
+/// missing source/sink, parallel sinks, over-deep fan-out nesting.
 class graph_error : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -648,10 +639,7 @@ void hq_run_task(std::unique_ptr<token_batch> work, const hq_run* run,
 template <typename T>
 class hq_chan final : public hq_chan_base {
  public:
-  hq_chan(std::size_t seglen, std::uint64_t budget_bytes)
-      : q(seglen, budget_bytes) {
-    q.set_drain(&drain);
-  }
+  explicit hq_chan(std::size_t seglen) : q(seglen) { q.set_drain(&drain); }
   [[nodiscard]] seg_pool_stats pool() const override { return q.pool_stats(); }
   [[nodiscard]] pushdep_any push_any() const override { return q; }
   void spawn_run(std::unique_ptr<token_batch> work, const hq_run& run,
@@ -689,8 +677,7 @@ struct stage_rec {
   /// run inside their producer's runs.
   std::function<hq::detail::task_frame*(const hq_stage_ctx&)> hq_spawn;
   /// Factory for this stage's *output* channel (typed on Out).
-  std::function<std::unique_ptr<hq_chan_base>(std::size_t seglen,
-                                              std::uint64_t budget_bytes)>
+  std::function<std::unique_ptr<hq_chan_base>(std::size_t seglen)>
       make_out_chan;
   /// Destroy an owned heap token of this stage's input / output type. The
   /// pthreads and TBB backends use these to drain in-flight tokens leak-free
@@ -897,9 +884,8 @@ class graph {
     s->out_type_name = typeid(Out).name();
     s->destroy_out = [](void* p) { delete static_cast<Out*>(p); };
     s->make_out_chan =
-        [](std::size_t seglen,
-           std::uint64_t budget_bytes) -> std::unique_ptr<detail::hq_chan_base> {
-      return std::make_unique<detail::hq_chan<Out>>(seglen, budget_bytes);
+        [](std::size_t seglen) -> std::unique_ptr<detail::hq_chan_base> {
+      return std::make_unique<detail::hq_chan<Out>>(seglen);
     };
   }
 

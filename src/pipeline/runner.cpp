@@ -153,8 +153,7 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       const edge_opts& e = edge(heads[k] - 1);
       const std::size_t seglen =
           e.segment_length ? e.segment_length : 2 * batch_of(e);
-      chans.push_back(
-          stage(heads[k] - 1).make_out_chan(seglen, e.memory_budget));
+      chans.push_back(stage(heads[k] - 1).make_out_chan(seglen));
     }
     // Producer k is the source (k = 0) or the stage behind queue k - 1; it
     // pushes into queue k, directly or through the parallel run between.

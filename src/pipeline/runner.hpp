@@ -67,14 +67,16 @@ struct exec_result {
   std::string error;
   /// Hyperqueue backend only: the chain's queue snapshots summed
   /// (seg_pool_stats, operator+) and the peak live segment count
-  /// (zero-steady-state-alloc probes).
+  /// (zero-steady-state-alloc probes). Each queue's snapshot includes the
+  /// backlog holds at its drain, so throttle_waits / throttle_ns /
+  /// budget_overruns here are the holds, held time and give-ways of every
+  /// edge into a serial stage or the sink, summed.
   seg_pool_stats pool;
   std::size_t peak_segments = 0;
   /// Admission accounting (exec_options::admission; zero when the policy is
   /// none): tokens admitted at the source, tokens shed, and the total time
-  /// sources spent blocked on a full window. Queue-level backpressure lives
-  /// in `pool` (throttle_waits / throttle_ns / budget_overruns and the byte
-  /// footprint fields).
+  /// sources spent blocked on a full window. Queue-level backpressure (the
+  /// drains' backlog holds) lives in `pool`.
   std::uint64_t admitted = 0;
   std::uint64_t shed = 0;
   std::uint64_t admission_wait_ns = 0;

@@ -1,8 +1,10 @@
 #include "sched/drain.hpp"
 
 #include <cassert>
+#include <chrono>
 
 #include "conc/backoff.hpp"
+#include "core/queue_cb.hpp"
 #include "core/shard.hpp"
 #include "sched/scheduler.hpp"
 
@@ -72,6 +74,7 @@ bool drain::run_owned() {
   for (;;) {
     consumed_ = false;
     sched_->run_activation(frame_);
+    if (consumed_) sched_->count_drain_take();
     took = took || consumed_;
     if (ended_ || sched_->cancelled()) {
       finalize();  // may free the frame and release the runner: touch nothing after
@@ -97,8 +100,7 @@ void drain::finalize() {
 bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
   // A scanned producer leaves the drain to the held producers behind it
   // when there are any: they have nothing else to do, it has. It is held
-  // because its own values wait in the queue (a budget wait can come in
-  // the middle of a flush, before its kick): it kicks them for those
+  // because its own values wait in the queue: it kicks them for those
   // holders, each of which runs the drain again only after a kick once an
   // activation of its own found nothing.
   if (scanned && runners_.load(std::memory_order_relaxed) != 0)
@@ -118,13 +120,6 @@ bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
   }
   if (state_.load(std::memory_order_acquire) == kDone || s.cancelled())
     return false;
-  // The stall watchdog counts the hold as progress only while the drain
-  // takes values: a hold behind a producer that stopped is a stall.
-  const std::uint64_t r = retired_.load(std::memory_order_relaxed);
-  if (r != h.retired) {
-    h.retired = r;
-    s.throttle_tick();
-  }
   // Nothing to take now: an activation runs elsewhere, or the producer the
   // scan waits on has not pushed yet. Pause, counted in the census; once
   // every worker is paused so, a producer not yet scanned gives way (see
@@ -134,6 +129,7 @@ bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
       kicks_.load(std::memory_order_acquire) != k)
     return true;
   s.count_give_way();
+  give_ways_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -166,6 +162,8 @@ void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
     return;
   }
   if (fits(mine.scanned.load(std::memory_order_relaxed))) return;
+  holds_.fetch_add(1, std::memory_order_relaxed);
+  const auto t0 = std::chrono::steady_clock::now();
   bool runner = false;
   bool reserved = false;
   hold_state h;
@@ -183,6 +181,18 @@ void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
   if (runner) hold_end();
   // Given way (or cancelled): go on over the bound.
   if (!reserved) reserved_.fetch_add(n, std::memory_order_relaxed);
+  held_ns_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()),
+      std::memory_order_relaxed);
+}
+
+void drain::hold_stats(seg_pool_stats& st) const noexcept {
+  st.throttle_waits = holds_.load(std::memory_order_relaxed);
+  st.throttle_ns = held_ns_.load(std::memory_order_relaxed);
+  st.budget_overruns = give_ways_.load(std::memory_order_relaxed);
 }
 
 }  // namespace hq::detail

@@ -14,11 +14,10 @@
 // Who starts an activation (kick): a producer that pushed into the drain's
 // queue, at its batch end, inline; a producer shard closing at a task's
 // completion, deferred to the end of that task's execute() on the same
-// worker (scheduler::defer_drain); a producer over the backlog bound or a
-// memory budget. At most one activation runs at a time: `state_` moves idle
-// -> running under a CAS, a kick that finds it running marks it dirty, and
-// the running activation repeats until it can return to idle with no kick
-// missed.
+// worker (scheduler::defer_drain); a producer over the backlog bound. At
+// most one activation runs at a time: `state_` moves idle -> running under
+// a CAS, a kick that finds it running marks it dirty, and the running
+// activation repeats until it can return to idle with no kick missed.
 //
 // Backlog bound. The producers of a drain's queue may leave at most
 // `limit_` = 2·P·B tokens untaken (B: the edge's slice batch), counted per
@@ -42,6 +41,10 @@
 // gives way: it goes on over the bound. If a kick came in during its
 // pause, it runs the drain first instead. The scanned producer never
 // gives way: its tokens are visible, so the next activation takes them.
+//
+// Counting. Each drain counts the reserves that had to hold, the time they
+// spent held and the give-ways among them; its queue reports these per
+// edge (hold_stats, queue_cb::pool_stats). Only a hold reads the clock.
 #pragma once
 
 #include <atomic>
@@ -58,6 +61,7 @@ namespace hq::detail {
 
 struct task_frame;
 struct pshard;
+struct seg_pool_stats;
 
 class drain {
  public:
@@ -107,23 +111,10 @@ class drain {
   /// (optional) tells whether it took any value.
   bool try_run(bool* progressed = nullptr);
 
-  /// One step of a producer held at this drain's bound (backlog or memory
-  /// budget): run the drain if it is idle, else pause. `scanned`: the
-  /// consumer's scan has reached the producer's shard. False when the hold
-  /// must give way: the run is cancelling, the drain is done, or — for a
-  /// producer not yet scanned — every worker is paused in a hold. Such a
-  /// producer brackets its hold with hold_begin / hold_end: it is one of
-  /// the drain's runners.
-  struct hold_state {
-    backoff bo;
-    std::uint64_t seen = ~std::uint64_t{0};  ///< kicks_ at the last empty run
-    std::uint64_t retired = 0;  ///< retired_ when last looked at
-  };
-  bool hold(scheduler& s, hold_state& h, bool scanned);
-  void hold_begin() noexcept {
-    runners_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void hold_end() noexcept { runners_.fetch_sub(1, std::memory_order_relaxed); }
+  /// Fill `st`'s hold counters: reserves that held (throttle_waits), the
+  /// time they spent held (throttle_ns) and the give-ways among them
+  /// (budget_overruns).
+  void hold_stats(seg_pool_stats& st) const noexcept;
 
   /// Intrusive link of the scheduler's per-worker deferred-kick list.
   drain* next_pending = nullptr;
@@ -131,6 +122,22 @@ class drain {
  private:
   enum : int { kIdle, kRunning, kDirty, kDone };
   void finalize();
+
+  /// One step of a producer held at the backlog bound: run the drain if it
+  /// is idle, else pause. `scanned`: the consumer's scan has reached the
+  /// producer's shard. False when the hold must give way: the run is
+  /// cancelling, the drain is done, or — for a producer not yet scanned —
+  /// every worker is paused in a hold. Such a producer brackets its hold
+  /// with hold_begin / hold_end: it is one of the drain's runners.
+  struct hold_state {
+    backoff bo;
+    std::uint64_t seen = ~std::uint64_t{0};  ///< kicks_ at the last empty run
+  };
+  bool hold(scheduler& s, hold_state& h, bool scanned);
+  void hold_begin() noexcept {
+    runners_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void hold_end() noexcept { runners_.fetch_sub(1, std::memory_order_relaxed); }
 
   std::atomic<int> state_{kIdle};
   /// The backlog is reserved_ - retired_: tokens producers reserved (and
@@ -142,6 +149,10 @@ class drain {
   std::atomic<int> runners_{0};
   /// Kicks that found the drain idle and left it to a held producer.
   std::atomic<std::uint64_t> kicks_{0};
+  /// Hold counters (hold_stats), bumped on the hold path only.
+  std::atomic<std::uint64_t> holds_{0};
+  std::atomic<std::uint64_t> held_ns_{0};
+  std::atomic<std::uint64_t> give_ways_{0};
   std::uint64_t limit_ = 0;
   task_frame* frame_ = nullptr;  ///< freed once the drain is done
   scheduler* sched_ = nullptr;

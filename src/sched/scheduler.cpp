@@ -237,8 +237,9 @@ bool elision_precedes(const task_frame* a, const task_frame* b) {
 /// owner attachment (parent == nullptr) is exempt for the same reason.
 /// Refusing a later consumer never blocks progress: every wait that helps
 /// depends only on earlier frames or on the waiter's own descendants
-/// (budget and admission waits pause instead of helping), so the refused
-/// task is re-exposed for another worker, or runs once the stack unwinds.
+/// (backlog holds and admission waits pause instead of helping), so the
+/// refused task is re-exposed for another worker, or runs once the stack
+/// unwinds.
 /// All frames inspected are either suspended on this worker's own stack or
 /// not yet started, so their attachment lists are stable.
 bool safe_to_nest(task_frame* host, task_frame* cand) {
@@ -523,23 +524,7 @@ scheduler::stats_t scheduler::stats() const {
   for (const auto& w : workers_)
     for (const auto& c : kSchedCounters)
       s.*c.field += read_counter(w->counters.*c.field);
-  s.throttle_waits = throttle_waits_.load(std::memory_order_relaxed);
-  s.throttle_ns = throttle_ns_.load(std::memory_order_relaxed);
   return s;
-}
-
-void scheduler::throttle_begin(const void* queue) noexcept {
-  detail::worker_ctx* w = detail::t_worker;
-  if (w != nullptr && w->sched == this)
-    w->blocked_on_budget.store(queue, std::memory_order_relaxed);
-  throttle_waits_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void scheduler::throttle_end(std::uint64_t waited_ns) noexcept {
-  detail::worker_ctx* w = detail::t_worker;
-  if (w != nullptr && w->sched == this)
-    w->blocked_on_budget.store(nullptr, std::memory_order_relaxed);
-  throttle_ns_.fetch_add(waited_ns, std::memory_order_relaxed);
 }
 
 std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
@@ -551,7 +536,6 @@ std::vector<scheduler::worker_stats_t> scheduler::per_worker_stats() const {
       s.*c.field = read_counter(w->counters.*c.field);
     s.worker = w->index;
     s.deque_depth = w->deque.size_estimate();
-    s.blocked_on_budget = w->blocked_on_budget.load(std::memory_order_relaxed);
     out.push_back(s);
   }
   return out;
@@ -562,8 +546,6 @@ void scheduler::reset_stats() {
     for (const auto& c : kSchedCounters)
       std::atomic_ref<std::uint64_t>(w->counters.*c.field)
           .store(0, std::memory_order_relaxed);
-  throttle_waits_.store(0, std::memory_order_relaxed);
-  throttle_ns_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace hq

@@ -85,6 +85,9 @@ struct sched_counters {
   /// Producers held at a drain's bound that went on over it because every
   /// worker was paused in a hold (sched/drain.hpp).
   std::uint64_t give_ways = 0;
+  /// Drain activations that took at least one value: with spawns and
+  /// executed, the run progress the stall watchdog reads.
+  std::uint64_t drain_takes = 0;
 };
 
 /// The name table of sched_counters: stats(), per_worker_stats(),
@@ -102,6 +105,7 @@ inline constexpr sched_counter_field kSchedCounters[] = {
     {"inline_runs", &sched_counters::inline_runs},
     {"data_wait_helps", &sched_counters::data_wait_helps},
     {"give_ways", &sched_counters::give_ways},
+    {"drain_takes", &sched_counters::drain_takes},
 };
 static_assert(sizeof(sched_counters) ==
                   std::size(kSchedCounters) * sizeof(std::uint64_t),
@@ -129,13 +133,6 @@ struct worker_ctx {
   /// Drains kicked from completion hooks on this worker, run once the
   /// completing task's execute() returns (scheduler::defer_drain).
   drain* pending_drains = nullptr;
-
-  /// Backpressure marker: the hyperqueue this worker is currently throttled
-  /// on (core/queue_cb.cpp budget wait), null when not throttled. Written by
-  /// the owning worker, read by the watchdog's diagnostic dump so a worker
-  /// blocked on a memory budget reports `blocked_on: budget(queue)` instead
-  /// of looking like a stall.
-  std::atomic<const void*> blocked_on_budget{nullptr};
 };
 
 }  // namespace detail
@@ -176,16 +173,9 @@ class scheduler {
   /// thread is in (null on other threads).
   static scheduler* current() noexcept;
 
-  /// Monotonic event counters, for the overhead benches: the per-worker
-  /// counters summed over the workers, plus the scheduler-wide
-  /// backpressure-throttle accounting (queue memory budgets): wait-loop
-  /// iterations and total blocked wall time across all workers. The
-  /// watchdog counts throttle_waits as progress — a producer parked on a
-  /// budget is waiting by design, not stalled.
-  struct stats_t : sched_counters {
-    std::uint64_t throttle_waits = 0;
-    std::uint64_t throttle_ns = 0;
-  };
+  /// Monotonic event counters, for the overhead benches and the watchdog:
+  /// the per-worker counters summed over the workers.
+  using stats_t = sched_counters;
   [[nodiscard]] stats_t stats() const;
   void reset_stats();
 
@@ -193,9 +183,6 @@ class scheduler {
   struct worker_stats_t : sched_counters {
     unsigned worker = 0;
     std::size_t deque_depth = 0;  ///< ready frames on the worker's deque
-    /// Queue this worker is throttled on right now (memory-budget wait);
-    /// null when it is not. See worker_ctx::blocked_on_budget.
-    const void* blocked_on_budget = nullptr;
   };
   [[nodiscard]] std::vector<worker_stats_t> per_worker_stats() const;
 
@@ -235,18 +222,6 @@ class scheduler {
   [[nodiscard]] int idle_workers() const noexcept {
     return num_idle_.load(std::memory_order_relaxed);
   }
-
-  // ------------- backpressure-throttle accounting --------------------------
-  // Bracket a producer's cooperative memory-budget wait (core/queue_cb.cpp):
-  // begin marks the calling worker blocked on `queue` for the watchdog dump,
-  // tick counts one wait iteration as run progress (a throttled producer is
-  // waiting by design, not stalled), end clears the marker and accumulates
-  // the blocked wall time. Safe from non-worker threads (marker skipped).
-  void throttle_begin(const void* queue) noexcept;
-  void throttle_tick() noexcept {
-    throttle_waits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void throttle_end(std::uint64_t waited_ns) noexcept;
 
   /// Task-frame pool counters, the pool_counts that hyperqueue<T>::
   /// pool_stats() also reports for segments: in a steady-state pipeline `allocated` plateaus while `recycled` grows —
@@ -366,6 +341,9 @@ class scheduler {
   void count_give_way() noexcept {
     detail::bump(detail::t_worker->counters.give_ways);
   }
+  void count_drain_take() noexcept {
+    detail::bump(detail::t_worker->counters.drain_takes);
+  }
 
   /// Wait until the calling worker's current task has no live children,
   /// helping with its own children oldest first (help_one(current)). The
@@ -423,12 +401,6 @@ class scheduler {
   std::atomic<int> num_idle_{0};
   std::atomic<std::uint64_t> work_epoch_{0};
   std::atomic<bool> stop_{false};
-
-  // Backpressure-throttle totals (see throttle_begin/tick/end). Shared
-  // lines, but only touched while a producer is already blocked — never on
-  // the push fast path.
-  std::atomic<std::uint64_t> throttle_waits_{0};
-  std::atomic<std::uint64_t> throttle_ns_{0};
 
   // Workers paused in a drain hold right now (pause_in_hold).
   std::atomic<unsigned> paused_workers_{0};

@@ -24,32 +24,25 @@ watchdog::~watchdog() {
 }
 
 std::uint64_t watchdog::progress() const {
-  // Throttle-wait iterations count as progress: a producer parked on a
-  // queue's memory budget is backpressure working as designed, not a stall.
-  // (Its wait loop ticks continuously, so a run where only throttled
-  // producers remain keeps the watchdog quiet; if the budget wait itself
-  // deadlocked — a runtime bug — the tick would stop and the watchdog still
-  // fires.)
+  // A drain activation that took a value is progress too: a pipeline whose
+  // only consumer is a serial sink spawns nothing while its drain takes
+  // every token. One that took nothing is not, so a producer held behind a
+  // producer that stopped still reads as a stall.
   const auto st = sched_.stats();
-  return st.spawns + st.executed + st.throttle_waits;
+  return st.spawns + st.executed + st.drain_takes;
 }
 
 std::string watchdog::report(std::uint64_t last_progress) const {
-  const auto st = sched_.stats();
   std::ostringstream os;
   os << "watchdog: no scheduler progress for "
-     << opt_.interval.count() << " ms (spawns+executed+throttle stuck at "
+     << opt_.interval.count() << " ms (spawns+executed+drain_takes stuck at "
      << last_progress << ")\n";
   os << "  worker 0 is the calling thread, parked workers "
      << sched_.idle_workers() << "/" << sched_.num_workers() - 1
-     << ", cancelling=" << (sched_.cancelled() ? "yes" : "no")
-     << ", throttle waits " << st.throttle_waits << " ("
-     << st.throttle_ns / 1000000 << " ms total)\n";
+     << ", cancelling=" << (sched_.cancelled() ? "yes" : "no") << "\n";
   for (const auto& w : sched_.per_worker_stats()) {
     os << "  worker " << w.worker << ": deque depth " << w.deque_depth;
     for (const auto& c : kSchedCounters) os << ", " << c.name << " " << w.*c.field;
-    if (w.blocked_on_budget != nullptr)
-      os << ", blocked_on: budget(queue@" << w.blocked_on_budget << ")";
     os << "\n";
   }
   return os.str();

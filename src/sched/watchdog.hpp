@@ -1,13 +1,13 @@
 // Stall watchdog: turns a hung run into a diagnostic, not a CI timeout.
 //
 // A monitor thread snapshots the scheduler's per-worker stats counters once
-// per interval. Progress = tasks spawned + executed across all workers; an
-// interval where that sum does not move means every worker is either parked
-// or spinning in a wait that will never be satisfied. On the first such
-// interval the watchdog records a hq::stall_error (carrying the per-worker
-// dump: counter deltas, deque depths, parked pool threads) into the
-// scheduler's failure slot — flipping the
-// cancellation epoch, which unwinds every cancellable wait and lets run()
+// per interval. Progress = tasks spawned + executed + drain activations
+// that took a value, across all workers; an interval where that sum does
+// not move means every worker is either parked or spinning in a wait that
+// will never be satisfied. On the first such interval the watchdog records
+// a hq::stall_error (carrying the per-worker dump: counter deltas, deque
+// depths, parked pool threads) into the scheduler's failure slot — flipping
+// the cancellation epoch, which unwinds every cancellable wait and lets run()
 // rethrow the diagnostic on the calling thread. If cancellation itself makes
 // no progress for `grace_intervals` further intervals (a wait that does not
 // poll, i.e. a real runtime bug), the dump goes to stderr and the process

@@ -28,6 +28,7 @@
 
 #include "core/fault.hpp"
 #include "pipeline/runner.hpp"
+#include "sched/scheduler_lease.hpp"
 #include "sched/spawn.hpp"
 #include "sched/watchdog.hpp"
 
@@ -503,6 +504,51 @@ TEST(Watchdog, EnvKnobArmsThePipelineSchedulers) {
   const auto clean = hq::pipe::run_app("ferret", backend::hyperqueue, p);
   EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
   EXPECT_TRUE(clean.ok);
+}
+
+TEST(Watchdog, SerialSinkDrainingIsProgress) {
+  // src -> serial sink has no parallel stage: the run spawns nothing, and
+  // its progress is the sink's drain taking tokens. 3000 tokens of 100 us
+  // source work each outlive a 50 ms watchdog many times over; the run
+  // must complete with the elision's digest, not stall.
+  constexpr std::uint64_t kN = 3000;
+  struct probe {
+    std::uint64_t digest = 0;
+    hq::pipe::graph g;
+    probe() {
+      auto src = g.source<std::uint64_t>(
+          "src", [](hq::pipe::emit<std::uint64_t> out) {
+            for (std::uint64_t i = 0; i < kN; ++i) {
+              const auto until = std::chrono::steady_clock::now() +
+                                 std::chrono::microseconds(100);
+              while (std::chrono::steady_clock::now() < until) {
+              }
+              out(std::uint64_t{i * 2654435761u});
+            }
+          });
+      auto snk = g.sink<std::uint64_t>(
+          "snk", hq::pipe::stage_kind::serial_in_order,
+          [this](std::uint64_t&& v) { digest = digest * 31 + v; });
+      g.connect(src, snk);
+    }
+  };
+  probe ref;
+  (void)hq::pipe::execute(ref.g, backend::serial);
+  for (const unsigned workers : {1u, 2u}) {
+    probe run;
+    hq::pipe::exec_options opt;
+    opt.workers = workers;
+    hq::scheduler_lease(workers)->set_watchdog(/*ms=*/50);
+    std::string error;
+    try {
+      (void)hq::pipe::execute(run.g, backend::hyperqueue, opt);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    hq::scheduler_lease(workers)->set_watchdog(0);
+    EXPECT_EQ(error, "") << "P = " << workers;
+    EXPECT_EQ(run.digest, ref.digest) << "P = " << workers;
+  }
 }
 
 // ---- cancellation stress (the TSan CI row) ---------------------------------

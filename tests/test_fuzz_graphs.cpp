@@ -8,9 +8,8 @@
 //    or parallel, each a 1:1 stage or an expand stage emitting 0..2 tokens
 //    per input (expand only while the reorder depth stays within
 //    graph::kMaxDepth), then the in-order sink;
-//  * per edge: slice_batch in {1, 2, 4, 16}, segment_length in {0, 2, 8,
-//    64}, and on edges into a serial stage or the sink a memory budget of
-//    none or a few hundred bytes to a few KiB;
+//  * per edge: slice_batch in {1, 2, 4, 16} and segment_length in {0, 2,
+//    8, 64};
 //  * admission none, or block with a window of 1..16 tokens.
 // Every body mixes its token's value with a per-stage salt and spins a
 // value-dependent moment, so parallel activations finish out of order. A
@@ -103,7 +102,9 @@ spec draw(std::uint64_t seed) {
     e.segment_length = kSegLens[rng.below(4)];
     const bool into_queue =
         i == middles || s.stages[i].kind == stage_kind::serial_in_order;
-    if (into_queue && rng.below(3) == 0) e.memory_budget = 256u << rng.below(5);
+    // Two draws whose values go unused: they keep every seed, the stalled
+    // ones included, on the graph it has always drawn.
+    if (into_queue && rng.below(3) == 0) (void)rng.below(5);
     s.edges.push_back(e);
   }
   if (rng.below(2) == 0) {
@@ -114,8 +115,7 @@ spec draw(std::uint64_t seed) {
   for (std::size_t i = 0; i <= middles; ++i) {
     const edge_opts& e = s.edges[i];
     s.text += " -[b" + std::to_string(e.slice_batch) + " s" +
-              std::to_string(e.segment_length) + " m" +
-              std::to_string(e.memory_budget) + "]-> ";
+              std::to_string(e.segment_length) + "]-> ";
     if (i == middles) {
       s.text += "sink";
     } else {

@@ -19,7 +19,9 @@
 //    throws runs no claimed batch while it unwinds, and every
 //    admission policy claims, shed dropping offers while the source is late
 //    from a claimed run;
-//  * budgets see only the real queues.
+//  * each drained queue counts the holds at its backlog bound, and its
+//    give-ways are the ones the scheduler counts;
+//  * queues sit only in front of serial stages and the sink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -363,6 +365,44 @@ INSTANTIATE_TEST_SUITE_P(
              "_" + grain_label(std::get<0>(p)) + "_P" +
              std::to_string(std::get<1>(p));
     });
+
+TEST(StreamingHolds, PerEdgeCountersMatchTheScheduler) {
+  // The backlog probe's slow sink at B = 1 keeps its producers at the
+  // bound: the sink's queue counts those holds and the time held, and its
+  // give-ways are the ones the run's scheduler counted. Holds need the
+  // sink's drain to run on one worker while another produces, which a
+  // loaded host can prevent for a whole run (one thread running alone
+  // kicks the drain at every batch end and never reaches the bound), so
+  // each worker count repeats the run for up to three seconds to show them.
+  backlog_probe ref(/*serial_middle=*/false, 1, 4096);
+  (void)hq::pipe::execute(ref.g, backend::serial);
+  for (const unsigned workers : {2u, 4u}) {
+    const std::string what = "P = " + std::to_string(workers);
+    std::uint64_t holds = 0;
+    std::uint64_t held_ns = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (holds == 0 && std::chrono::steady_clock::now() < deadline) {
+      backlog_probe run(/*serial_middle=*/false, 1, 4096);
+      exec_options opt;
+      opt.workers = workers;
+      const std::uint64_t give_ways = give_ways_of(workers);
+      hq::pipe::exec_result res;
+      {
+        watchdog_scope dog(workers);
+        res = hq::pipe::execute(run.g, backend::hyperqueue, opt);
+      }
+      EXPECT_EQ(run.digest, ref.digest) << what;
+      EXPECT_LE(res.pool.budget_overruns, res.pool.throttle_waits) << what;
+      EXPECT_EQ(res.pool.budget_overruns, give_ways_of(workers) - give_ways)
+          << what;
+      holds += res.pool.throttle_waits;
+      held_ns += res.pool.throttle_ns;
+    }
+    EXPECT_GT(holds, 0u) << what;
+    EXPECT_GT(held_ns, 0u) << what;
+  }
+}
 
 // --------------------------------------------------- admission window flush
 
@@ -919,25 +959,7 @@ TEST(StreamingClaim, UnwindingSourceOnlySpawns) {
   EXPECT_EQ(lease->frame_pool_stats().live, 0u);
 }
 
-// ------------------------------------------------------ budgets and queues
-
-TEST(StreamingQueues, BudgetIntoParallelStageIsRejected) {
-  graph g;
-  auto src = g.source<int>("src", [](emit<int> out) { out(1); });
-  auto mid = g.stage<int, int>("mid", stage_kind::parallel,
-                               [](int&& v, emit<int> out) { out(std::move(v)); });
-  auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
-  edge_opts budgeted;
-  budgeted.memory_budget = 64 * 1024;
-  EXPECT_THROW(g.connect(src, mid, budgeted), graph_error);
-  // The queue in front of the sink is real: its budget is accepted.
-  g.connect(src, mid);
-  g.connect(mid, snk, budgeted);
-  exec_options opt;
-  opt.workers = 2;
-  const auto res = hq::pipe::execute(g, backend::hyperqueue, opt);
-  EXPECT_EQ(res.pool.budget_bytes, budgeted.memory_budget);
-}
+// ------------------------------------------------------------------ queues
 
 TEST(StreamingQueues, QueueGraphListsOnlyRealQueues) {
   // src -> par -> expand(par) -> serial -> sink: queues sit in front of the
