@@ -74,11 +74,7 @@ queue_cb::queue_cb(element_ops o, std::uint64_t segment_capacity)
 
 queue_cb::~queue_cb() {
   assert(owner == nullptr && "queue control block released before detach_owner");
-  // Drain the one-slot cache and the segment free list.
-  if (segment* s = seg_cache_.exchange(nullptr, std::memory_order_relaxed)) {
-    segment::destroy(s);
-    seg_live.fetch_sub(1, std::memory_order_relaxed);
-  }
+  // Drain the segment free list.
   while (free_list != nullptr) {
     segment* s = free_list;
     free_list = s->next.load(std::memory_order_relaxed);
@@ -95,76 +91,32 @@ void queue_cb::release() noexcept {
 }
 
 segment* queue_cb::alloc_segment() {
-  // Lock-free front of the pool: the steady-state ring recycle (consumer
-  // recycles the drained segment, producer allocates the next wrap) is
-  // served entirely by this one-slot cache. The acquire pairs with the
-  // release in recycle_segment so the reset() state is visible.
-  const auto take_cached = [this] {
-    segment* c = seg_cache_.exchange(nullptr, std::memory_order_acquire);
-    if (c != nullptr) {
-      seg_recycled.fetch_add(1, std::memory_order_relaxed);
-      bump(dp_.seg_cache_hits);
-    }
-    return c;
-  };
-  const auto raise_high_water = [this](std::uint64_t in_use) {
-    std::uint64_t hw = seg_high_water.load(std::memory_order_relaxed);
-    while (in_use > hw &&
-           !seg_high_water.compare_exchange_weak(hw, in_use,
-                                                 std::memory_order_relaxed)) {
-    }
-  };
-  segment* s = take_cached();
-  if (s == nullptr) {
-    std::lock_guard<spinlock> lk(free_mu);
-    if (free_list != nullptr) {
-      s = free_list;
-      free_list = s->next.load(std::memory_order_relaxed);
-      s->next.store(nullptr, std::memory_order_relaxed);
-      seg_recycled.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // A pooled segment is counted in use once it is taken: recycle_segment
-  // uncounts one before it publishes it, so a count made before the take
-  // could overlap that window and push high_water past `allocated`.
+  // One step under free_mu (see free_mu); a failed (real or injected)
+  // create has counted nothing.
+  std::lock_guard<spinlock> lk(free_mu);
+  segment* s = free_list;
   if (s != nullptr) {
-    raise_high_water(seg_in_use.fetch_add(1, std::memory_order_relaxed) + 1);
-    return s;
+    free_list = s->next.load(std::memory_order_relaxed);
+    s->next.store(nullptr, std::memory_order_relaxed);
+    seg_recycled.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    s = segment::create(seg_capacity, &ops, &dp_);
+    seg_live.fetch_add(1, std::memory_order_relaxed);
+    seg_fresh.fetch_add(1, std::memory_order_relaxed);
   }
-  // The pool looked empty. Count the request first, then look at the cache
-  // once more: a segment uncounted since the first look is either there
-  // now, or its recycle was too late to spare the create. A segment taken
-  // here was counted before the take, so it leaves the mark alone.
   const std::uint64_t in_use =
       seg_in_use.fetch_add(1, std::memory_order_relaxed) + 1;
-  if ((s = take_cached()) != nullptr) return s;
-  try {
-    s = segment::create(seg_capacity, &ops, &dp_);
-  } catch (...) {
-    // A failed (real or injected) allocation leaves the counters
-    // consistent for teardown and the next run.
-    seg_in_use.fetch_sub(1, std::memory_order_relaxed);
-    throw;
-  }
-  seg_live.fetch_add(1, std::memory_order_relaxed);
-  seg_fresh.fetch_add(1, std::memory_order_relaxed);
-  raise_high_water(in_use);
+  if (in_use > seg_high_water.load(std::memory_order_relaxed))
+    seg_high_water.store(in_use, std::memory_order_relaxed);
   return s;
 }
 
 void queue_cb::recycle_segment(segment* s) {
   s->reset();
-  // Uncount before publishing: once published, another producer may take
-  // the segment and count it again.
-  seg_in_use.fetch_sub(1, std::memory_order_relaxed);
-  segment* expected = nullptr;
-  if (seg_cache_.compare_exchange_strong(expected, s, std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-    return;
-  }
   std::lock_guard<spinlock> lk(free_mu);
   s->next.store(free_list, std::memory_order_relaxed);
   free_list = s;
+  seg_in_use.fetch_sub(1, std::memory_order_relaxed);
 }
 
 pshard* queue_cb::alloc_shard() {
@@ -314,6 +266,11 @@ qattach* queue_cb::attach_spawn(task_frame* child, std::uint8_t priv) {
     assert(sp != nullptr && "push spawns require a push-capable parent");
     pshard* sc = alloc_shard();
     pshard* sp2 = alloc_shard();
+    // Closing a scanned shard with no values passes the scan on: nothing
+    // older than the child's values is left untaken (drain.hpp).
+    if (sp->scanned.load(std::memory_order_relaxed) &&
+        sp->head.load(std::memory_order_relaxed) == nullptr)
+      sc->scanned.store(true, std::memory_order_relaxed);
     sc->next.store(sp2, std::memory_order_relaxed);
     splice_after(sp, sc, sp2);
     pa->my_shard = sp2;

@@ -58,11 +58,12 @@ struct seg_pool_stats : pool_counts, data_path_counts {
 
   // Backlog holds at the queue's drain (sched/drain.hpp; 0 on a queue with
   // no drain): throttle_waits counts producers that had to hold at the
-  // bound, throttle_ns the time they spent held, and budget_overruns the
-  // held producers that gave way and went on over the bound (the events
-  // scheduler::stats_t::give_ways counts per worker).
+  // bound, throttle_ns the time they spent paused there (not the drain
+  // activations and older frames they ran while held).
   std::uint64_t throttle_waits = 0;
   std::uint64_t throttle_ns = 0;
+  /// Dead: always 0, since no held producer goes over the bound. Kept only
+  /// because the end-to-end benchmark still prints it.
   std::uint64_t budget_overruns = 0;
 };
 
@@ -74,8 +75,7 @@ inline constexpr std::uint64_t seg_pool_stats::*kSegPoolFields[] = {
     &seg_pool_stats::throttle_waits,  &seg_pool_stats::throttle_ns,
     &seg_pool_stats::budget_overruns, &seg_pool_stats::head_reloads,
     &seg_pool_stats::tail_reloads,    &seg_pool_stats::mu_data,
-    &seg_pool_stats::seg_cache_hits,  &seg_pool_stats::mu_attach,
-    &seg_pool_stats::mu_complete,
+    &seg_pool_stats::mu_attach,       &seg_pool_stats::mu_complete,
 };
 static_assert(sizeof(seg_pool_stats) ==
                   std::size(kSegPoolFields) * sizeof(std::uint64_t),
@@ -313,15 +313,14 @@ struct queue_cb {
   std::mutex mu;
   qattach* owner = nullptr;
 
+  /// The segment pool: a segment is taken or returned and counted in one
+  /// step under free_mu, so a fresh one is made only when the free list is
+  /// empty under the lock, and `allocated` never passes `high_water`.
   spinlock free_mu;
   segment* free_list = nullptr;  // chained through segment::next
-  /// One-slot lock-free front of the segment pool: the steady-state ring
-  /// recycle (consumer drains -> recycles, producer allocates next wrap)
-  /// exchanges through this cell and never touches free_mu.
-  std::atomic<segment*> seg_cache_{nullptr};
   std::atomic<std::uint64_t> seg_live{0};
 
-  // Pool statistics (relaxed: monitoring only, never load-bearing).
+  // Pool statistics (written under free_mu, read relaxed: monitoring only).
   std::atomic<std::uint64_t> seg_fresh{0};
   std::atomic<std::uint64_t> seg_recycled{0};
   std::atomic<std::uint64_t> seg_in_use{0};

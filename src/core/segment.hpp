@@ -110,7 +110,6 @@ struct data_path_counts {
   std::uint64_t head_reloads = 0;   ///< producer re-read the consumer's head
   std::uint64_t tail_reloads = 0;   ///< consumer re-read the producer's tail
   std::uint64_t mu_data = 0;        ///< consumer took mu (scan-position claim)
-  std::uint64_t seg_cache_hits = 0; ///< segment allocs served lock-free
   /// attach_spawn took mu: pop-FIFO registration only, so it stays 0 across
   /// producer-only bursts (push, write_slice, push spawns and completions
   /// never take a mutex).
@@ -120,8 +119,8 @@ struct data_path_counts {
 
 inline constexpr std::uint64_t data_path_counts::*kDataPathFields[] = {
     &data_path_counts::head_reloads, &data_path_counts::tail_reloads,
-    &data_path_counts::mu_data,      &data_path_counts::seg_cache_hits,
-    &data_path_counts::mu_attach,    &data_path_counts::mu_complete,
+    &data_path_counts::mu_data,      &data_path_counts::mu_attach,
+    &data_path_counts::mu_complete,
 };
 static_assert(sizeof(data_path_counts) ==
                   std::size(kDataPathFields) * sizeof(std::uint64_t),

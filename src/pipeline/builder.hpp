@@ -42,10 +42,10 @@
 // activation inline if it is idle (a closing producer shard starts one
 // too); the activation takes only what the queue shows, runs the stage
 // body on it and returns, one at a time. So the sink retires while the
-// source still emits, on one worker too. A producer may leave at most
-// 2·P·B of its tokens untaken in a drain's queue (B = the edge's
-// slice_batch): over that it runs the drain itself, or pauses while the
-// drain runs on another worker.
+// source still emits, on one worker too. The producers of a drain's queue
+// may leave at most 2·P·B tokens untaken in it (B = the edge's
+// slice_batch): over that a producer runs the drain itself, runs older
+// producers of the same queue, or pauses while they run elsewhere.
 //
 // Run-ahead is bounded: at each batch the emitter claims its own newest
 // run task back off its worker's deque if no thief took it, spawns the new
@@ -375,9 +375,11 @@ struct hq_stage_ctx {
 };
 
 /// Buffers a stage body's emissions and moves them onto the output queue
-/// through write slices. Each flush first reserves room under the
-/// consuming drain's backlog bound, then kicks the drain (sched/drain.hpp):
-/// the consumer runs as soon as a batch is visible, inline if it is idle.
+/// through write slices, reserving room under the consuming drain's
+/// backlog bound (sched/drain.hpp): before the first token of a batch
+/// while the scan has not reached this producer (a short batch returns the
+/// rest at its flush), else at the flush. Each flush kicks the drain: the
+/// consumer runs as soon as a batch is visible, inline if it is idle.
 template <typename Out>
 class hq_emitter {
  public:
@@ -417,6 +419,14 @@ class hq_emitter {
       if (admit_->would_wait()) flush(/*waiting=*/true);
       if (!admit_->admit()) return;
     }
+    if (buf_.empty() && drain_ != nullptr &&
+        !out_.shard().scanned.load(std::memory_order_relaxed)) {
+      // A hold here holds a source back as a flush's kick does.
+      const std::int64_t t0 = admit_ != nullptr ? admission_ctl::clock_ns() : 0;
+      drain_->reserve(batch_, pushed_, out_.shard());
+      if (admit_ != nullptr) admit_->held(t0, admission_ctl::clock_ns());
+      ahead_ = true;
+    }
     buf_.push_back(std::move(v));
     if (buf_.size() >= batch_) flush();
   }
@@ -432,10 +442,12 @@ class hq_emitter {
       push_slices(out_, buf_.begin(), buf_.end(), batch_);
       buf_.clear();
     } else {
-      const hq::detail::pshard& mine = out_.shard();
-      drain_->reserve(buf_.size(), pushed_, mine);
+      if (!ahead_) drain_->reserve(buf_.size(), pushed_, out_.shard());
       push_slices(out_, buf_.begin(), buf_.end(), batch_);
       pushed_ += buf_.size();
+      if (ahead_ && buf_.size() < batch_)
+        drain_->unreserve(batch_ - buf_.size());
+      ahead_ = false;
       buf_.clear();
       drain_->kick();
     }
@@ -449,6 +461,7 @@ class hq_emitter {
   admission_ctl* admit_;
   hq::detail::drain* drain_;
   std::uint64_t pushed_ = 0;  ///< tokens this emitter put on the queue
+  bool ahead_ = false;  ///< the buffered batch reserved before it started
   const int uncaught_;  ///< std::uncaught_exceptions() at construction
 };
 

@@ -68,9 +68,9 @@ struct exec_result {
   /// Hyperqueue backend only: the chain's queue snapshots summed
   /// (seg_pool_stats, operator+) and the peak live segment count
   /// (zero-steady-state-alloc probes). Each queue's snapshot includes the
-  /// backlog holds at its drain, so throttle_waits / throttle_ns /
-  /// budget_overruns here are the holds, held time and give-ways of every
-  /// edge into a serial stage or the sink, summed.
+  /// backlog holds at its drain, so throttle_waits / throttle_ns here are
+  /// the holds and paused time of every edge into a serial stage or the
+  /// sink, summed (budget_overruns is always 0).
   seg_pool_stats pool;
   std::size_t peak_segments = 0;
   /// Admission accounting (exec_options::admission; zero when the policy is

@@ -99,12 +99,10 @@ void drain::finalize() {
 
 bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
   // A scanned producer leaves the drain to the held producers behind it
-  // when there are any: they have nothing else to do, it has. It is held
-  // because its own values wait in the queue: it kicks them for those
-  // holders, each of which runs the drain again only after a kick once an
-  // activation of its own found nothing.
-  if (scanned && runners_.load(std::memory_order_relaxed) != 0)
-    kicks_.fetch_add(1, std::memory_order_release);
+  // when there are any: they have nothing else to do, it has. Each of them
+  // runs the drain again only after a kick once an activation of its own
+  // found nothing; the kick after each push keeps the scanned producer's
+  // values from waiting on that.
   if (!scanned || runners_.load(std::memory_order_relaxed) == 0) {
     const std::uint64_t k = kicks_.load(std::memory_order_acquire);
     if (k != h.seen) {
@@ -120,17 +118,20 @@ bool drain::hold(scheduler& s, hold_state& h, bool scanned) {
   }
   if (state_.load(std::memory_order_acquire) == kDone || s.cancelled())
     return false;
-  // Nothing to take now: an activation runs elsewhere, or the producer the
-  // scan waits on has not pushed yet. Pause, counted in the census; once
-  // every worker is paused so, a producer not yet scanned gives way (see
-  // the file comment), unless a kick came in meanwhile.
-  const std::uint64_t k = kicks_.load(std::memory_order_acquire);
-  if (!s.pause_in_hold(h.bo) || scanned ||
-      kicks_.load(std::memory_order_acquire) != k)
+  // Run work that cannot wait for this producer (see the file comment). A
+  // runner is none meanwhile, so a kick the helped frame makes runs the
+  // drain on the kicker.
+  if (!scanned) hold_end();
+  const bool helped = s.help_in_hold(this);
+  if (!scanned) hold_begin();
+  if (helped) {
+    h.bo.reset();
     return true;
-  s.count_give_way();
-  give_ways_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  h.bo.pause();
+  h.paused += std::chrono::steady_clock::now() - t0;
+  return true;
 }
 
 void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
@@ -163,7 +164,6 @@ void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
   }
   if (fits(mine.scanned.load(std::memory_order_relaxed))) return;
   holds_.fetch_add(1, std::memory_order_relaxed);
-  const auto t0 = std::chrono::steady_clock::now();
   bool runner = false;
   bool reserved = false;
   hold_state h;
@@ -179,20 +179,18 @@ void drain::reserve(std::size_t n, std::uint64_t pushed, const pshard& mine) {
     }
   }
   if (runner) hold_end();
-  // Given way (or cancelled): go on over the bound.
+  // The drain is done or the run cancels: nothing takes these values.
   if (!reserved) reserved_.fetch_add(n, std::memory_order_relaxed);
-  held_ns_.fetch_add(
+  paused_ns_.fetch_add(
       static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
+          std::chrono::duration_cast<std::chrono::nanoseconds>(h.paused)
               .count()),
       std::memory_order_relaxed);
 }
 
 void drain::hold_stats(seg_pool_stats& st) const noexcept {
   st.throttle_waits = holds_.load(std::memory_order_relaxed);
-  st.throttle_ns = held_ns_.load(std::memory_order_relaxed);
-  st.budget_overruns = give_ways_.load(std::memory_order_relaxed);
+  st.throttle_ns = paused_ns_.load(std::memory_order_relaxed);
 }
 
 }  // namespace hq::detail

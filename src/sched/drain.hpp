@@ -23,31 +23,41 @@
 // `limit_` = 2·P·B tokens untaken (B: the edge's slice batch), counted per
 // queue and split in two: the producer the scan has reached
 // (pshard::scanned) may keep limit_/2 of its own tokens untaken, every
-// other one pushes only while the whole backlog stays within limit_/2. So
-// the tokens behind the scanned producer never hold it back. A producer
-// over its share is held, between tokens and cancellably: it runs the
-// drain when it is idle and pauses while an activation runs elsewhere.
-// Held producers not yet scanned are the preferred runners (the scanned
-// one, with work of its own, leaves the drain to them and kicks them);
-// after an activation that found nothing they wait for the next kick.
+// other one goes on only while the whole backlog stays within limit_/2.
+// So the tokens behind the scanned producer never hold it back. A producer
+// not yet scanned reserves each batch before it buffers the batch's first
+// token, so its buffer counts in the bound and it is held with nothing
+// buffered; the scanned one reserves at its flush. A producer over its
+// share is held, cancellably, and never goes over the bound. While held it
+// runs the drain if it is idle; else a ready frame on its worker's deque
+// that cannot wait for it — an older producer of its queue or a frame of a
+// later stage (scheduler::help_in_hold); else it pauses. Held producers
+// not yet scanned are the preferred runners (the scanned one, with work of
+// its own, leaves the drain to them), except while they run a helped
+// frame; after an activation that found nothing they wait for the next
+// kick.
 //
-// Liveness of a hold. A pause need not end by itself: an activation can
-// claim a run task of a later stage and nest it, held at the next drain,
-// and a producer not yet scanned waits for an older one that may sit
-// unstarted on a deque. So each pause is counted in the scheduler's pause
-// census (scheduler::pause_in_hold), the scanned producer's too; a worker
-// running an activation or a task is not counted. Once every worker is
-// paused in a hold, nothing runs anywhere, and a producer not yet scanned
-// gives way: it goes on over the bound. If a kick came in during its
-// pause, it runs the drain first instead. The scanned producer never
-// gives way: its tokens are visible, so the next activation takes them.
+// Liveness of a hold, by induction on the queues from the sink up and, in
+// one queue, on scan order. The sink never holds. A scanned producer's
+// tokens are visible and every push is followed by a kick, so an
+// activation takes them; an activation's own holds are at later queues. A
+// producer not yet scanned waits only for older producers of its queue
+// (a spawn that closes a scanned shard holding no values marks the
+// child's shard scanned). No later stage waits for an earlier one, and a
+// held frame nests only those and older producers of its queue, so
+// nothing nested above a producer waits for it; an older producer on a
+// deque is run by its worker's holds and joins, or by an idle worker.
+// Other work could close a cycle: a later producer of the queue waits
+// behind the held one; a source batch, older in elision order than a
+// later stage, can be held at a drain whose activation waits for the held.
 //
-// Counting. Each drain counts the reserves that had to hold, the time they
-// spent held and the give-ways among them; its queue reports these per
-// edge (hold_stats, queue_cb::pool_stats). Only a hold reads the clock.
+// Counting. Each drain counts the reserves that had to hold and the time
+// they spent paused; its queue reports these per edge (hold_stats,
+// queue_cb::pool_stats). Only a pause reads the clock.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -78,6 +88,9 @@ class drain {
     limit_ = backlog_limit;
   }
 
+  /// The stage frame: live while any producer of the queue is.
+  [[nodiscard]] const task_frame* frame() const noexcept { return frame_; }
+
   // ---- producer side ------------------------------------------------------
 
   /// Data became visible: run an activation inline if the drain is idle,
@@ -86,9 +99,14 @@ class drain {
   /// As kick(), from a completion hook: the activation runs once the
   /// completing task's execute() has returned to its caller's frame.
   void kick_deferred();
-  /// Backlog bound: called before pushing `n` tokens, by a producer that
-  /// pushed `pushed` so far into its shard `mine` (see the file comment).
+  /// Backlog bound: called before buffering (not yet scanned) or pushing
+  /// (scanned) a batch of up to `n` tokens, by a producer that pushed
+  /// `pushed` so far into its shard `mine` (see the file comment).
   void reserve(std::size_t n, std::uint64_t pushed, const pshard& mine);
+  /// Return `n` reserved tokens a short batch did not fill.
+  void unreserve(std::size_t n) noexcept {
+    reserved_.fetch_sub(n, std::memory_order_relaxed);
+  }
 
   // ---- activation side ----------------------------------------------------
 
@@ -111,9 +129,8 @@ class drain {
   /// (optional) tells whether it took any value.
   bool try_run(bool* progressed = nullptr);
 
-  /// Fill `st`'s hold counters: reserves that held (throttle_waits), the
-  /// time they spent held (throttle_ns) and the give-ways among them
-  /// (budget_overruns).
+  /// Fill `st`'s hold counters: reserves that held (throttle_waits) and the
+  /// time they spent paused (throttle_ns).
   void hold_stats(seg_pool_stats& st) const noexcept;
 
   /// Intrusive link of the scheduler's per-worker deferred-kick list.
@@ -124,14 +141,14 @@ class drain {
   void finalize();
 
   /// One step of a producer held at the backlog bound: run the drain if it
-  /// is idle, else pause. `scanned`: the consumer's scan has reached the
-  /// producer's shard. False when the hold must give way: the run is
-  /// cancelling, the drain is done, or — for a producer not yet scanned —
-  /// every worker is paused in a hold. Such a producer brackets its hold
-  /// with hold_begin / hold_end: it is one of the drain's runners.
+  /// is idle, else work that cannot wait for the producer, else pause. `scanned`: the consumer's scan has reached the producer's
+  /// shard. False only when the drain is done or the run is cancelling. A
+  /// producer not yet scanned brackets its hold with hold_begin / hold_end:
+  /// it is one of the drain's runners.
   struct hold_state {
     backoff bo;
     std::uint64_t seen = ~std::uint64_t{0};  ///< kicks_ at the last empty run
+    std::chrono::steady_clock::duration paused{};
   };
   bool hold(scheduler& s, hold_state& h, bool scanned);
   void hold_begin() noexcept {
@@ -151,8 +168,7 @@ class drain {
   std::atomic<std::uint64_t> kicks_{0};
   /// Hold counters (hold_stats), bumped on the hold path only.
   std::atomic<std::uint64_t> holds_{0};
-  std::atomic<std::uint64_t> held_ns_{0};
-  std::atomic<std::uint64_t> give_ways_{0};
+  std::atomic<std::uint64_t> paused_ns_{0};
   std::uint64_t limit_ = 0;
   task_frame* frame_ = nullptr;  ///< freed once the drain is done
   scheduler* sched_ = nullptr;

@@ -236,10 +236,10 @@ bool elision_precedes(const task_frame* a, const task_frame* b) {
 /// the paper's producer-spawns-consumer idiom executable on one worker. The
 /// owner attachment (parent == nullptr) is exempt for the same reason.
 /// Refusing a later consumer never blocks progress: every wait that helps
-/// depends only on earlier frames or on the waiter's own descendants
-/// (backlog holds and admission waits pause instead of helping), so the
-/// refused task is re-exposed for another worker, or runs once the stack
-/// unwinds.
+/// depends only on earlier frames or on the waiter's own descendants (a
+/// backlog hold helps only with frames that cannot wait for it,
+/// help_in_hold), so the refused task is re-exposed for another worker, or
+/// runs once the stack unwinds.
 /// All frames inspected are either suspended on this worker's own stack or
 /// not yet started, so their attachment lists are stable.
 bool safe_to_nest(task_frame* host, task_frame* cand) {
@@ -257,7 +257,37 @@ bool safe_to_nest(task_frame* host, task_frame* cand) {
   return true;
 }
 
+/// Whether a producer `x` held at drain `d` may run ready frame `t` nested
+/// (help_in_hold): t cannot wait for x. It belongs to a later stage (the
+/// drain's frame precedes it in serial-elision order or spawned it), or it
+/// pushes into d's queue before x in its scan order, as a descendant of x
+/// or a frame that precedes x in elision order (sched/drain.hpp).
+bool may_help(const task_frame* x, const task_frame* t,
+              const detail::drain* d) {
+  const task_frame* stage = d->frame();
+  if (is_spawn_ancestor(stage, t) || elision_precedes(stage, t)) return true;
+  for (const detail::qattach* at : t->attachments) {
+    if ((at->priv & detail::kPrivPush) != 0 && at->q->consumer_drain == d)
+      return is_spawn_ancestor(x, t) || elision_precedes(t, x);
+  }
+  return false;
+}
+
 }  // namespace
+
+bool scheduler::help_in_hold(const detail::drain* d) {
+  worker_ctx* w = detail::t_worker;
+  assert(w != nullptr && w->sched == this && w->current != nullptr);
+  task_frame* t = w->deque.take_top(0);
+  if (t == nullptr) return false;
+  if (!may_help(w->current, t, d) || !safe_to_nest(w->current, t)) {
+    w->deque.push_bottom(t);  // already advertised when it was enqueued
+    return false;
+  }
+  detail::bump(w->counters.helps);
+  execute(t);
+  return true;
+}
 
 bool scheduler::help_one(const task_frame* joiner) {
   worker_ctx* w = detail::t_worker;

@@ -82,9 +82,6 @@ struct sched_counters {
   /// an empty queue, or on the scan position). Declared pipelines consume
   /// through drains and never make one.
   std::uint64_t data_wait_helps = 0;
-  /// Producers held at a drain's bound that went on over it because every
-  /// worker was paused in a hold (sched/drain.hpp).
-  std::uint64_t give_ways = 0;
   /// Drain activations that took at least one value: with spawns and
   /// executed, the run progress the stall watchdog reads.
   std::uint64_t drain_takes = 0;
@@ -104,7 +101,6 @@ inline constexpr sched_counter_field kSchedCounters[] = {
     {"helps", &sched_counters::helps},
     {"inline_runs", &sched_counters::inline_runs},
     {"data_wait_helps", &sched_counters::data_wait_helps},
-    {"give_ways", &sched_counters::give_ways},
     {"drain_takes", &sched_counters::drain_takes},
 };
 static_assert(sizeof(sched_counters) ==
@@ -324,23 +320,12 @@ class scheduler {
   /// Run the drains defer_drain queued on this worker.
   void run_pending_drains();
 
-  /// The pause census of drain holds (sched/drain.hpp). Pause the calling
-  /// worker once with `bo`, counted meanwhile as a worker paused in a hold;
-  /// true when, at the end of the pause, every worker was counted so. A
-  /// worker running an activation or a task is never counted, so then
-  /// nothing runs anywhere: no activation, task or producer can take or
-  /// add a value until a paused hold goes on.
-  bool pause_in_hold(backoff& bo) noexcept {
-    paused_workers_.fetch_add(1, std::memory_order_acq_rel);
-    bo.pause();
-    const bool all =
-        paused_workers_.load(std::memory_order_acquire) >= num_workers();
-    paused_workers_.fetch_sub(1, std::memory_order_acq_rel);
-    return all;
-  }
-  void count_give_way() noexcept {
-    detail::bump(detail::t_worker->counters.give_ways);
-  }
+  /// Help for the current frame, held at drain `d`'s backlog bound: run
+  /// this worker's oldest ready frame if it cannot wait for the held one
+  /// (sched/drain.hpp), else put it back; false when none ran. No steal: a
+  /// refused one would leave its spawner's deque, whose unstolen children
+  /// bound the spawner's run-ahead.
+  bool help_in_hold(const detail::drain* d);
   void count_drain_take() noexcept {
     detail::bump(detail::t_worker->counters.drain_takes);
   }
@@ -401,9 +386,6 @@ class scheduler {
   std::atomic<int> num_idle_{0};
   std::atomic<std::uint64_t> work_epoch_{0};
   std::atomic<bool> stop_{false};
-
-  // Workers paused in a drain hold right now (pause_in_hold).
-  std::atomic<unsigned> paused_workers_{0};
 
   // Failure slot (first-failure-wins) + cancellation epoch, reset by
   // run_root after rethrowing so the scheduler is reusable.

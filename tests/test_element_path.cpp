@@ -254,29 +254,6 @@ TEST(ElementPath, TwoTaskStreamWalksMuAtMostOncePerAttachment) {
   EXPECT_LE(st.mu_data, 4u);
 }
 
-TEST(ElementPath, RingRecycleServedBySegmentCache) {
-  // Steady-state drain -> recycle -> alloc-next-wrap cycles go through the
-  // lock-free one-slot cache, not the free-list spinlock.
-  hq::scheduler sched(1);
-  hq::seg_pool_stats st{};
-  sched.run([&] {
-    hq::hyperqueue<int> q(16);
-    // Fill two segments, then drain both, 50 times: every wrap recycles the
-    // drained segment and allocates it back.
-    for (int r = 0; r < 50; ++r) {
-      for (int i = 0; i < 32; ++i) q.push(i);
-      for (int i = 0; i < 32; ++i) {
-        ASSERT_FALSE(q.empty());
-        ASSERT_EQ(q.pop(), i);
-      }
-    }
-    st = q.pool_stats();
-  });
-  EXPECT_GT(st.seg_cache_hits, 0u);
-  EXPECT_EQ(st.seg_cache_hits, st.recycled)
-      << "every pool reuse should have been served lock-free";
-}
-
 // ------------------------------------------- definitive-empty gate liveness
 
 TEST(ElementPath, ConsumerSpawnedBeforeProducerSeesEmpty) {

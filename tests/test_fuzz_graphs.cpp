@@ -1,6 +1,8 @@
 // Differential graph fuzzer: seeded random linear pipelines, each run on
-// the hyperqueue backend at 1 and 2 workers and on the pthreads and TBB
-// baselines at 2, all compared with the serial elision's output. The
+// the hyperqueue backend at 1, 2 and 4 workers (4 oversubscribes a small
+// host, where held producers must keep to the backlog bound without giving
+// way) and on the pthreads and TBB baselines at 2, all compared with the
+// serial elision's output. The
 // elision also runs under the drawn admission, which must not change it.
 //
 // A graph is drawn from one seed (util/rng.hpp, xoshiro256):
@@ -196,6 +198,7 @@ TEST_P(FuzzGraphs, EveryBackendMatchesTheElision) {
   };
   for (const target t : {target{backend::hyperqueue, 1},
                          target{backend::hyperqueue, 2},
+                         target{backend::hyperqueue, 4},
                          target{backend::pthreads, 2}, target{backend::tbb, 2}}) {
     const std::string what = std::string(hq::pipe::to_string(t.b)) + "@" +
                              std::to_string(t.workers) + " on seed " +
@@ -230,7 +233,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzGraphs, ::testing::Range<std::uint64_t>(1, 4
                          seed_name);
 
 // Seeds that stalled hyperqueue@2 in sweeps over 1-800, each with a serial
-// middle stage feeding a parallel run: the hold census (sched/drain.hpp).
+// middle stage feeding a parallel run: the holds of sched/drain.hpp.
 INSTANTIATE_TEST_SUITE_P(Stalled, FuzzGraphs,
                          ::testing::Values<std::uint64_t>(91, 115, 189, 329, 489,
                                                           491, 587, 671, 691,

@@ -19,8 +19,8 @@
 //    throws runs no claimed batch while it unwinds, and every
 //    admission policy claims, shed dropping offers while the source is late
 //    from a claimed run;
-//  * each drained queue counts the holds at its backlog bound, and its
-//    give-ways are the ones the scheduler counts;
+//  * each drained queue counts the holds at its backlog bound and the
+//    time they spent paused;
 //  * queues sit only in front of serial stages and the sink.
 #include <gtest/gtest.h>
 
@@ -247,9 +247,11 @@ INSTANTIATE_TEST_SUITE_P(Backends, StreamingRetire,
 /// tokens. The producers of a drained queue may leave at most 2·P·B of
 /// their tokens untaken (sched/drain.hpp). Measured at the stage bodies,
 /// a token counts from the body that emits it to the body that takes it,
-/// so the emitter buffers count too: at most one batch per worker, since
-/// no worker runs two producers of one queue at a time. The probe samples,
-/// at every emission into each queue, how many tokens it holds that way.
+/// so the emitter buffers count too: the test allows one batch per worker
+/// (a producer not yet scanned reserves its batch before buffering it, so
+/// only the scanned one's partial batch is outside 2·P·B). The probe
+/// samples, at every emission into each queue, how many tokens it holds
+/// that way.
 struct backlog_probe {
   const std::size_t batch;
   const std::uint64_t n;
@@ -312,11 +314,6 @@ struct backlog_probe {
   }
 };
 
-std::uint64_t give_ways_of(unsigned workers) {
-  hq::scheduler_lease lease(workers);
-  return lease->stats().give_ways;
-}
-
 using backlog_param = std::tuple<grain, unsigned, bool>;
 
 class StreamingBacklog : public ::testing::TestWithParam<backlog_param> {};
@@ -324,11 +321,9 @@ class StreamingBacklog : public ::testing::TestWithParam<backlog_param> {};
 TEST_P(StreamingBacklog, DrainedQueuesStayWithinTwoPBatches) {
   const auto [gr, workers, serial_middle] = GetParam();
   const std::size_t b = gr == grain::slices ? 16 : 1;
-  // 2·P·B in the queue, plus one emitter buffer of B per worker. When
-  // every worker is held at once, held producers give way over the bound
-  // (sched/drain.hpp, counted in stats_t::give_ways): with more workers
-  // than hardware threads, or beside other load, that happens often, and
-  // such a run is checked for its output only.
+  // 2·P·B in the queue, plus one emitter buffer of B per worker, at any
+  // worker count: a held producer never goes over the bound
+  // (sched/drain.hpp).
   const std::uint64_t bound = 2 * workers * b + workers * b;
   for (const std::uint64_t n : {std::uint64_t{4096}, std::uint64_t{16384}}) {
     backlog_probe ref(serial_middle, b, n);
@@ -336,14 +331,12 @@ TEST_P(StreamingBacklog, DrainedQueuesStayWithinTwoPBatches) {
     backlog_probe run(serial_middle, b, n);
     exec_options opt;
     opt.workers = workers;
-    const std::uint64_t give_ways = give_ways_of(workers);
     {
       watchdog_scope dog(workers);
       (void)hq::pipe::execute(run.g, backend::hyperqueue, opt);
     }
     EXPECT_EQ(run.snk_in.load(), n);
     EXPECT_EQ(run.digest, ref.digest) << "N = " << n;
-    if (give_ways_of(workers) != give_ways) continue;
     EXPECT_LT(run.max_snk_queue.load(), bound)
         << "the sink's queue held " << run.max_snk_queue.load()
         << " tokens, N = " << n;
@@ -368,8 +361,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(StreamingHolds, PerEdgeCountersMatchTheScheduler) {
   // The backlog probe's slow sink at B = 1 keeps its producers at the
-  // bound: the sink's queue counts those holds and the time held, and its
-  // give-ways are the ones the run's scheduler counted. Holds need the
+  // bound: the sink's queue counts those holds and the time they spent
+  // paused. Holds need the
   // sink's drain to run on one worker while another produces, which a
   // loaded host can prevent for a whole run (one thread running alone
   // kicks the drain at every batch end and never reaches the bound), so
@@ -386,16 +379,12 @@ TEST(StreamingHolds, PerEdgeCountersMatchTheScheduler) {
       backlog_probe run(/*serial_middle=*/false, 1, 4096);
       exec_options opt;
       opt.workers = workers;
-      const std::uint64_t give_ways = give_ways_of(workers);
       hq::pipe::exec_result res;
       {
         watchdog_scope dog(workers);
         res = hq::pipe::execute(run.g, backend::hyperqueue, opt);
       }
       EXPECT_EQ(run.digest, ref.digest) << what;
-      EXPECT_LE(res.pool.budget_overruns, res.pool.throttle_waits) << what;
-      EXPECT_EQ(res.pool.budget_overruns, give_ways_of(workers) - give_ways)
-          << what;
       holds += res.pool.throttle_waits;
       held_ns += res.pool.throttle_ns;
     }
